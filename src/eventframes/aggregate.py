@@ -67,26 +67,76 @@ def prune_edges(weights: np.ndarray, cfg: GraphConfig) -> np.ndarray:
     return pruned
 
 
+def _distinct(values: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct values in first-seen order, and each value's index into them."""
+    positions: dict = {}
+    index = [positions.setdefault(value, len(positions)) for value in values]
+    return list(positions), np.array(index, dtype=np.intp)
+
+
+def _best_match_sums(sim: np.ndarray, members: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """sums[a, b]: over set a's members x in order, the running sum of the best
+    sim[x, y] over set b's members y.
+
+    `members` lists each set's vocabulary indices in sorted order, padded with
+    an index whose row and column of `sim` are -inf.  Summing one member
+    position at a time keeps sim_slotsets' sequential order (a padded
+    position adds 0.0, which changes no sum).
+    """
+    sums = np.zeros((len(sizes), len(sizes)))
+    for position in range(members.shape[1]):
+        best = sim[members[:, position]][:, members].max(axis=2)
+        sums += np.where((position < sizes)[:, None], best, 0.0)
+    return sums
+
+
+def _slotset_matrix(
+    slot_sets: Sequence[frozenset[str]], ensemble: SimilarityEnsemble
+) -> np.ndarray:
+    """ensemble.sim_slotsets for every pair of slot sets, bitwise, from one
+    similarity matrix over the slot vocabulary."""
+    sizes = np.array([len(s) for s in slot_sets])
+    out = np.zeros((len(slot_sets), len(slot_sets)))
+    out[np.ix_(sizes == 0, sizes == 0)] = 1.0
+    full = np.flatnonzero(sizes)
+    if not full.size:
+        return out
+    vocab = sorted(set().union(*slot_sets))
+    position = {slot: i for i, slot in enumerate(vocab)}
+    sim = np.full((len(vocab) + 1, len(vocab) + 1), -np.inf)
+    sim[:-1, :-1] = ensemble.matrix(vocab, vocab)
+    members = np.full((full.size, sizes.max()), len(vocab))
+    for row, a in enumerate(full):
+        members[row, : sizes[a]] = [position[slot] for slot in sorted(slot_sets[a])]
+    sizes = sizes[full]
+    forward = _best_match_sums(sim, members, sizes)
+    backward = _best_match_sums(sim.T, members, sizes).T
+    out[np.ix_(full, full)] = (forward + backward) / np.add.outer(sizes, sizes)
+    return out
+
+
 def build_schema_graph(
     instances: Sequence[StructuredInstance],
     ensemble: SimilarityEnsemble,
     cfg: GraphConfig = GraphConfig(),
 ) -> SchemaGraph:
     """Pairwise weights: lambda3 * text sim + lambda4 * type sim + lambda5 *
-    slot-set sim, then pruning per config."""
+    slot-set sim, then pruning per config.
+
+    Similarities are computed once per distinct text, type and slot set
+    (bitwise equal to ensemble.sim and sim_slotsets); only filling in the
+    n x n weights is quadratic in the instances.
+    """
     if not instances:
         raise ValueError("need at least one instance")
-    n = len(instances)
-    slot_sets = [set(inst.slot_names) for inst in instances]
-    weights = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            weight = (
-                cfg.lambda3 * ensemble.sim(instances[i].expression.text, instances[j].expression.text)
-                + cfg.lambda4 * ensemble.sim(instances[i].event_type, instances[j].event_type)
-                + cfg.lambda5 * ensemble.sim_slotsets(slot_sets[i], slot_sets[j])
-            )
-            weights[i, j] = weights[j, i] = weight
+    texts, text_index = _distinct([inst.expression.text for inst in instances])
+    types, type_index = _distinct([inst.event_type for inst in instances])
+    slot_sets, set_index = _distinct([frozenset(inst.slot_names) for inst in instances])
+    text_sim = ensemble.matrix(texts, texts)[np.ix_(text_index, text_index)]
+    type_sim = ensemble.matrix(types, types)[np.ix_(type_index, type_index)]
+    slot_sim = _slotset_matrix(slot_sets, ensemble)[np.ix_(set_index, set_index)]
+    weights = cfg.lambda3 * text_sim + cfg.lambda4 * type_sim + cfg.lambda5 * slot_sim
+    np.fill_diagonal(weights, 0.0)
     return SchemaGraph(weights=prune_edges(weights, cfg))
 
 
@@ -95,9 +145,12 @@ def cluster_instances(
     ensemble: SimilarityEnsemble,
     cfg: GraphConfig = GraphConfig(),
     seed: int = 1234,
+    graph: SchemaGraph | None = None,
 ) -> ClusterAssignment:
-    """Build the schema graph and partition it, keyed by expression id."""
-    graph = build_schema_graph(instances, ensemble, cfg)
+    """Partition the schema graph, keyed by expression id.  The graph is built
+    from the instances unless a prebuilt one is given."""
+    if graph is None:
+        graph = build_schema_graph(instances, ensemble, cfg)
     ids = tuple(inst.expression.id for inst in instances)
     assignment = louvain(graph.weights, seed=seed, keys=list(ids))
     return replace(assignment, ids=ids)
@@ -152,11 +205,8 @@ def merge_slot_synonyms(
     names = sorted(slots)
     if not names:
         return []
-    n = len(names)
-    weights = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            weights[i, j] = weights[j, i] = ensemble.sim(names[i], names[j])
+    weights = ensemble.matrix(names, names)
+    np.fill_diagonal(weights, 0.0)
     assignment = louvain(prune_edges(weights, cfg), seed=seed, keys=names)
     groups: list[SlotGroup] = []
     for group in assignment.groups():

@@ -181,12 +181,10 @@ def louvain(
             raise ValueError("keys must be unique")
 
     adjacency: list[dict[int, float]] = [{} for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = float(weights[i, j])
-            if w > 0.0:
-                adjacency[i][j] = w
-                adjacency[j][i] = w
+    rows, cols = np.nonzero(np.triu(weights, 1))
+    for i, j, w in zip(rows.tolist(), cols.tolist(), weights[rows, cols].tolist()):
+        adjacency[i][j] = w
+        adjacency[j][i] = w
     loops = [0.0] * n
 
     membership = list(range(n))

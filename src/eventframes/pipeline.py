@@ -11,7 +11,7 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -38,7 +38,6 @@ from .evaluation import (
     load_gold_mentions,
     mention_harness,
 )
-from .louvain import louvain
 from .schemas import SchemaCandidate, load_demonstrations
 from .scoring import ScoringConfig, structured_from_dict, structured_to_dict, structuralize
 from .similarity import (
@@ -480,11 +479,11 @@ def _evaluate_metrics(cfg: PipelineConfig, out_dir: Path) -> dict:
     ]
     ensemble = build_ensemble(cfg.similarity)
     graph = build_schema_graph(structured, ensemble, cfg.graph)
-    ids = [s.expression.id for s in structured]
     runs: list[ClusteringMetrics] = []
     for repeat in range(cfg.evaluation.repeats):
-        assignment = louvain(graph.weights, seed=cfg.seed + repeat, keys=ids)
-        assignment = replace(assignment, ids=tuple(ids))
+        assignment = cluster_instances(
+            structured, ensemble, cfg.graph, cfg.seed + repeat, graph=graph
+        )
         runs.append(mention_harness(gold, assignment, cfg.evaluation.top_k))
     return {
         "repeats": cfg.evaluation.repeats,

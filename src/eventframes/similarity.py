@@ -3,6 +3,9 @@
 Three backend kinds: token/bigram overlap (lexical), synonym-set lookup
 (lexicon), and vector cosine (embedding).  Every backend is symmetric, maps
 any string pair into [0, 1], and scores identical non-empty strings as 1.
+
+Each backend scores one pair (`score`) or every pair of two string lists at
+once (`matrix`); the matrix holds exactly the floats `score` returns.
 """
 
 from __future__ import annotations
@@ -27,15 +30,19 @@ class SimilarityBackend(Protocol):
 
     def score(self, a: str, b: str) -> float: ...
 
+    def matrix(self, xs: Sequence[str], ys: Sequence[str]) -> np.ndarray:
+        """[[score(x, y) for y in ys] for x in xs], bitwise."""
+        ...
+
 
 def _tokens(text: str) -> list[str]:
     return text.lower().split()
 
 
-def _bigrams(token: str) -> Counter:
+def _bigrams(token: str) -> list[str]:
     if len(token) < 2:
-        return Counter([token]) if token else Counter()
-    return Counter(token[i : i + 2] for i in range(len(token) - 1))
+        return [token]
+    return [token[i : i + 2] for i in range(len(token) - 1)]
 
 
 def _dice(a: Counter, b: Counter) -> float:
@@ -44,6 +51,39 @@ def _dice(a: Counter, b: Counter) -> float:
         return 0.0
     shared = sum((a & b).values())
     return 2.0 * shared / total
+
+
+def _incidence(rows: list[list[int]], width: int) -> np.ndarray:
+    """0/1 matrix with a 1 at (r, c) for every column c listed in rows[r]."""
+    out = np.zeros((len(rows), width))
+    row_of = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    out[row_of, np.array([c for row in rows for c in row], dtype=np.intp)] = 1.0
+    return out
+
+
+def _dice_matrix(xs: list[list[str]], ys: list[list[str]]) -> np.ndarray:
+    """`_dice` of the multisets of every pair of item lists.
+
+    The k-th occurrence of an item is a feature of its own, so the multiset
+    intersection size is the dot product of 0/1 feature rows.  Numerators and
+    denominators are integers (exact in float64), so each cell is exactly
+    2.0 * shared / total.
+    """
+    features: dict[tuple[str, int], int] = {}
+
+    def feature_ids(items: list[str]) -> list[int]:
+        seen: dict[str, int] = {}
+        ids = []
+        for item in items:
+            seen[item] = occurrence = seen.get(item, 0) + 1
+            ids.append(features.setdefault((item, occurrence), len(features)))
+        return ids
+
+    ids_x = [feature_ids(items) for items in xs]
+    ids_y = [feature_ids(items) for items in ys]
+    shared = _incidence(ids_x, len(features)) @ _incidence(ids_y, len(features)).T
+    total = np.add.outer([float(len(i)) for i in xs], [float(len(i)) for i in ys])
+    return np.divide(2.0 * shared, total, out=np.zeros_like(shared), where=total > 0)
 
 
 class LexicalBackend:
@@ -57,8 +97,22 @@ class LexicalBackend:
         if not tokens_a or not tokens_b:
             return 0.0
         if len(tokens_a) == 1 and len(tokens_b) == 1:
-            return _dice(_bigrams(tokens_a[0]), _bigrams(tokens_b[0]))
+            return _dice(Counter(_bigrams(tokens_a[0])), Counter(_bigrams(tokens_b[0])))
         return _dice(Counter(tokens_a), Counter(tokens_b))
+
+    def matrix(self, xs: Sequence[str], ys: Sequence[str]) -> np.ndarray:
+        # Token Dice everywhere (an empty side shares nothing, so scores 0),
+        # then bigram Dice where both sides are single tokens.
+        tokens_x, tokens_y = [_tokens(x) for x in xs], [_tokens(y) for y in ys]
+        out = _dice_matrix(tokens_x, tokens_y)
+        single_x = [i for i, tokens in enumerate(tokens_x) if len(tokens) == 1]
+        single_y = [j for j, tokens in enumerate(tokens_y) if len(tokens) == 1]
+        if single_x and single_y:
+            out[np.ix_(single_x, single_y)] = _dice_matrix(
+                [_bigrams(tokens_x[i][0]) for i in single_x],
+                [_bigrams(tokens_y[j][0]) for j in single_y],
+            )
+        return out
 
 
 class LexiconBackend:
@@ -94,6 +148,24 @@ class LexiconBackend:
         if self._set_ids.get(key_a, set()) & self._set_ids.get(key_b, set()):
             return 1.0
         return self._fallback.score(a, b)
+
+    def matrix(self, xs: Sequence[str], ys: Sequence[str]) -> np.ndarray:
+        keys_x = [x.strip().lower() for x in xs]
+        keys_y = [y.strip().lower() for y in ys]
+        key_ids: dict[str, int] = {"": -1}  # an empty key equals nothing
+        ids_x = np.array([key_ids.setdefault(k, len(key_ids)) for k in keys_x], dtype=int)
+        ids_y = np.array([key_ids.setdefault(k, len(key_ids)) for k in keys_y], dtype=int)
+        same_key = np.equal.outer(ids_x, ids_y) & (ids_x >= 0)[:, None]
+        # Synonym-set incidence over the sets these strings belong to.
+        columns: dict[int, int] = {}
+
+        def set_columns(key: str) -> list[int]:
+            return [columns.setdefault(s, len(columns)) for s in self._set_ids.get(key, ())]
+
+        sets_x = [set_columns(k) for k in keys_x]
+        sets_y = [set_columns(k) for k in keys_y]
+        shared_set = _incidence(sets_x, len(columns)) @ _incidence(sets_y, len(columns)).T > 0
+        return np.where(same_key | shared_set, 1.0, self._fallback.matrix(xs, ys))
 
 
 class EmbeddingBackend:
@@ -138,14 +210,34 @@ class EmbeddingBackend:
             return None
         return pooled / norm
 
+    @staticmethod
+    def _cosine_score(vec_a: np.ndarray, vec_b: np.ndarray) -> float:
+        cosine = float(np.clip(np.dot(vec_a, vec_b), -1.0, 1.0))
+        return (1.0 + cosine) / 2.0
+
     def score(self, a: str, b: str) -> float:
         vec_a, vec_b = self._pool(a), self._pool(b)
         if vec_a is None or vec_b is None:
             self.fallback_count += 1
             log.debug("embedding miss for (%r, %r); lexical fallback", a[:40], b[:40])
             return self._fallback.score(a, b)
-        cosine = float(np.clip(np.dot(vec_a, vec_b), -1.0, 1.0))
-        return (1.0 + cosine) / 2.0
+        return self._cosine_score(vec_a, vec_b)
+
+    def matrix(self, xs: Sequence[str], ys: Sequence[str]) -> np.ndarray:
+        # One np.dot per covered pair, as in score: a matrix product may
+        # round differently.  Every uncovered cell counts as one fallback.
+        pooled = {text: self._pool(text) for text in dict.fromkeys([*xs, *ys])}
+        covered_x = [i for i, x in enumerate(xs) if pooled[x] is not None]
+        covered_y = [j for j, y in enumerate(ys) if pooled[y] is not None]
+        misses = len(xs) * len(ys) - len(covered_x) * len(covered_y)
+        self.fallback_count += misses
+        log.debug("embedding misses: %d of %d pairs scored lexically", misses, len(xs) * len(ys))
+        out = self._fallback.matrix(xs, ys)
+        for i in covered_x:
+            vec_x = pooled[xs[i]]
+            for j in covered_y:
+                out[i, j] = self._cosine_score(vec_x, pooled[ys[j]])
+        return out
 
 
 class EmbeddingServiceBackend(EmbeddingBackend):
@@ -183,7 +275,8 @@ class SimilarityEnsemble:
     """Convex combination of backend scores; the result stays in [0, 1].
 
     Scores are cached under an order-independent key, which also makes
-    sim(a, b) == sim(b, a) bitwise.
+    sim(a, b) == sim(b, a) bitwise.  `matrix` scores whole lists at once,
+    without the cache, and yields the same floats as `sim`.
     """
 
     backends: Sequence[SimilarityBackend]
@@ -214,6 +307,12 @@ class SimilarityEnsemble:
         value = min(max(value, 0.0), 1.0)
         self._cache[key] = value
         return value
+
+    def matrix(self, xs: Sequence[str], ys: Sequence[str]) -> np.ndarray:
+        """[[sim(x, y) for y in ys] for x in xs], bitwise: the weighted
+        backend matrices are summed from 0 in backend order, then clipped."""
+        total = sum(w * backend.matrix(xs, ys) for w, backend in zip(self.weights, self.backends))
+        return np.clip(total, 0.0, 1.0)
 
     def sim_slotsets(self, a: Iterable[str], b: Iterable[str]) -> float:
         """Soft best-match average between two slot sets.

@@ -1,8 +1,8 @@
 """Independent brute-force oracles the implementations are checked against.
 
 These deliberately avoid the library's code paths: naive pair enumeration for
-ARI, direct probability tables for NMI, per-element loops for BCubed, and a
-direct double-sum modularity for partitions.
+ARI, direct probability tables for NMI, per-element loops for BCubed, a
+direct double-sum modularity for partitions, and a per-pair schema graph.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from collections import Counter
 from itertools import combinations
 
 import numpy as np
+
+from eventframes.aggregate import GraphConfig, prune_edges
 
 
 def _partition_sets(labels):
@@ -115,3 +117,20 @@ def random_partition_pair(rng, max_elements: int = 12, max_clusters: int = 5):
     gold = [rng.randrange(k_gold) for _ in range(n)]
     pred = [rng.randrange(k_pred) for _ in range(n)]
     return gold, pred
+
+
+def pairwise_schema_graph(instances, ensemble, cfg: GraphConfig = GraphConfig()) -> np.ndarray:
+    """Schema-graph weights from one scalar sim / sim_slotsets call per
+    instance pair, mirrored across the diagonal, then pruned."""
+    n = len(instances)
+    slot_sets = [set(inst.slot_names) for inst in instances]
+    weights = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            weight = (
+                cfg.lambda3 * ensemble.sim(instances[i].expression.text, instances[j].expression.text)
+                + cfg.lambda4 * ensemble.sim(instances[i].event_type, instances[j].event_type)
+                + cfg.lambda5 * ensemble.sim_slotsets(slot_sets[i], slot_sets[j])
+            )
+            weights[i, j] = weights[j, i] = weight
+    return prune_edges(weights, cfg)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventframes.aggregate import (
     GraphConfig,
@@ -14,10 +16,19 @@ from eventframes.aggregate import (
     render_aggregated,
 )
 from eventframes.louvain import ClusterAssignment
-from eventframes.scoring import SlotRecord, StructuredInstance
-from eventframes.similarity import LexiconBackend, SimilarityEnsemble, default_ensemble
+from eventframes.pipeline import PipelineConfig, read_stage_file, run_stage
+from eventframes.scoring import SlotRecord, StructuredInstance, structured_from_dict
+from eventframes.similarity import (
+    EmbeddingBackend,
+    LexicalBackend,
+    LexiconBackend,
+    SimilarityEnsemble,
+    default_ensemble,
+)
 
 from helpers import expression
+from oracles import pairwise_schema_graph
+from synthetic import build_workspace
 
 
 def structured(expr_id, text, event_type, slots, type_consistency=1.0, scores=None):
@@ -259,6 +270,15 @@ class TestClusterInstances:
         groups = {frozenset(assignment.ids[i] for i in g) for g in assignment.groups()}
         assert groups == {frozenset({"a1", "a2"}), frozenset({"b1", "b2"})}
 
+    def test_prebuilt_graph_gives_the_same_assignment(self):
+        instances = two_cluster_instances()
+        ensemble, cfg = default_ensemble(), GraphConfig()
+        graph = build_schema_graph(instances, ensemble, cfg)
+        for seed in (0, 7, 1234):
+            assert cluster_instances(instances, ensemble, cfg, seed, graph=graph) == (
+                cluster_instances(instances, ensemble, cfg, seed)
+            )
+
 
 class TestRenderingAndSerialization:
     def test_render_matches_surface_form(self):
@@ -288,3 +308,90 @@ class TestRenderingAndSerialization:
         )
         for schema in aggregate(instances, assignment, default_ensemble()):
             assert aggregated_from_dict(aggregated_to_dict(schema)) == schema
+
+
+# -- the batched schema graph against the per-pair oracle --------------------
+
+GRAPH_CONFIGS = [
+    GraphConfig(edge_prune="none"),
+    GraphConfig(),
+    GraphConfig(edge_prune="absolute", prune_tau=2.5),
+    GraphConfig(lambda3=2, lambda4=0.5, lambda5=1.5, edge_prune="none"),
+]
+SLOT_VOCAB = [
+    "agent", "attacker", "victim", "target", "weapon", "place", "site", "time",
+    "winner", "Winner", "loser", "a", "ab",
+]
+
+
+def three_backend_ensemble() -> SimilarityEnsemble:
+    lexicon = LexiconBackend([["attacker", "agent"], ["site", "place"], ["winner", "victor"]])
+    vectors = {
+        "rebels": [1.0, 0.2, 0.0], "attack": [0.9, 0.1, 0.3], "voters": [0.0, 1.0, 0.5],
+        "election": [0.1, 0.8, 0.6], "victim": [0.5, -0.5, 0.25], "site": [0.3, 0.3, -1.0],
+        "a": [1.0, 0.0, 0.0], "ab": [-1.0, 0.0, 0.0],
+    }
+    return SimilarityEnsemble(
+        backends=[LexicalBackend(), lexicon, EmbeddingBackend(vectors)], weights=[0.5, 0.25, 0.25]
+    )
+
+
+def ensembles():
+    return {"lexical": default_ensemble(), "three-backend": three_backend_ensemble()}
+
+
+def assert_graph_matches_oracle(instances, ensemble_name, cfg):
+    batched = build_schema_graph(instances, ensembles()[ensemble_name], cfg).weights
+    reference = pairwise_schema_graph(instances, ensembles()[ensemble_name], cfg)
+    assert batched.shape == reference.shape
+    assert batched.tobytes() == reference.tobytes()
+
+
+@pytest.fixture(scope="module")
+def synthetic_instances(tmp_path_factory):
+    root = tmp_path_factory.mktemp("synthetic")
+    paths = build_workspace(root / "ws")
+    cfg = PipelineConfig.from_file(paths["config"])
+    for stage in ("ingest", "conceptualize", "structuralize"):
+        run_stage(stage, cfg, root / "out", input_path=paths["corpus"])
+    records = read_stage_file(root / "out" / "structured.jsonl", "structuralize")
+    return [structured_from_dict(r) for r in records]
+
+
+instance_lists = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(["rebels", "attack", "Attack", "voters", "election", "a"]),
+                 max_size=4).map(" ".join),
+        st.sampled_from(["attack", "assault", "election", "vote", "a", "Attack"]),
+        st.lists(st.sampled_from(SLOT_VOCAB), max_size=10, unique=True),
+    ),
+    min_size=1,
+    max_size=8,
+).map(lambda rows: [structured(f"e{i}", *row) for i, row in enumerate(rows)])
+
+
+class TestGraphMatchesPairwiseOracle:
+    @pytest.mark.parametrize("ensemble_name", list(ensembles()))
+    @pytest.mark.parametrize("cfg", GRAPH_CONFIGS)
+    def test_synthetic_fixture(self, synthetic_instances, ensemble_name, cfg):
+        assert len(synthetic_instances) == 30
+        assert_graph_matches_oracle(synthetic_instances, ensemble_name, cfg)
+
+    @given(instance_lists, st.sampled_from(GRAPH_CONFIGS), st.sampled_from(list(ensembles())))
+    @settings(max_examples=200, deadline=None)
+    def test_generated_instances(self, instances, cfg, ensemble_name):
+        assert_graph_matches_oracle(instances, ensemble_name, cfg)
+
+    def test_large_slot_sets_keep_sequential_sums(self):
+        # Eight or more members is where np.sum's pairwise summation reorders
+        # the best-match sum; on this pair it changes the last bit.
+        instances = [
+            structured(
+                "x", "rebels attack", "attack",
+                ["Winner", "ab", "attacker", "loser", "place", "target", "weapon", "winner"],
+            ),
+            structured("y", "voters", "election", ["ab", "attacker", "victim", "weapon"]),
+        ]
+        for cfg in GRAPH_CONFIGS:
+            for ensemble_name in ensembles():
+                assert_graph_matches_oracle(instances, ensemble_name, cfg)

@@ -185,3 +185,79 @@ class TestSlotSetSimilarity:
     def test_symmetric(self):
         ensemble = table_ensemble({("a", "c"): 0.3, ("b", "c"): 0.7})
         assert ensemble.sim_slotsets({"a", "b"}, {"c"}) == ensemble.sim_slotsets({"c"}, {"a", "b"})
+
+
+# Strings that reach every branch of the backends: empty and whitespace-only
+# strings, 1-char tokens, single- vs multi-token, repeated tokens and bigrams,
+# mixed case, and tokens without an embedding vector.
+MATRIX_WORDS = ["a", "b", "x", "ab", "ba", "aa", "aaa", "abab", "Ab", "AB", "cab", "zz", "null"]
+matrix_strings = st.one_of(
+    st.text(alphabet="abAB \t", max_size=8),
+    st.lists(st.sampled_from(MATRIX_WORDS), max_size=4).map(" ".join),
+    st.lists(st.sampled_from(MATRIX_WORDS), max_size=3).map(lambda ws: "  " + "\t".join(ws) + " "),
+)
+string_lists = st.lists(matrix_strings, max_size=6)
+
+
+def matrix_backends():
+    vectors = {
+        "a": [1.0, 0.0, 0.0],
+        "b": [0.3, -1.0, 2.0],
+        "ab": [-0.5, 0.25, 0.125],
+        "ba": [-1.0, 0.0, 0.0],  # "a ba" pools to the zero vector
+        "aaa": [0.1, 0.2, 0.3],
+        "null": [0.0, 0.0, 0.0],
+        "cab": [2.0, 2.0, -1.0],
+    }
+    lexicon = LexiconBackend([["a", "b b"], [" ab ", "BA", "x"], ["a", "zz"], ["  "]])
+    return [LexicalBackend(), lexicon, EmbeddingBackend(vectors)]
+
+
+def assert_bitwise(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.dtype == expected.dtype == np.float64
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def per_pair(score, xs, ys) -> np.ndarray:
+    return np.array([[score(x, y) for y in ys] for x in xs], dtype=float).reshape(len(xs), len(ys))
+
+
+class TestMatrixEqualsPerPair:
+    @given(string_lists, string_lists)
+    @settings(max_examples=300, deadline=None)
+    def test_backend_matrix_is_score_bitwise(self, xs, ys):
+        for backend in matrix_backends():
+            assert_bitwise(backend.matrix(xs, ys), per_pair(backend.score, xs, ys))
+
+    @given(string_lists, string_lists)
+    @settings(max_examples=150, deadline=None)
+    def test_ensemble_matrix_is_sim_bitwise(self, xs, ys):
+        for weights in ([0.5, 0.3, 0.2], [1.0, 1.0, 1.0], [0.0, 0.7, 0.1]):
+            ensemble = SimilarityEnsemble(backends=matrix_backends(), weights=weights)
+            assert_bitwise(ensemble.matrix(xs, ys), per_pair(ensemble.sim, xs, ys))
+
+    @given(string_lists, string_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_embedding_matrix_counts_each_uncovered_pair(self, xs, ys):
+        by_matrix, by_score = matrix_backends()[2], matrix_backends()[2]
+        by_matrix.matrix(xs, ys)
+        per_pair(by_score.score, xs, ys)
+        assert by_matrix.fallback_count == by_score.fallback_count
+
+    def test_matrix_leaves_the_pair_cache_alone(self):
+        ensemble = SimilarityEnsemble(backends=[LexicalBackend()])
+        ensemble.matrix(["a b", "c"], ["a b", "d"])
+        assert ensemble._cache == {}
+
+    def test_service_backend_pools_each_string_once(self):
+        fetched = []
+
+        def fake_fetch(texts):
+            fetched.append(list(texts))
+            return [[1.0, float(len(t))] for t in texts]
+
+        backend = EmbeddingServiceBackend("http://vectors", fetch=fake_fetch)
+        out = backend.matrix(["alpha", "beta alpha"], ["alpha", "beta"])
+        assert fetched == [["alpha"], ["beta"]]
+        assert_bitwise(out, per_pair(backend.score, ["alpha", "beta alpha"], ["alpha", "beta"]))
