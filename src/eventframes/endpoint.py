@@ -13,6 +13,8 @@ from typing import Protocol
 
 import requests
 
+from .fileio import atomic_write
+
 log = logging.getLogger(__name__)
 
 TOKEN_ENV_VAR = "EVENTFRAMES_ENDPOINT_TOKEN"
@@ -203,9 +205,7 @@ class ReplayStore:
         return prompt_hash(prompt) in self.entries
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
+        with atomic_write(Path(path)) as handle:
             for key in sorted(self.entries):
                 record = {"hash": key, "completions": list(self.entries[key])}
                 handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")

@@ -2,7 +2,11 @@
 
 Every stage reads its predecessor's JSONL file and writes its own, so each is
 independently re-runnable and diffable.  Stage files are self-describing via
-a header line carrying the producing stage, config hash, and format version.
+a header line carrying the producing stage, its stage key, and format version.
+
+A stage's key hashes the config sections it reads (`Stage.sections`) and its
+predecessor's key, so a config edit reruns only the stages downstream of the
+first stage that reads the edited section.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ import json
 import logging
 import time
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .aggregate import (
     GraphConfig,
@@ -38,6 +43,7 @@ from .evaluation import (
     load_gold_mentions,
     mention_harness,
 )
+from .fileio import atomic_write
 from .schemas import SchemaCandidate, load_demonstrations
 from .scoring import ScoringConfig, structured_from_dict, structured_to_dict, structuralize
 from .similarity import (
@@ -51,24 +57,6 @@ from .similarity import (
 log = logging.getLogger(__name__)
 
 FORMAT_VERSION = 1
-
-STAGES = ("ingest", "conceptualize", "structuralize", "aggregate", "evaluate")
-
-STAGE_FILES = {
-    "ingest": "expressions.jsonl",
-    "conceptualize": "conceptualized.jsonl",
-    "structuralize": "structured.jsonl",
-    "aggregate": "schemas.jsonl",
-    "evaluate": "metrics.json",
-}
-
-# stage -> predecessor whose output it consumes
-STAGE_INPUTS = {
-    "conceptualize": "ingest",
-    "structuralize": "conceptualize",
-    "aggregate": "structuralize",
-    "evaluate": "aggregate",
-}
 
 
 class ConfigError(ValueError):
@@ -188,9 +176,21 @@ class PipelineConfig:
         with open(path, encoding="utf-8") as handle:
             return cls.from_dict(json.load(handle))
 
-    def config_hash(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    @cached_property
+    def stage_keys(self) -> dict[str, str]:
+        """Stage name -> hash of the config sections that stage reads and of
+        its predecessor's key.  Computed once per config, from one to_dict()."""
+        data = self.to_dict()
+        keys: dict[str, str] = {}
+        for stage in STAGE_TABLE.values():
+            sections = {section: data[section] for section in stage.sections}
+            keys[stage.name] = _digest([keys.get(stage.predecessor), sections])
+        return keys
+
+
+def _digest(value: Any) -> str:
+    canonical = json.dumps(value, sort_keys=True, ensure_ascii=False)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def build_ensemble(settings: SimilaritySettings) -> SimilarityEnsemble:
@@ -247,8 +247,7 @@ def write_stage_file(
 ) -> int:
     header = {"stage": stage, "config_hash": config_hash, "format_version": FORMAT_VERSION}
     count = 0
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         handle.write(_dumps(header) + "\n")
         for record in records:
             handle.write(_dumps(record) + "\n")
@@ -256,7 +255,12 @@ def write_stage_file(
     return count
 
 
-def read_stage_file(path: Path, expected_stage: str) -> list[dict]:
+def read_stage_file(
+    path: Path, expected_stage: str, expected_key: str | None = None
+) -> list[dict]:
+    """Records of a stage file.  With expected_key, refuse a file whose header
+    key differs: it was written under other config sections than the current
+    config gives that stage or an earlier one."""
     if not path.exists():
         raise StageInputError(
             f"missing {path.name}; run the {expected_stage!r} stage first"
@@ -272,6 +276,11 @@ def read_stage_file(path: Path, expected_stage: str) -> list[dict]:
         )
     if header.get("format_version") != FORMAT_VERSION:
         raise StageInputError(f"{path} has format_version {header.get('format_version')}")
+    if expected_key is not None and header.get("config_hash") != expected_key:
+        raise StageInputError(
+            f"{path} is stale: the config has changed in a section that the "
+            f"{expected_stage!r} stage or an earlier one reads; rerun the {expected_stage!r} stage"
+        )
     return [json.loads(line) for line in lines[1:] if line.strip()]
 
 
@@ -304,7 +313,7 @@ def _write_manifest(
         "counts": dict(counts),
         "wall_time_s": round(wall_time, 6),
     }
-    with open(_manifest_path(out_dir, stage), "w", encoding="utf-8") as handle:
+    with atomic_write(_manifest_path(out_dir, stage)) as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return manifest
@@ -340,8 +349,21 @@ def _up_to_date(out_dir: Path, stage: str, config_hash: str, inputs: Sequence[Pa
 # --------------------------------------------------------------------------
 
 
+def _stage_path(out_dir: Path, stage: str) -> Path:
+    return out_dir / STAGE_TABLE[stage].file
+
+
+def _read_stage(cfg: PipelineConfig, out_dir: Path, stage: str) -> list[dict]:
+    """The records of an earlier stage's file, refused if stale for cfg."""
+    return read_stage_file(_stage_path(out_dir, stage), stage, cfg.stage_keys[stage])
+
+
+def _write_stage(cfg: PipelineConfig, out_dir: Path, stage: str, records: Iterable[Mapping]) -> int:
+    return write_stage_file(_stage_path(out_dir, stage), stage, cfg.stage_keys[stage], records)
+
+
 def _load_expressions(out_dir: Path, cfg: PipelineConfig) -> list[EventExpression]:
-    records = read_stage_file(out_dir / STAGE_FILES["ingest"], "ingest")
+    records = _read_stage(cfg, out_dir, "ingest")
     return [
         EventExpression.from_text(
             r["id"], r["text"], r["source"], language_mode=cfg.corpus.language_mode
@@ -351,7 +373,7 @@ def _load_expressions(out_dir: Path, cfg: PipelineConfig) -> list[EventExpressio
 
 
 def _load_conceptualized(out_dir: Path, cfg: PipelineConfig) -> list[ConceptualizedInstance]:
-    records = read_stage_file(out_dir / STAGE_FILES["conceptualize"], "conceptualize")
+    records = _read_stage(cfg, out_dir, "conceptualize")
     instances = []
     for r in records:
         expression = EventExpression.from_text(
@@ -367,22 +389,27 @@ def _load_conceptualized(out_dir: Path, cfg: PipelineConfig) -> list[Conceptuali
     return instances
 
 
-def _stage_ingest(cfg: PipelineConfig, input_path: Path | None, out_dir: Path) -> dict:
+def _stage_ingest(cfg: PipelineConfig, out_dir: Path, input_path: Path | None) -> dict:
     if input_path is None:
         raise StageInputError("ingest needs an --input corpus file")
     if not input_path.exists():
         raise StageInputError(f"corpus file not found: {input_path}")
     expressions, report = load_corpus(input_path, cfg.corpus.format, cfg.corpus.filter_config())
-    write_stage_file(
-        out_dir / STAGE_FILES["ingest"],
+    if not expressions:
+        raise StageInputError(
+            f"no line of {input_path} survived ingest: {report.total} read, "
+            f"discarded by reason {report.discarded}"
+        )
+    _write_stage(
+        cfg,
+        out_dir,
         "ingest",
-        cfg.config_hash(),
         ({"id": e.id, "text": e.text, "source": e.source} for e in expressions),
     )
     return report.as_dict()
 
 
-def _stage_conceptualize(cfg: PipelineConfig, out_dir: Path) -> dict:
+def _stage_conceptualize(cfg: PipelineConfig, out_dir: Path, input_path: Path | None) -> dict:
     if not cfg.demonstrations.path:
         raise ConfigError("conceptualize needs a demonstrations path in the config")
     pool = load_demonstrations(cfg.demonstrations.path)
@@ -400,10 +427,10 @@ def _stage_conceptualize(cfg: PipelineConfig, out_dir: Path) -> dict:
     )
     if isinstance(client, RecordingClient):
         client.save()
-    write_stage_file(
-        out_dir / STAGE_FILES["conceptualize"],
+    _write_stage(
+        cfg,
+        out_dir,
         "conceptualize",
-        cfg.config_hash(),
         (
             {
                 "id": inst.expression.id,
@@ -420,16 +447,11 @@ def _stage_conceptualize(cfg: PipelineConfig, out_dir: Path) -> dict:
     return report.as_dict()
 
 
-def _stage_structuralize(cfg: PipelineConfig, out_dir: Path) -> dict:
+def _stage_structuralize(cfg: PipelineConfig, out_dir: Path, input_path: Path | None) -> dict:
     instances = _load_conceptualized(out_dir, cfg)
     ensemble = build_ensemble(cfg.similarity)
     structured = structuralize(instances, cfg.scoring, ensemble)
-    write_stage_file(
-        out_dir / STAGE_FILES["structuralize"],
-        "structuralize",
-        cfg.config_hash(),
-        (structured_to_dict(s) for s in structured),
-    )
+    _write_stage(cfg, out_dir, "structuralize", (structured_to_dict(s) for s in structured))
     return {
         "instances": len(structured),
         "slots_kept": sum(len(s.slots) for s in structured),
@@ -437,20 +459,14 @@ def _stage_structuralize(cfg: PipelineConfig, out_dir: Path) -> dict:
     }
 
 
-def _stage_aggregate(cfg: PipelineConfig, out_dir: Path) -> dict:
-    records = read_stage_file(out_dir / STAGE_FILES["structuralize"], "structuralize")
-    structured = [structured_from_dict(r) for r in records]
+def _stage_aggregate(cfg: PipelineConfig, out_dir: Path, input_path: Path | None) -> dict:
+    structured = [structured_from_dict(r) for r in _read_stage(cfg, out_dir, "structuralize")]
     if not structured:
         raise StageInputError("no structured instances to aggregate")
     ensemble = build_ensemble(cfg.similarity)
     assignment = cluster_instances(structured, ensemble, cfg.graph, cfg.seed)
     schemas = aggregate(structured, assignment, ensemble, cfg.graph, cfg.seed)
-    write_stage_file(
-        out_dir / STAGE_FILES["aggregate"],
-        "aggregate",
-        cfg.config_hash(),
-        (aggregated_to_dict(s) for s in schemas),
-    )
+    _write_stage(cfg, out_dir, "aggregate", (aggregated_to_dict(s) for s in schemas))
     return {
         "instances": len(structured),
         "clusters": len(schemas),
@@ -462,8 +478,7 @@ def _evaluate_metrics(cfg: PipelineConfig, out_dir: Path) -> dict:
     if not cfg.evaluation.gold:
         raise ConfigError("evaluate needs a gold mentions path in the config")
     gold = load_gold_mentions(cfg.evaluation.gold)
-    schema_records = read_stage_file(out_dir / STAGE_FILES["aggregate"], "aggregate")
-    schemas = [aggregated_from_dict(r) for r in schema_records]
+    schemas = [aggregated_from_dict(r) for r in _read_stage(cfg, out_dir, "aggregate")]
     predicted = {
         member: label for label, schema in enumerate(schemas) for member in schema.member_ids
     }
@@ -472,11 +487,9 @@ def _evaluate_metrics(cfg: PipelineConfig, out_dir: Path) -> dict:
         metrics = mention_harness(gold, predicted, cfg.evaluation.top_k)
         return {"repeats": 1, "metrics": metrics.as_dict()}
 
-    # Re-cluster with varied seeds and report the averaged result.
-    structured = [
-        structured_from_dict(r)
-        for r in read_stage_file(out_dir / STAGE_FILES["structuralize"], "structuralize")
-    ]
+    # Re-cluster with varied seeds and report the averaged result.  This reads
+    # the graph, similarity and seed sections, all covered by aggregate's key.
+    structured = [structured_from_dict(r) for r in _read_stage(cfg, out_dir, "structuralize")]
     ensemble = build_ensemble(cfg.similarity)
     graph = build_schema_graph(structured, ensemble, cfg.graph)
     runs: list[ClusteringMetrics] = []
@@ -492,51 +505,82 @@ def _evaluate_metrics(cfg: PipelineConfig, out_dir: Path) -> dict:
     }
 
 
-def _stage_evaluate(cfg: PipelineConfig, out_dir: Path) -> dict:
+def _stage_evaluate(cfg: PipelineConfig, out_dir: Path, input_path: Path | None) -> dict:
     report = _evaluate_metrics(cfg, out_dir)
     payload = dict(report)
     payload["stage"] = "evaluate"
-    payload["config_hash"] = cfg.config_hash()
+    payload["config_hash"] = cfg.stage_keys["evaluate"]
     payload["format_version"] = FORMAT_VERSION
-    path = out_dir / STAGE_FILES["evaluate"]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(_stage_path(out_dir, "evaluate")) as handle:
         handle.write(_dumps(payload) + "\n")
     return report
 
 
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage: the file it writes, the stage whose file it reads,
+    the config sections it reads, and its runner."""
+
+    name: str
+    file: str
+    predecessor: str | None
+    sections: tuple[str, ...]
+    run: Callable[[PipelineConfig, Path, Path | None], dict]
+
+
+STAGE_TABLE = {
+    stage.name: stage
+    for stage in (
+        Stage("ingest", "expressions.jsonl", None, ("corpus",), _stage_ingest),
+        Stage(
+            "conceptualize",
+            "conceptualized.jsonl",
+            "ingest",
+            ("demonstrations", "generation", "seed"),
+            _stage_conceptualize,
+        ),
+        Stage(
+            "structuralize",
+            "structured.jsonl",
+            "conceptualize",
+            ("scoring", "similarity"),
+            _stage_structuralize,
+        ),
+        Stage(
+            "aggregate",
+            "schemas.jsonl",
+            "structuralize",
+            ("graph", "similarity", "seed"),
+            _stage_aggregate,
+        ),
+        Stage("evaluate", "metrics.json", "aggregate", ("evaluation",), _stage_evaluate),
+    )
+}
+
+STAGES = tuple(STAGE_TABLE)
+
+
 def _stage_io(
-    stage: str, cfg: PipelineConfig, input_path: Path | None, out_dir: Path
+    stage: Stage, cfg: PipelineConfig, input_path: Path | None, out_dir: Path
 ) -> tuple[list[Path], list[Path]]:
     """Input and output files of one stage, for manifests and staleness checks."""
     inputs: list[Path] = []
-    if stage == "ingest":
+    if stage.predecessor is None:
         if input_path is not None:
             inputs.append(input_path)
     else:
-        predecessor = STAGE_INPUTS[stage]
-        inputs.append(out_dir / STAGE_FILES[predecessor])
-    if stage == "conceptualize":
+        inputs.append(_stage_path(out_dir, stage.predecessor))
+    if stage.name == "conceptualize":
         if cfg.demonstrations.path:
             inputs.append(Path(cfg.demonstrations.path))
         if cfg.generation.replay and Path(cfg.generation.replay).exists():
             inputs.append(Path(cfg.generation.replay))
-    if stage == "evaluate":
+    if stage.name == "evaluate":
         if cfg.evaluation.gold:
             inputs.append(Path(cfg.evaluation.gold))
         if cfg.evaluation.repeats > 1:
-            inputs.append(out_dir / STAGE_FILES["structuralize"])
-    outputs = [out_dir / STAGE_FILES[stage]]
-    return inputs, outputs
-
-
-_STAGE_RUNNERS = {
-    "ingest": lambda cfg, input_path, out_dir: _stage_ingest(cfg, input_path, out_dir),
-    "conceptualize": lambda cfg, input_path, out_dir: _stage_conceptualize(cfg, out_dir),
-    "structuralize": lambda cfg, input_path, out_dir: _stage_structuralize(cfg, out_dir),
-    "aggregate": lambda cfg, input_path, out_dir: _stage_aggregate(cfg, out_dir),
-    "evaluate": lambda cfg, input_path, out_dir: _stage_evaluate(cfg, out_dir),
-}
+            inputs.append(_stage_path(out_dir, "structuralize"))
+    return inputs, [_stage_path(out_dir, stage.name)]
 
 
 def run_stage(
@@ -560,29 +604,30 @@ def run_stage(
             stages.remove("evaluate")
         return {s: run_stage(s, cfg, out_dir, input_path, force=force) for s in stages}
 
-    if stage not in STAGES:
+    if stage not in STAGE_TABLE:
         raise ConfigError(f"unknown stage: {stage!r}")
+    spec = STAGE_TABLE[stage]
 
-    config_hash = cfg.config_hash()
-    inputs, outputs = _stage_io(stage, cfg, input_path, out_dir)
+    key = cfg.stage_keys[stage]
+    inputs, outputs = _stage_io(spec, cfg, input_path, out_dir)
     for path in inputs:
         if path.exists():
             continue
-        for producing_stage, filename in STAGE_FILES.items():
-            if path == out_dir / filename:
+        for producing in STAGE_TABLE.values():
+            if path == out_dir / producing.file:
                 raise StageInputError(
-                    f"missing {path.name}; run the {producing_stage!r} stage first"
+                    f"missing {path.name}; run the {producing.name!r} stage first"
                 )
         raise StageInputError(f"missing input file for stage {stage!r}: {path}")
 
-    if not force and _up_to_date(out_dir, stage, config_hash, inputs):
+    if not force and _up_to_date(out_dir, stage, key, inputs):
         log.info("stage %s is up-to-date; skipping", stage)
         return {"status": "up-to-date", "stage": stage}
 
     started = time.monotonic()
-    report = _STAGE_RUNNERS[stage](cfg, input_path, out_dir)
+    report = spec.run(cfg, out_dir, input_path)
     elapsed = time.monotonic() - started
     # record mode may have created the replay store; refresh input list
-    inputs, outputs = _stage_io(stage, cfg, input_path, out_dir)
-    _write_manifest(out_dir, stage, config_hash, inputs, outputs, report, elapsed)
+    inputs, outputs = _stage_io(spec, cfg, input_path, out_dir)
+    _write_manifest(out_dir, stage, key, inputs, outputs, report, elapsed)
     return report

@@ -5,7 +5,9 @@ Three backend kinds: token/bigram overlap (lexical), synonym-set lookup
 any string pair into [0, 1], and scores identical non-empty strings as 1.
 
 Each backend scores one pair (`score`) or every pair of two string lists at
-once (`matrix`); the matrix holds exactly the floats `score` returns.
+once (`matrix`); the matrix holds exactly the floats `score` returns.  The
+lexicon and embedding backends fall back to the lexical score, so `matrix`
+takes the lexical matrix of the same lists when the caller already has it.
 """
 
 from __future__ import annotations
@@ -30,8 +32,11 @@ class SimilarityBackend(Protocol):
 
     def score(self, a: str, b: str) -> float: ...
 
-    def matrix(self, xs: Sequence[str], ys: Sequence[str]) -> np.ndarray:
-        """[[score(x, y) for y in ys] for x in xs], bitwise."""
+    def matrix(
+        self, xs: Sequence[str], ys: Sequence[str], lexical: np.ndarray | None = None
+    ) -> np.ndarray:
+        """[[score(x, y) for y in ys] for x in xs], bitwise.  `lexical`, if
+        given, is LexicalBackend().matrix(xs, ys) and is not modified."""
         ...
 
 
@@ -100,7 +105,11 @@ class LexicalBackend:
             return _dice(Counter(_bigrams(tokens_a[0])), Counter(_bigrams(tokens_b[0])))
         return _dice(Counter(tokens_a), Counter(tokens_b))
 
-    def matrix(self, xs: Sequence[str], ys: Sequence[str]) -> np.ndarray:
+    def matrix(
+        self, xs: Sequence[str], ys: Sequence[str], lexical: np.ndarray | None = None
+    ) -> np.ndarray:
+        if lexical is not None:
+            return lexical
         # Token Dice everywhere (an empty side shares nothing, so scores 0),
         # then bigram Dice where both sides are single tokens.
         tokens_x, tokens_y = [_tokens(x) for x in xs], [_tokens(y) for y in ys]
@@ -149,7 +158,9 @@ class LexiconBackend:
             return 1.0
         return self._fallback.score(a, b)
 
-    def matrix(self, xs: Sequence[str], ys: Sequence[str]) -> np.ndarray:
+    def matrix(
+        self, xs: Sequence[str], ys: Sequence[str], lexical: np.ndarray | None = None
+    ) -> np.ndarray:
         keys_x = [x.strip().lower() for x in xs]
         keys_y = [y.strip().lower() for y in ys]
         key_ids: dict[str, int] = {"": -1}  # an empty key equals nothing
@@ -165,7 +176,7 @@ class LexiconBackend:
         sets_x = [set_columns(k) for k in keys_x]
         sets_y = [set_columns(k) for k in keys_y]
         shared_set = _incidence(sets_x, len(columns)) @ _incidence(sets_y, len(columns)).T > 0
-        return np.where(same_key | shared_set, 1.0, self._fallback.matrix(xs, ys))
+        return np.where(same_key | shared_set, 1.0, self._fallback.matrix(xs, ys, lexical))
 
 
 class EmbeddingBackend:
@@ -223,7 +234,9 @@ class EmbeddingBackend:
             return self._fallback.score(a, b)
         return self._cosine_score(vec_a, vec_b)
 
-    def matrix(self, xs: Sequence[str], ys: Sequence[str]) -> np.ndarray:
+    def matrix(
+        self, xs: Sequence[str], ys: Sequence[str], lexical: np.ndarray | None = None
+    ) -> np.ndarray:
         # One np.dot per covered pair, as in score: a matrix product may
         # round differently.  Every uncovered cell counts as one fallback.
         pooled = {text: self._pool(text) for text in dict.fromkeys([*xs, *ys])}
@@ -232,7 +245,7 @@ class EmbeddingBackend:
         misses = len(xs) * len(ys) - len(covered_x) * len(covered_y)
         self.fallback_count += misses
         log.debug("embedding misses: %d of %d pairs scored lexically", misses, len(xs) * len(ys))
-        out = self._fallback.matrix(xs, ys)
+        out = self._fallback.matrix(xs, ys) if lexical is None else lexical.copy()
         for i in covered_x:
             vec_x = pooled[xs[i]]
             for j in covered_y:
@@ -310,8 +323,12 @@ class SimilarityEnsemble:
 
     def matrix(self, xs: Sequence[str], ys: Sequence[str]) -> np.ndarray:
         """[[sim(x, y) for y in ys] for x in xs], bitwise: the weighted
-        backend matrices are summed from 0 in backend order, then clipped."""
-        total = sum(w * backend.matrix(xs, ys) for w, backend in zip(self.weights, self.backends))
+        backend matrices are summed from 0 in backend order, then clipped.
+        The lexical matrix is built once and shared by every backend."""
+        lexical = LexicalBackend().matrix(xs, ys)
+        total = sum(
+            w * backend.matrix(xs, ys, lexical) for w, backend in zip(self.weights, self.backends)
+        )
         return np.clip(total, 0.0, 1.0)
 
     def sim_slotsets(self, a: Iterable[str], b: Iterable[str]) -> float:

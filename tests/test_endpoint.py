@@ -60,6 +60,18 @@ class TestReplayStore:
         shuffled.write_text("\n".join(reversed(lines)) + "\n", encoding="utf-8")
         assert ReplayStore.load(shuffled).entries == store.entries
 
+    def test_failed_save_keeps_the_previous_store(self, tmp_path):
+        store = ReplayStore()
+        store.put("prompt one", ("c1",))
+        path = tmp_path / "store.jsonl"
+        store.save(path)
+        before = path.read_bytes()
+        store.entries["~ sorts last"] = (object(),)  # not JSON: the save raises midway
+        with pytest.raises(TypeError):
+            store.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["store.jsonl"]
+
     def test_empty_store_misses_immediately(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")

@@ -6,15 +6,19 @@ from pathlib import Path
 import pytest
 
 from eventframes.pipeline import (
+    STAGES,
     ConfigError,
     PipelineConfig,
     StageInputError,
+    _write_manifest,
     build_client,
     build_ensemble,
     read_stage_file,
     run_stage,
+    write_stage_file,
 )
 from eventframes.cli import main as cli_main
+from eventframes.endpoint import ReplayStore
 
 from synthetic import build_workspace, planted_mentions
 
@@ -24,6 +28,23 @@ def workspace(tmp_path):
     paths = build_workspace(tmp_path / "ws")
     cfg = PipelineConfig.from_file(paths["config"])
     return paths, cfg, tmp_path
+
+
+def cover_seed(paths, tmp, seed):
+    """Add the prompts of another seed's demonstration sample to the replay store."""
+    store = ReplayStore.load(paths["store"])
+    other = build_workspace(tmp / f"ws{seed}", seed=seed)
+    store.entries.update(ReplayStore.load(other["store"]).entries)
+    store.save(paths["store"])
+
+
+def edited(cfg, section, key, value):
+    data = cfg.to_dict()
+    if section is None:
+        data[key] = value
+    else:
+        data[section][key] = value
+    return PipelineConfig.from_dict(data)
 
 
 class TestPipelineConfig:
@@ -57,7 +78,7 @@ class TestPipelineConfig:
         through_json = PipelineConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert through_json == cfg
         assert through_json.to_dict() == cfg.to_dict()
-        assert through_json.config_hash() == cfg.config_hash()
+        assert through_json.stage_keys == cfg.stage_keys
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -74,7 +95,7 @@ class TestPipelineConfig:
     def test_hash_changes_with_config(self):
         base = PipelineConfig()
         changed = PipelineConfig.from_dict({"seed": 4321})
-        assert base.config_hash() != changed.config_hash()
+        assert base.stage_keys != changed.stage_keys
 
 
 class TestBuildHelpers:
@@ -173,7 +194,7 @@ class TestStageChain:
         )
         assert header == {
             "stage": "ingest",
-            "config_hash": cfg.config_hash(),
+            "config_hash": cfg.stage_keys["ingest"],
             "format_version": 1,
         }
 
@@ -188,7 +209,7 @@ class TestStageChain:
         run_stage("ingest", cfg, tmp / "out", input_path=paths["corpus"])
         manifest = json.loads((tmp / "out" / "ingest.manifest.json").read_text(encoding="utf-8"))
         assert manifest["stage"] == "ingest"
-        assert manifest["config_hash"] == cfg.config_hash()
+        assert manifest["config_hash"] == cfg.stage_keys["ingest"]
         assert str(paths["corpus"]) in manifest["inputs"]
         assert any(path.endswith("expressions.jsonl") for path in manifest["outputs"])
         assert manifest["counts"]["kept"] == 30
@@ -206,6 +227,108 @@ class TestStageChain:
         assert evaluation["metrics"]["ari"] == pytest.approx(
             sum(r["ari"] for r in evaluation["runs"]) / 3
         )
+
+
+class TestScopedStageKeys:
+    def test_each_edit_reruns_only_the_stages_that_read_it(self, workspace):
+        paths, cfg, tmp = workspace
+        cover_seed(paths, tmp, 777)
+        run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        edits = [
+            (("evaluation", "top_k", 10), {"evaluate"}),
+            (("scoring", "threshold", 0.3), {"structuralize", "aggregate", "evaluate"}),
+            (("graph", "lambda3", 2.5), {"aggregate", "evaluate"}),
+            ((None, "seed", 777), {"conceptualize", "structuralize", "aggregate", "evaluate"}),
+        ]
+        for edit, expected in edits:
+            cfg = edited(cfg, *edit)
+            report = run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+            skipped = {s for s, r in report.items() if r.get("status") == "up-to-date"}
+            assert set(STAGES) - skipped == expected, edit
+            for stage in skipped:
+                assert report[stage] == {"status": "up-to-date", "stage": stage}
+
+        run_stage("all", cfg, tmp / "fresh", input_path=paths["corpus"], force=True)
+        for stage_file in ("expressions.jsonl", "conceptualized.jsonl", "structured.jsonl",
+                           "schemas.jsonl", "metrics.json"):
+            fresh = (tmp / "fresh" / stage_file).read_bytes()
+            assert (tmp / "out" / stage_file).read_bytes() == fresh, stage_file
+
+    def test_keys_chain_through_predecessors(self):
+        base = PipelineConfig()
+        changed = edited(base, "scoring", "threshold", 0.5)
+        same = [s for s in STAGES if base.stage_keys[s] == changed.stage_keys[s]]
+        assert same == ["ingest", "conceptualize"]
+
+    def test_stale_predecessor_is_refused(self, workspace):
+        paths, cfg, tmp = workspace
+        run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        before = (tmp / "out" / "schemas.jsonl").read_bytes()
+        with pytest.raises(StageInputError, match="rerun the 'structuralize' stage"):
+            run_stage("aggregate", edited(cfg, "scoring", "threshold", 0.3), tmp / "out")
+        assert (tmp / "out" / "schemas.jsonl").read_bytes() == before
+
+    def test_stale_predecessor_reported_by_cli(self, workspace, capsys):
+        paths, _, tmp = workspace
+        common = ["--config", str(paths["config"]), "--output", str(tmp / "cli")]
+        assert cli_main(["all", "--input", str(paths["corpus"]), *common]) == 0
+        capsys.readouterr()
+        assert cli_main(["aggregate", "--threshold", "0.3", *common]) == 2
+        assert "structuralize" in capsys.readouterr().err
+
+
+class TestCrashSafeWrites:
+    def test_failed_stage_write_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "structured.jsonl"
+        write_stage_file(path, "structuralize", "k1", [{"id": "a"}, {"id": "b"}])
+        before = path.read_bytes()
+
+        def records():
+            yield {"id": "c"}
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_stage_file(path, "structuralize", "k2", records())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["structured.jsonl"]
+
+    def test_failed_manifest_write_keeps_the_previous_manifest(self, tmp_path):
+        output = tmp_path / "expressions.jsonl"
+        output.write_text("x\n", encoding="utf-8")
+        _write_manifest(tmp_path, "ingest", "k1", [], [output], {"kept": 1}, 0.1)
+        manifest = tmp_path / "ingest.manifest.json"
+        before = manifest.read_bytes()
+        with pytest.raises(TypeError):
+            _write_manifest(tmp_path, "ingest", "k2", [], [output], {"kept": object()}, 0.1)
+        assert manifest.read_bytes() == before
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["expressions.jsonl", "ingest.manifest.json"]
+
+
+class TestEmptyCorpus:
+    def test_ingest_fails_with_discard_counts(self, workspace):
+        paths, cfg, tmp = workspace
+        corpus = tmp / "filtered.jsonl"
+        corpus.write_text(
+            "\n".join(
+                [
+                    json.dumps({"id": "n1", "text": "12 34 56"}),
+                    json.dumps({"id": "n2", "text": "7 8 9 10"}),
+                    json.dumps({"id": "e1", "text": "   "}),
+                    "not json",
+                ]
+            )
+            + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(StageInputError) as excinfo:
+            run_stage("all", cfg, tmp / "out", input_path=corpus)
+        message = str(excinfo.value)
+        assert "4 read" in message
+        assert "'numeric': 2" in message
+        assert "'empty': 1" in message
+        assert "'malformed': 1" in message
+        assert not (tmp / "out" / "expressions.jsonl").exists()
 
 
 class PromptEchoHandler(BaseHTTPRequestHandler):
@@ -308,21 +431,27 @@ class TestCli:
         assert report["structuralize"]["type_only_instances"] == 30
 
     def test_seed_override_lands_in_config_hash(self, workspace, capsys):
+        # ingest does not read the seed; conceptualize (demonstration sampling)
+        # does, so the replay store also gets the prompts of seed 777's demos
         paths, cfg, tmp = workspace
-        code = cli_main(
-            [
-                "ingest",
-                "--config", str(paths["config"]),
-                "--input", str(paths["corpus"]),
-                "--output", str(tmp / "seeded"),
-                "--seed", "777",
-            ]
-        )
-        assert code == 0
+        cover_seed(paths, tmp, 777)
+        for stage in ("ingest", "conceptualize"):
+            code = cli_main(
+                [
+                    stage,
+                    "--config", str(paths["config"]),
+                    "--input", str(paths["corpus"]),
+                    "--output", str(tmp / "seeded"),
+                    "--seed", "777",
+                ]
+            )
+            assert code == 0
         header = json.loads(
-            (tmp / "seeded" / "expressions.jsonl").read_text(encoding="utf-8").splitlines()[0]
+            (tmp / "seeded" / "conceptualized.jsonl").read_text(encoding="utf-8").splitlines()[0]
         )
-        assert header["config_hash"] != cfg.config_hash()
+        assert header["config_hash"] != cfg.stage_keys["conceptualize"]
+        seeded = PipelineConfig.from_dict({**cfg.to_dict(), "seed": 777})
+        assert header["config_hash"] == seeded.stage_keys["conceptualize"]
 
     def test_missing_input_is_reported(self, workspace, capsys):
         paths, _, tmp = workspace

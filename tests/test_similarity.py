@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eventframes import similarity
 from eventframes.similarity import (
     EmbeddingBackend,
     EmbeddingServiceBackend,
@@ -236,6 +237,29 @@ class TestMatrixEqualsPerPair:
         for weights in ([0.5, 0.3, 0.2], [1.0, 1.0, 1.0], [0.0, 0.7, 0.1]):
             ensemble = SimilarityEnsemble(backends=matrix_backends(), weights=weights)
             assert_bitwise(ensemble.matrix(xs, ys), per_pair(ensemble.sim, xs, ys))
+
+    @given(string_lists, string_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_shared_lexical_matrix_is_left_alone(self, xs, ys):
+        # The embedding backend first: it must not write into the lexical
+        # matrix that the backends after it read.
+        ensemble = SimilarityEnsemble(backends=matrix_backends()[::-1], weights=[0.2, 0.3, 0.5])
+        assert_bitwise(ensemble.matrix(xs, ys), per_pair(ensemble.sim, xs, ys))
+
+    def test_ensemble_builds_the_lexical_matrix_once(self, monkeypatch):
+        calls = []
+        original = similarity._dice_matrix
+
+        def counted(xs, ys):
+            calls.append(1)
+            return original(xs, ys)
+
+        monkeypatch.setattr(similarity, "_dice_matrix", counted)
+        strings = ["a b", "ab", "cab", "zz"]
+        LexicalBackend().matrix(strings, strings)
+        alone = len(calls)
+        SimilarityEnsemble(backends=matrix_backends()).matrix(strings, strings)
+        assert len(calls) == 2 * alone
 
     @given(string_lists, string_lists)
     @settings(max_examples=100, deadline=None)
