@@ -16,8 +16,9 @@ def atomic_write(path: Path) -> Iterator[TextIO]:
 
     If the block raises (or the process dies) the previous file at path is
     left as it was: readers see either the old or the new content, never a
-    partial one.  A killed process may leave its hidden temp file.  The data is not fsync'ed, so this guards against an
-    interrupted or crashed process, not against a power loss.
+    partial one.  A killed process may leave its hidden temp file.  The data
+    is not fsync'ed, so this guards against an interrupted or crashed
+    process, not against a power loss.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")

@@ -181,6 +181,8 @@ class PipelineConfig:
         """Stage name -> hash of the config sections that stage reads and of
         its predecessor's key.  Computed once per config, from one to_dict()."""
         data = self.to_dict()
+        for name in TRANSPORT_FIELDS:
+            del data["generation"][name]
         keys: dict[str, str] = {}
         for stage in STAGE_TABLE.values():
             sections = {section: data[section] for section in stage.sections}
@@ -558,6 +560,11 @@ STAGE_TABLE = {
 }
 
 STAGES = tuple(STAGE_TABLE)
+
+# Generation fields that choose only how completions are fetched, not what is
+# asked for; they are left out of the conceptualize key, so they may be given
+# to conceptualize alone.  The replay store's content is a manifest input.
+TRANSPORT_FIELDS = ("endpoint", "endpoint_style", "replay", "record", "workers")
 
 
 def _stage_io(

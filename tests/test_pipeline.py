@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from eventframes.pipeline import (
+    STAGE_TABLE,
     STAGES,
     ConfigError,
     PipelineConfig,
@@ -260,6 +261,24 @@ class TestScopedStageKeys:
         same = [s for s in STAGES if base.stage_keys[s] == changed.stage_keys[s]]
         assert same == ["ingest", "conceptualize"]
 
+    def test_transport_fields_leave_keys_unchanged(self):
+        base = PipelineConfig()
+        changed = PipelineConfig.from_dict(
+            {
+                "generation": {
+                    "endpoint": "http://localhost:1/generate",
+                    "endpoint_style": "openai",
+                    "replay": "store.jsonl",
+                    "record": True,
+                    "workers": 4,
+                }
+            }
+        )
+        assert changed.stage_keys == base.stage_keys
+        assert edited(base, "generation", "n", 5).stage_keys["conceptualize"] != (
+            base.stage_keys["conceptualize"]
+        )
+
     def test_stale_predecessor_is_refused(self, workspace):
         paths, cfg, tmp = workspace
         run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
@@ -452,6 +471,30 @@ class TestCli:
         assert header["config_hash"] != cfg.stage_keys["conceptualize"]
         seeded = PipelineConfig.from_dict({**cfg.to_dict(), "seed": 777})
         assert header["config_hash"] == seeded.stage_keys["conceptualize"]
+
+    def test_documented_per_stage_sequence(self, workspace, capsys):
+        # README's per-stage commands: the transport flags go to
+        # conceptualize alone, and the later stages accept its output.
+        paths, cfg, tmp = workspace
+        data = cfg.to_dict()
+        data["generation"]["replay"] = None
+        config = tmp / "no-replay.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        common = ["--config", str(config), "--output", str(tmp / "staged")]
+        assert cli_main(["ingest", *common, "--input", str(paths["corpus"])]) == 0
+        assert cli_main(
+            ["conceptualize", *common, "--replay", str(paths["store"]), "--workers", "2"]
+        ) == 0
+        for stage in ("structuralize", "aggregate", "evaluate"):
+            assert cli_main([stage, *common]) == 0, capsys.readouterr().err
+        capsys.readouterr()
+
+        rerun = run_stage("all", cfg, tmp / "staged", input_path=paths["corpus"])
+        assert {s: r["status"] for s, r in rerun.items()} == dict.fromkeys(STAGES, "up-to-date")
+        run_stage("all", cfg, tmp / "fresh", input_path=paths["corpus"], force=True)
+        for stage in STAGES:
+            name = STAGE_TABLE[stage].file
+            assert (tmp / "staged" / name).read_bytes() == (tmp / "fresh" / name).read_bytes(), name
 
     def test_missing_input_is_reported(self, workspace, capsys):
         paths, _, tmp = workspace
