@@ -32,7 +32,7 @@ with tempfile.TemporaryDirectory() as tmp:
 
 print("kept expressions:")
 for expr in expressions:
-    print(f"  {expr.id}: {expr.text!r} ({len(expr.tokens)} tokens)")
+    print(f"  {expr.id}: {expr.text!r} ({len(tokenize(expr.text))} tokens)")
 print()
 print("load report:")
 print(json.dumps(report.as_dict(), indent=2))

@@ -8,6 +8,7 @@ import logging
 import sys
 from pathlib import Path
 
+from .endpoint import ReplayMissError
 from .evaluation import ClusteringMetrics, metrics_table
 from .pipeline import ConfigError, PipelineConfig, StageInputError, run_stage
 
@@ -90,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
         report = run_stage(
             args.stage, cfg, Path(args.output), input_path=args.input, force=args.force
         )
-    except (ConfigError, StageInputError, FileNotFoundError) as exc:
+    except (ConfigError, StageInputError, ReplayMissError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

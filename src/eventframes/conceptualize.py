@@ -46,8 +46,8 @@ class ConceptualizeReport:
         }
 
 
-class ConfigurationError(ValueError):
-    pass
+class ConfigError(ValueError):
+    """A config value is out of range, or a setting a stage needs is missing."""
 
 
 def sample_demonstrations(
@@ -58,9 +58,9 @@ def sample_demonstrations(
     Deterministic for a fixed (pool order, m, seed).
     """
     if m < 1:
-        raise ConfigurationError(f"m must be >= 1, got {m}")
+        raise ConfigError(f"m must be >= 1, got {m}")
     if len(pool) < m:
-        raise ConfigurationError(
+        raise ConfigError(
             f"demonstration pool has {len(pool)} entries but m={m} were requested"
         )
     return random.Random(seed).sample(list(pool), m)

@@ -17,13 +17,16 @@ STRUCTURED_RECORDS = "structured-records"
 
 @dataclass(frozen=True)
 class CorpusFilterConfig:
-    """Bounds for dropping expression units that are too long or too numeric."""
+    """Corpus file format, and bounds for dropping too long or too numeric units."""
 
+    format: str = PLAIN_LINES
     max_tokens: int = 256
     max_numeric_ratio: float = 0.25
     language_mode: str = SPACE_DELIMITED
 
     def __post_init__(self) -> None:
+        if self.format not in (PLAIN_LINES, STRUCTURED_RECORDS):
+            raise ValueError(f"unknown corpus format: {self.format!r}")
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
         if not 0.0 <= self.max_numeric_ratio <= 1.0:
@@ -40,15 +43,11 @@ class EventExpression:
 
     id: str
     text: str
-    tokens: tuple[str, ...]
     source: str
 
     @classmethod
-    def from_text(
-        cls, id: str, text: str, source: str, language_mode: str = SPACE_DELIMITED
-    ) -> "EventExpression":
-        trimmed = text.strip()
-        return cls(id=id, text=trimmed, tokens=tuple(tokenize(trimmed, language_mode)), source=source)
+    def from_text(cls, id: str, text: str, source: str) -> "EventExpression":
+        return cls(id=id, text=text.strip(), source=source)
 
 
 def tokenize(text: str, language_mode: str = SPACE_DELIMITED) -> list[str]:
@@ -109,9 +108,10 @@ def filter_expression(expr: EventExpression, cfg: CorpusFilterConfig) -> FilterD
     """Decide whether to keep an expression; the reason names the rule that fired."""
     if not expr.text:
         return FilterDecision(False, DISCARD_EMPTY)
-    if len(expr.tokens) > cfg.max_tokens:
+    tokens = tokenize(expr.text, cfg.language_mode)
+    if len(tokens) > cfg.max_tokens:
         return FilterDecision(False, DISCARD_LENGTH)
-    if numeric_ratio(expr.tokens) > cfg.max_numeric_ratio:
+    if numeric_ratio(tokens) > cfg.max_numeric_ratio:
         return FilterDecision(False, DISCARD_NUMERIC)
     return FilterDecision(True, KEEP)
 
@@ -162,31 +162,24 @@ def _iter_units(path: Path, format: str) -> Iterator[tuple[int, str | None, str 
 
 
 def load_corpus(
-    path: str | Path,
-    format: str = PLAIN_LINES,
-    cfg: CorpusFilterConfig | None = None,
+    path: str | Path, cfg: CorpusFilterConfig = CorpusFilterConfig()
 ) -> tuple[list[EventExpression], LoadReport]:
-    """Load expression units from a file, keeping only those passing the filters.
+    """Load the expression units of a cfg.format file that pass the filters.
 
     Ids are assigned deterministically in input order as "<path>:<line>" unless
     a structured record carries its own "id".  Malformed records are skipped
     and counted in the report.
     """
-    if format not in (PLAIN_LINES, STRUCTURED_RECORDS):
-        raise ValueError(f"unknown corpus format: {format!r}")
-    cfg = cfg or CorpusFilterConfig()
     path = Path(path)
 
     expressions: list[EventExpression] = []
     report = LoadReport()
-    for lineno, explicit_id, text in _iter_units(path, format):
+    for lineno, explicit_id, text in _iter_units(path, cfg.format):
         if text is None:
             report.discarded[DISCARD_MALFORMED] += 1
             continue
         expr_id = explicit_id if explicit_id is not None else f"{path}:{lineno}"
-        expr = EventExpression.from_text(
-            expr_id, text, source=f"{path}:{lineno}", language_mode=cfg.language_mode
-        )
+        expr = EventExpression.from_text(expr_id, text, source=f"{path}:{lineno}")
         decision = filter_expression(expr, cfg)
         if decision.keep:
             expressions.append(expr)

@@ -162,6 +162,10 @@ class ReplayMissError(KeyError):
             f"replay miss for prompt hash {self.prompt_hash} (prompt starts: {self.prompt_head!r})"
         )
 
+    def __str__(self) -> str:
+        # KeyError's str() would quote the message.
+        return self.args[0]
+
 
 @dataclass
 class ReplayStore:

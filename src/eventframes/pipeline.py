@@ -28,10 +28,16 @@ from .aggregate import (
     build_schema_graph,
     cluster_instances,
 )
-from .conceptualize import ConceptualizedInstance, conceptualize_corpus, sample_demonstrations
-from .corpus import CorpusFilterConfig, EventExpression, PLAIN_LINES, load_corpus
+from .conceptualize import (
+    ConceptualizedInstance,
+    ConfigError,
+    conceptualize_corpus,
+    sample_demonstrations,
+)
+from .corpus import CorpusFilterConfig, EventExpression, load_corpus
 from .endpoint import (
     GenerationClient,
+    GenerationRequest,
     HttpGenerationClient,
     OpenAICompletionsClient,
     RecordingClient,
@@ -59,15 +65,13 @@ log = logging.getLogger(__name__)
 FORMAT_VERSION = 1
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class StageInputError(RuntimeError):
     pass
 
 
 def _from_mapping(cls, data: Mapping, section: str):
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"config section {section!r} must be an object")
     allowed = {f.name for f in fields(cls)}
     unknown = set(data) - allowed
     if unknown:
@@ -79,24 +83,13 @@ def _from_mapping(cls, data: Mapping, section: str):
 
 
 @dataclass(frozen=True)
-class CorpusSettings:
-    format: str = PLAIN_LINES
-    max_tokens: int = 256
-    max_numeric_ratio: float = 0.25
-    language_mode: str = "space-delimited"
-
-    def filter_config(self) -> CorpusFilterConfig:
-        return CorpusFilterConfig(
-            max_tokens=self.max_tokens,
-            max_numeric_ratio=self.max_numeric_ratio,
-            language_mode=self.language_mode,
-        )
-
-
-@dataclass(frozen=True)
 class DemonstrationSettings:
     path: str | None = None
     m: int = 8
+
+    def __post_init__(self) -> None:
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
 
 
 @dataclass(frozen=True)
@@ -111,6 +104,8 @@ class GenerationSettings:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        # The request checks n, max_new_tokens and temperature.
+        GenerationRequest("", self.n, self.max_new_tokens, self.temperature or 0.0)
         if self.endpoint_style not in ("native", "openai"):
             raise ValueError(f"unknown endpoint_style: {self.endpoint_style!r}")
 
@@ -132,11 +127,15 @@ class EvaluationSettings:
     top_k: int = 15
     repeats: int = 1
 
+    def __post_init__(self) -> None:
+        if self.top_k < 1 or self.repeats < 1:
+            raise ValueError("top_k and repeats must be >= 1")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
     seed: int = 1234
-    corpus: CorpusSettings = CorpusSettings()
+    corpus: CorpusFilterConfig = CorpusFilterConfig()
     demonstrations: DemonstrationSettings = DemonstrationSettings()
     generation: GenerationSettings = GenerationSettings()
     scoring: ScoringConfig = ScoringConfig()
@@ -153,19 +152,16 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PipelineConfig":
-        sections = {
-            "corpus": CorpusSettings,
-            "demonstrations": DemonstrationSettings,
-            "generation": GenerationSettings,
-            "scoring": ScoringConfig,
-            "graph": GraphConfig,
-            "similarity": SimilaritySettings,
-            "evaluation": EvaluationSettings,
-        }
+        """Each section is built by its own class, whose __post_init__ checks
+        its values; an unknown key or a rejected value raises ConfigError."""
+        sections = {f.name: type(f.default) for f in fields(cls) if f.name != "seed"}
         unknown = set(data) - set(sections) - {"seed"}
         if unknown:
             raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
-        kwargs: dict[str, Any] = {"seed": int(data.get("seed", 1234))}
+        seed = data.get("seed", cls.seed)
+        if not isinstance(seed, int):
+            raise ConfigError(f"seed must be an integer, got {seed!r}")
+        kwargs: dict[str, Any] = {"seed": seed}
         for name, section_cls in sections.items():
             if name in data:
                 kwargs[name] = _from_mapping(section_cls, data[name], name)
@@ -195,6 +191,15 @@ def _digest(value: Any) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _load(loader: Callable, *args: Any) -> Any:
+    """loader(*args), with a malformed input file (the loader's ValueError,
+    "<path>:<line>: ...") reported as a StageInputError."""
+    try:
+        return loader(*args)
+    except ValueError as exc:
+        raise StageInputError(str(exc)) from exc
+
+
 def build_ensemble(settings: SimilaritySettings) -> SimilarityEnsemble:
     backends = []
     for entry in settings.backends:
@@ -204,12 +209,12 @@ def build_ensemble(settings: SimilaritySettings) -> SimilarityEnsemble:
         elif kind == "lexicon":
             if "path" not in entry:
                 raise ConfigError("lexicon backend requires a 'path'")
-            backends.append(LexiconBackend.from_file(entry["path"]))
+            backends.append(_load(LexiconBackend.from_file, entry["path"]))
         elif kind == "embedding":
             if entry.get("url"):
                 backends.append(EmbeddingServiceBackend(entry["url"]))
             elif entry.get("path"):
-                backends.append(EmbeddingBackend.from_file(entry["path"]))
+                backends.append(_load(EmbeddingBackend.from_file, entry["path"]))
             else:
                 raise ConfigError("embedding backend requires a 'path' or 'url'")
         else:
@@ -223,14 +228,14 @@ def build_client(cfg: PipelineConfig) -> GenerationClient:
     if gen.replay and not gen.record:
         if not Path(gen.replay).exists():
             raise StageInputError(f"replay store not found: {gen.replay}")
-        return ReplayClient.from_file(gen.replay)
+        return _load(ReplayClient.from_file, gen.replay)
     if gen.endpoint:
         client_cls = OpenAICompletionsClient if gen.endpoint_style == "openai" else HttpGenerationClient
         live: GenerationClient = client_cls(gen.endpoint)
         if gen.record:
             if not gen.replay:
                 raise ConfigError("record mode requires a replay store path")
-            return RecordingClient.at(live, gen.replay)
+            return _load(RecordingClient.at, live, gen.replay)
         return live
     raise ConfigError("conceptualize needs an endpoint or a replay store")
 
@@ -366,21 +371,14 @@ def _write_stage(cfg: PipelineConfig, out_dir: Path, stage: str, records: Iterab
 
 def _load_expressions(out_dir: Path, cfg: PipelineConfig) -> list[EventExpression]:
     records = _read_stage(cfg, out_dir, "ingest")
-    return [
-        EventExpression.from_text(
-            r["id"], r["text"], r["source"], language_mode=cfg.corpus.language_mode
-        )
-        for r in records
-    ]
+    return [EventExpression.from_text(r["id"], r["text"], r["source"]) for r in records]
 
 
 def _load_conceptualized(out_dir: Path, cfg: PipelineConfig) -> list[ConceptualizedInstance]:
     records = _read_stage(cfg, out_dir, "conceptualize")
     instances = []
     for r in records:
-        expression = EventExpression.from_text(
-            r["id"], r["text"], r["source"], language_mode=cfg.corpus.language_mode
-        )
+        expression = EventExpression.from_text(r["id"], r["text"], r["source"])
         candidates = tuple(
             SchemaCandidate(event_type=c["type"], slots=tuple(c["slots"]))
             for c in r["candidates"]
@@ -396,7 +394,7 @@ def _stage_ingest(cfg: PipelineConfig, out_dir: Path, input_path: Path | None) -
         raise StageInputError("ingest needs an --input corpus file")
     if not input_path.exists():
         raise StageInputError(f"corpus file not found: {input_path}")
-    expressions, report = load_corpus(input_path, cfg.corpus.format, cfg.corpus.filter_config())
+    expressions, report = load_corpus(input_path, cfg.corpus)
     if not expressions:
         raise StageInputError(
             f"no line of {input_path} survived ingest: {report.total} read, "
@@ -414,7 +412,7 @@ def _stage_ingest(cfg: PipelineConfig, out_dir: Path, input_path: Path | None) -
 def _stage_conceptualize(cfg: PipelineConfig, out_dir: Path, input_path: Path | None) -> dict:
     if not cfg.demonstrations.path:
         raise ConfigError("conceptualize needs a demonstrations path in the config")
-    pool = load_demonstrations(cfg.demonstrations.path)
+    pool = _load(load_demonstrations, cfg.demonstrations.path)
     demos = sample_demonstrations(pool, cfg.demonstrations.m, cfg.seed)
     expressions = _load_expressions(out_dir, cfg)
     client = build_client(cfg)
@@ -479,7 +477,7 @@ def _stage_aggregate(cfg: PipelineConfig, out_dir: Path, input_path: Path | None
 def _evaluate_metrics(cfg: PipelineConfig, out_dir: Path) -> dict:
     if not cfg.evaluation.gold:
         raise ConfigError("evaluate needs a gold mentions path in the config")
-    gold = load_gold_mentions(cfg.evaluation.gold)
+    gold = _load(load_gold_mentions, cfg.evaluation.gold)
     schemas = [aggregated_from_dict(r) for r in _read_stage(cfg, out_dir, "aggregate")]
     predicted = {
         member: label for label, schema in enumerate(schemas) for member in schema.member_ids

@@ -204,11 +204,12 @@ class EmbeddingBackend:
                 token, values = parts[0], parts[1:]
                 if dim is None:
                     dim = len(values)
-                elif len(values) != dim:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected {dim} components, got {len(values)}"
-                    )
-                vectors[token] = np.array([float(v) for v in values])
+                try:
+                    if len(values) != dim:
+                        raise ValueError(f"expected {dim} components, got {len(values)}")
+                    vectors[token] = np.array([float(v) for v in values])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
         return cls(vectors)
 
     def _pool(self, text: str) -> np.ndarray | None:

@@ -2,7 +2,7 @@ import pytest
 
 from eventframes.conceptualize import (
     SEPARATOR,
-    ConfigurationError,
+    ConfigError,
     build_prompt,
     conceptualize_corpus,
     sample_demonstrations,
@@ -35,7 +35,7 @@ class TestSampleDemonstrations:
         assert len({d.text for d in sampled}) == 8
 
     def test_pool_too_small(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigError):
             sample_demonstrations(DEMO_POOL[:5], m=8, seed=1234)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from eventframes.corpus import (
     CHARACTER,
+    SPACE_DELIMITED,
     CorpusFilterConfig,
     EventExpression,
     STRUCTURED_RECORDS,
@@ -89,6 +90,10 @@ class TestFilterExpression:
             CorpusFilterConfig(max_tokens=0)
         with pytest.raises(ValueError):
             CorpusFilterConfig(max_numeric_ratio=1.5)
+        with pytest.raises(ValueError):
+            CorpusFilterConfig(language_mode="syllable")
+        with pytest.raises(ValueError):
+            CorpusFilterConfig(format="xml")
 
 
 class TestLoadCorpus:
@@ -120,7 +125,7 @@ class TestLoadCorpus:
         expressions, _ = load_corpus(path)
         assert len(expressions) == 1
         assert expressions[0].id == f"{path}:1"
-        assert len(expressions[0].tokens) == 10
+        assert len(tokenize(expressions[0].text)) == 10
 
     def test_structured_records(self, tmp_path):
         path = tmp_path / "records.jsonl"
@@ -130,9 +135,21 @@ class TestLoadCorpus:
             {"no_text": True},
         ]
         path.write_text("\n".join(json.dumps(r) for r in records) + "\nnot json\n", encoding="utf-8")
-        expressions, report = load_corpus(path, format=STRUCTURED_RECORDS)
+        expressions, report = load_corpus(path, CorpusFilterConfig(format=STRUCTURED_RECORDS))
         assert [e.id for e in expressions] == ["custom-1", f"{path}:2"]
         assert report.discarded["malformed"] == 2
+
+    def test_length_counts_tokens_of_the_language_mode(self, tmp_path):
+        path = tmp_path / "one-word.txt"
+        path.write_text("abcdefgh\n", encoding="utf-8")
+        character = CorpusFilterConfig(max_tokens=5, language_mode=CHARACTER)
+        expressions, report = load_corpus(path, character)
+        assert expressions == []
+        assert report.discarded["length"] == 1
+        spaced = CorpusFilterConfig(max_tokens=5, language_mode=SPACE_DELIMITED)
+        expressions, report = load_corpus(path, spaced)
+        assert [e.text for e in expressions] == ["abcdefgh"]
+        assert report.kept == 1
 
     def test_blank_lines_counted_empty(self, tmp_path):
         path = tmp_path / "blanks.txt"
@@ -169,8 +186,9 @@ class TestLoadCorpus:
         assert report.kept == len(expressions)
         cfg = CorpusFilterConfig()
         for expr in expressions:
-            assert len(expr.tokens) <= cfg.max_tokens
-            assert numeric_ratio(expr.tokens) <= cfg.max_numeric_ratio
+            tokens = tokenize(expr.text, cfg.language_mode)
+            assert len(tokens) <= cfg.max_tokens
+            assert numeric_ratio(tokens) <= cfg.max_numeric_ratio
             assert expr.text
 
     def test_unreadable_path(self, tmp_path):

@@ -93,6 +93,29 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({"scoring": {"beta": 2.0}})
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("corpus", "format", "xml"),
+            ("corpus", "language_mode", "bogus"),
+            ("corpus", "max_tokens", 0),
+            ("demonstrations", "m", 0),
+            ("generation", "n", 0),
+            ("generation", "max_new_tokens", 0),
+            ("generation", "temperature", -0.1),
+            ("evaluation", "top_k", 0),
+            ("evaluation", "repeats", 0),
+        ],
+    )
+    def test_out_of_range_section_value_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"bad config section '{section}'"):
+            PipelineConfig.from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize("data", [{"seed": "1234"}, {"seed": 1.5}, {"corpus": 5}])
+    def test_bad_seed_or_section_type_rejected(self, data):
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_dict(data)
+
     def test_hash_changes_with_config(self):
         base = PipelineConfig()
         changed = PipelineConfig.from_dict({"seed": 4321})
@@ -417,7 +440,88 @@ class TestRecordReplay:
         assert rerun_bytes.splitlines()[1:] == replay_lines
 
 
+def _set(section, key, value):
+    def edit(data, paths):
+        data[section][key] = value
+
+    return edit
+
+
+def _overwrite(name, text):
+    def edit(data, paths):
+        paths[name].write_text(text, encoding="utf-8")
+
+    return edit
+
+
+def _add_unrecorded_line(data, paths):
+    with open(paths["corpus"], "a", encoding="utf-8") as handle:
+        handle.write(json.dumps({"id": "m99", "text": "crews repair engines"}) + "\n")
+
+
+def _malformed_vectors(data, paths):
+    paths["vectors"] = paths["config"].parent / "vectors.txt"
+    paths["vectors"].write_text("a 1 2\nb 1 x\n", encoding="utf-8")
+    data["similarity"] = {"backends": [{"kind": "embedding", "path": str(paths["vectors"])}]}
+
+
+CLI_ERRORS = {
+    # case: (edit of the config data and workspace files, start of the message
+    # after "error: ", whether the config is rejected before any stage runs)
+    "bad-language-mode": (
+        _set("corpus", "language_mode", "bogus"),
+        "bad config section 'corpus': unknown language_mode: 'bogus'",
+        True,
+    ),
+    "bad-format": (
+        _set("corpus", "format", "xml"),
+        "bad config section 'corpus': unknown corpus format: 'xml'",
+        True,
+    ),
+    "n-zero": (
+        _set("generation", "n", 0),
+        "bad config section 'generation': n must be >= 1, got 0",
+        True,
+    ),
+    "top-k-zero": (
+        _set("evaluation", "top_k", 0),
+        "bad config section 'evaluation': top_k and repeats must be >= 1",
+        True,
+    ),
+    "m-over-pool": (
+        _set("demonstrations", "m", 50),
+        "demonstration pool has 10 entries but m=50 were requested",
+        False,
+    ),
+    "replay-miss": (_add_unrecorded_line, "replay miss for prompt hash ", False),
+    "malformed-store": (_overwrite("store", "{}\n"), "{store}:1: bad replay entry", False),
+    "malformed-demos": (_overwrite("demos", "[]\n"), "{demos}:1: bad demonstration", False),
+    "malformed-gold": (_overwrite("gold", "{}\n"), "{gold}:1: bad gold record", False),
+    "malformed-vectors": (_malformed_vectors, "{vectors}:2: could not convert", False),
+}
+
+
 class TestCli:
+    @pytest.mark.parametrize("case", sorted(CLI_ERRORS))
+    def test_error_is_one_line_and_exit_2(self, workspace, capsys, case):
+        edit, expected, before_work = CLI_ERRORS[case]
+        paths, _, tmp = workspace
+        data = json.loads(paths["config"].read_text(encoding="utf-8"))
+        edit(data, paths)
+        config = tmp / "edited.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp / "out"
+        code = cli_main(
+            ["all", "--config", str(config), "--input", str(paths["corpus"]), "--output", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, err
+        assert errors[0].startswith("error: " + expected.format(**paths))
+        assert out.exists() is not before_work
+
     def test_all_stage_end_to_end(self, workspace, capsys):
         paths, _, tmp = workspace
         code = cli_main(
