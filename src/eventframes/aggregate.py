@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,10 +39,35 @@ class GraphConfig:
 
 
 @dataclass(frozen=True)
+class SlotSimilarity:
+    """Ensemble similarity between every two slots of a sorted vocabulary."""
+
+    vocabulary: tuple[str, ...]
+    matrix: np.ndarray
+
+    @classmethod
+    def of(cls, slots: Iterable[str], ensemble: SimilarityEnsemble) -> "SlotSimilarity":
+        vocabulary = sorted(set(slots))
+        return cls(tuple(vocabulary), ensemble.matrix(vocabulary, vocabulary))
+
+    @cached_property
+    def position(self) -> dict[str, int]:
+        return {slot: i for i, slot in enumerate(self.vocabulary)}
+
+    def among(self, names: Sequence[str]) -> np.ndarray:
+        """A new array of the similarities between `names`, which must all be
+        in the vocabulary; bitwise ensemble.matrix(names, names)."""
+        index = [self.position[name] for name in names]
+        return self.matrix[np.ix_(index, index)]
+
+
+@dataclass(frozen=True)
 class SchemaGraph:
-    """Symmetric pairwise schema similarities with a zero diagonal."""
+    """Symmetric pairwise schema similarities with a zero diagonal, and the
+    similarities over the instances' slot vocabulary."""
 
     weights: np.ndarray
+    slots: SlotSimilarity
 
     @property
     def node_count(self) -> int:
@@ -90,24 +116,21 @@ def _best_match_sums(sim: np.ndarray, members: np.ndarray, sizes: np.ndarray) ->
     return sums
 
 
-def _slotset_matrix(
-    slot_sets: Sequence[frozenset[str]], ensemble: SimilarityEnsemble
-) -> np.ndarray:
-    """ensemble.sim_slotsets for every pair of slot sets, bitwise, from one
-    similarity matrix over the slot vocabulary."""
+def _slotset_matrix(slot_sets: Sequence[frozenset[str]], slots: SlotSimilarity) -> np.ndarray:
+    """ensemble.sim_slotsets for every pair of slot sets, bitwise, from the
+    similarity matrix over a vocabulary holding every member."""
     sizes = np.array([len(s) for s in slot_sets])
     out = np.zeros((len(slot_sets), len(slot_sets)))
     out[np.ix_(sizes == 0, sizes == 0)] = 1.0
     full = np.flatnonzero(sizes)
     if not full.size:
         return out
-    vocab = sorted(set().union(*slot_sets))
-    position = {slot: i for i, slot in enumerate(vocab)}
-    sim = np.full((len(vocab) + 1, len(vocab) + 1), -np.inf)
-    sim[:-1, :-1] = ensemble.matrix(vocab, vocab)
-    members = np.full((full.size, sizes.max()), len(vocab))
+    size = len(slots.vocabulary)
+    sim = np.full((size + 1, size + 1), -np.inf)
+    sim[:-1, :-1] = slots.matrix
+    members = np.full((full.size, sizes.max()), size)
     for row, a in enumerate(full):
-        members[row, : sizes[a]] = [position[slot] for slot in sorted(slot_sets[a])]
+        members[row, : sizes[a]] = [slots.position[slot] for slot in sorted(slot_sets[a])]
     sizes = sizes[full]
     forward = _best_match_sums(sim, members, sizes)
     backward = _best_match_sums(sim.T, members, sizes).T
@@ -134,10 +157,11 @@ def build_schema_graph(
     slot_sets, set_index = _distinct([frozenset(inst.slot_names) for inst in instances])
     text_sim = ensemble.matrix(texts, texts)[np.ix_(text_index, text_index)]
     type_sim = ensemble.matrix(types, types)[np.ix_(type_index, type_index)]
-    slot_sim = _slotset_matrix(slot_sets, ensemble)[np.ix_(set_index, set_index)]
+    slots = SlotSimilarity.of(set().union(*slot_sets), ensemble)
+    slot_sim = _slotset_matrix(slot_sets, slots)[np.ix_(set_index, set_index)]
     weights = cfg.lambda3 * text_sim + cfg.lambda4 * type_sim + cfg.lambda5 * slot_sim
     np.fill_diagonal(weights, 0.0)
-    return SchemaGraph(weights=prune_edges(weights, cfg))
+    return SchemaGraph(weights=prune_edges(weights, cfg), slots=slots)
 
 
 def cluster_instances(
@@ -196,16 +220,19 @@ def merge_slot_synonyms(
     ensemble: SimilarityEnsemble,
     cfg: GraphConfig = GraphConfig(),
     seed: int = 1234,
+    similarity: SlotSimilarity | None = None,
 ) -> list[SlotGroup]:
     """Group synonymous slots by clustering the slot-similarity graph.
 
     Each community becomes one group whose representative is the member with
-    the highest summed confidence score, ties lexicographic.
+    the highest summed confidence score, ties lexicographic.  The slot
+    similarities are sliced from `similarity` when given (its vocabulary
+    must hold every slot), else computed.
     """
     names = sorted(slots)
     if not names:
         return []
-    weights = ensemble.matrix(names, names)
+    weights = (similarity or SlotSimilarity.of(names, ensemble)).among(names)
     np.fill_diagonal(weights, 0.0)
     assignment = louvain(prune_edges(weights, cfg), seed=seed, keys=names)
     groups: list[SlotGroup] = []
@@ -223,15 +250,18 @@ def aggregate(
     ensemble: SimilarityEnsemble,
     cfg: GraphConfig = GraphConfig(),
     seed: int = 1234,
+    graph: SchemaGraph | None = None,
 ) -> list[AggregatedSchema]:
     """Merge each cluster's members into one schema.
 
     Types pool into a multiset, slots into a union, then the representative
-    type is chosen and synonymous slots are merged.  Output is sorted by
-    descending cluster size.
+    type is chosen and synonymous slots are merged, with slot similarities
+    taken from the instances' schema graph when one is given.  Output is
+    sorted by descending cluster size.
     """
     if len(assignment.labels) != len(instances):
         raise ValueError("assignment does not cover the instances")
+    similarity = graph.slots if graph is not None else None
     schemas: list[AggregatedSchema] = []
     for group in assignment.groups():
         members = [instances[i] for i in group]
@@ -246,7 +276,7 @@ def aggregate(
                 type_name=normalize_type_name(members),
                 type_candidates=tuple(sorted(inst.event_type for inst in members)),
                 slot_groups=tuple(
-                    merge_slot_synonyms(slot_union, slot_scores, ensemble, cfg, seed)
+                    merge_slot_synonyms(slot_union, slot_scores, ensemble, cfg, seed, similarity)
                 ),
                 member_ids=tuple(inst.expression.id for inst in members),
             )

@@ -1,17 +1,28 @@
-"""Weighted Louvain community detection.
+"""Weighted Louvain community detection (Blondel et al., "Fast unfolding of
+communities in large networks", J. Stat. Mech. 2008).
 
 Local-move phases maximizing weighted modularity alternate with graph
 coarsening until no further gain.  The node visit order is shuffled by the
 seed, and all orderings (visit, accumulation, tie-breaks) derive from stable
 per-node keys, so permuting the input rows while keeping keys attached yields
 the same partition.
+
+The graph is held in CSR arrays whose nodes are numbered in key order at
+every level: the input is permuted into key order once, and coarsening
+numbers each community by its smallest member, so every row lists its
+neighbours in key order.  The phases stay sequential and greedy; only the
+inner loops are numpy calls.  Each weighted sum adds its terms in a fixed
+walk order (np.bincount adds in input order), and the sums that the earlier
+dict-based implementation took with Python's sum() still are (from Python
+3.12 it compensates rounding), so labels and modularity floats are bitwise
+those of that implementation, which the tests keep as an oracle.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,113 +54,124 @@ class ClusterAssignment:
         return dict(zip(self.ids, self.labels))
 
 
-def _sorted_neighbors(
-    adjacency: list[dict[int, float]], keys: Sequence
-) -> list[list[tuple[int, float]]]:
-    return [
-        sorted(adjacency[i].items(), key=lambda item: keys[item[0]])
-        for i in range(len(adjacency))
-    ]
+class _Graph(NamedTuple):
+    """Adjacency without the diagonal, as CSR (`indptr`, `indices`, `data`)
+    plus the row of each stored edge, and each node's self-loop weight."""
+
+    indptr: np.ndarray
+    rows: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    loops: np.ndarray
+
+    @classmethod
+    def from_edges(
+        cls, rows: np.ndarray, cols: np.ndarray, data: np.ndarray, loops: np.ndarray
+    ) -> "_Graph":
+        """Edges sorted by row, then by column within a row."""
+        indptr = np.zeros(len(loops) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=len(loops)), out=indptr[1:])
+        return cls(indptr, rows, cols, data, loops)
+
+
+def _first_seen(labels: np.ndarray) -> np.ndarray:
+    """Labels renumbered 0, 1, ... in order of first occurrence."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    number = np.empty(len(first), dtype=np.intp)
+    number[np.argsort(first)] = np.arange(len(first))
+    return number[inverse]
+
+
+def _strengths(graph: _Graph) -> list[float]:
+    """Self-loop plus row sum (Python's sum over Python floats), per node."""
+    data, bounds = graph.data.tolist(), graph.indptr.tolist()
+    return [loop + sum(data[a:b]) for loop, a, b in zip(graph.loops.tolist(), bounds, bounds[1:])]
 
 
 def _local_move(
-    neighbors: list[list[tuple[int, float]]],
-    strengths: list[float],
-    order: list[int],
-    two_m: float,
-) -> tuple[list[int], bool]:
+    graph: _Graph, strengths: list[float], order: list[int], two_m: float
+) -> tuple[np.ndarray, bool]:
     """Greedy node moves until a full sweep makes none.
 
     Each executed move strictly increases modularity, so the loop terminates.
-    Candidate communities are scanned in discovery order (neighbor key order);
-    ties keep the earlier candidate, and staying put wins exact ties.
+    A node's candidates are its neighbours' communities in row (key) order,
+    where argmax keeps the first of equal gains, i.e. the earliest discovered
+    community; staying put wins exact ties.
     """
-    n = len(neighbors)
-    node_com = list(range(n))
-    com_tot = list(strengths)
+    n = len(strengths)
+    node_com = np.arange(n)
+    com_of = node_com.tolist()
+    com_tot = np.array(strengths)
+    bounds = graph.indptr.tolist()
+    rows = [(graph.indices[a:b], graph.data[a:b]) for a, b in zip(bounds, bounds[1:])]
     moved_any = False
     while True:
         moved_in_sweep = False
         for i in order:
-            old = node_com[i]
-            com_tot[old] -= strengths[i]
-            node_com[i] = -1
-
-            weight_to_com: dict[int, float] = {}
-            for j, w in neighbors[i]:
-                com = node_com[j]
-                if com >= 0:
-                    weight_to_com[com] = weight_to_com.get(com, 0.0) + w
-
-            best_com = old
-            best_gain = weight_to_com.get(old, 0.0) - com_tot[old] * strengths[i] / two_m
-            for com, w_ic in weight_to_com.items():
-                if com == old:
-                    continue
-                gain = w_ic - com_tot[com] * strengths[i] / two_m
-                if gain > best_gain:
-                    best_com, best_gain = com, gain
-
-            node_com[i] = best_com
-            com_tot[best_com] += strengths[i]
-            if best_com != old:
-                moved_in_sweep = True
-                moved_any = True
+            k_i = strengths[i]
+            old = best = com_of[i]
+            com_tot[old] -= k_i
+            neighbors, weights = rows[i]
+            if neighbors.size:
+                coms = node_com.take(neighbors)
+                # Gain of joining each community; gains[old] is staying put.
+                gains = np.bincount(coms, weights, n) - com_tot * k_i / two_m
+                candidates = gains.take(coms)
+                top = candidates.argmax()
+                if candidates[top] > gains[old]:
+                    best = com_of[neighbors[top]]
+            com_tot[best] += k_i
+            if best != old:
+                node_com[i] = com_of[i] = best
+                moved_in_sweep = moved_any = True
         if not moved_in_sweep:
-            break
-    return node_com, moved_any
+            return node_com, moved_any
+
+
+def _internal_sums(graph: _Graph, node_com: np.ndarray, walk_rank: np.ndarray) -> np.ndarray:
+    """Per community: its members' self-loops plus the weights of the edges
+    inside it, added up node by node in `walk_rank` order, each node's
+    self-loop before its row."""
+    n = len(graph.loops)
+    inside = node_com.take(graph.rows) == node_com.take(graph.indices)
+    owner = np.concatenate([np.arange(n), graph.rows[inside]])
+    weight = np.concatenate([graph.loops, graph.data[inside]])
+    walk = np.argsort(walk_rank.take(owner), kind="stable")
+    return np.bincount(node_com.take(owner[walk]), weight[walk], minlength=n)
 
 
 def _phase_modularity(
-    neighbors: list[list[tuple[int, float]]],
-    loops: list[float],
+    graph: _Graph,
     strengths: list[float],
-    node_com: list[int],
+    node_com: np.ndarray,
     two_m: float,
+    walk_rank: np.ndarray,
 ) -> float:
-    internal: dict[int, float] = {}
-    total: dict[int, float] = {}
-    for i in range(len(neighbors)):
-        com = node_com[i]
-        total[com] = total.get(com, 0.0) + strengths[i]
-        internal[com] = internal.get(com, 0.0) + loops[i]
-        for j, w in neighbors[i]:
-            if node_com[j] == com:
-                internal[com] += w
-    return sum(
-        internal[com] / two_m - (total[com] / two_m) ** 2 for com in sorted(internal)
-    )
+    """Modularity of the partition, with nodes walked in `walk_rank` order and
+    one term per community, in the `walk_rank` order of its id (the node it
+    started from)."""
+    internal = _internal_sums(graph, node_com, walk_rank)
+    walk = np.argsort(walk_rank)
+    total = np.bincount(node_com[walk], np.asarray(strengths)[walk], minlength=len(strengths))
+    coms = np.flatnonzero(np.bincount(node_com, minlength=len(strengths)))
+    coms = coms[np.argsort(walk_rank[coms])]
+    terms = zip(internal[coms].tolist(), total[coms].tolist())
+    return sum([w / two_m - (k / two_m) ** 2 for w, k in terms])
 
 
-def _coarsen(
-    neighbors: list[list[tuple[int, float]]],
-    loops: list[float],
-    keys: list,
-    node_com: list[int],
-) -> tuple[list[dict[int, float]], list[float], list, dict[int, int]]:
-    rep_key: dict[int, object] = {}
-    for i, com in enumerate(node_com):
-        if com not in rep_key or keys[i] < rep_key[com]:
-            rep_key[com] = keys[i]
-    new_index = {
-        com: idx for idx, com in enumerate(sorted(rep_key, key=rep_key.__getitem__))
-    }
-    new_n = len(new_index)
-    new_adj: list[dict[int, float]] = [{} for _ in range(new_n)]
-    new_loops = [0.0] * new_n
-    for i in sorted(range(len(neighbors)), key=keys.__getitem__):
-        ci = new_index[node_com[i]]
-        new_loops[ci] += loops[i]
-        for j, w in neighbors[i]:
-            cj = new_index[node_com[j]]
-            if ci == cj:
-                new_loops[ci] += w
-            else:
-                new_adj[ci][cj] = new_adj[ci].get(cj, 0.0) + w
-    new_keys: list = [None] * new_n
-    for com, idx in new_index.items():
-        new_keys[idx] = rep_key[com]
-    return new_adj, new_loops, new_keys, new_index
+def _coarsen(graph: _Graph, node_com: np.ndarray) -> tuple[np.ndarray, _Graph]:
+    """Each node's community number, communities numbered by their smallest
+    member (so in key order), and the graph of communities."""
+    coarse = _first_seen(node_com)
+    size = int(coarse.max()) + 1
+    loops = _internal_sums(graph, coarse, np.arange(len(coarse)))[:size]
+    ci, cj = coarse.take(graph.rows), coarse.take(graph.indices)
+    across = ci != cj
+    # Edge weights are positive, so a community pair is joined exactly when
+    # its summed weight is nonzero.
+    summed = np.bincount(ci[across] * size + cj[across], graph.data[across], size * size)
+    codes = np.flatnonzero(summed)
+    return coarse, _Graph.from_edges(codes // size, codes % size, summed[codes], loops)
 
 
 def louvain(
@@ -161,15 +183,13 @@ def louvain(
 
     The diagonal is ignored and weights must be non-negative.  Isolated nodes
     end up in singleton clusters.  `keys` are stable per-node identities used
-    for all internal orderings; they default to node indices.
+    for all internal orderings; they default to node indices.  Symmetry is
+    checked as np.allclose(weights, weights.T), and each pair weighs what the
+    input's upper triangle says.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
         raise ValueError(f"weights must be a square matrix, got shape {weights.shape}")
-    if not np.allclose(weights, weights.T):
-        raise ValueError("weights must be symmetric")
-    if (weights < 0).any():
-        raise ValueError("weights must be non-negative")
     n = weights.shape[0]
     if keys is None:
         keys_list: list = list(range(n))
@@ -180,47 +200,44 @@ def louvain(
         if len(set(keys_list)) != n:
             raise ValueError("keys must be unique")
 
-    adjacency: list[dict[int, float]] = [{} for _ in range(n)]
-    rows, cols = np.nonzero(np.triu(weights, 1))
-    for i, j, w in zip(rows.tolist(), cols.tolist(), weights[rows, cols].tolist()):
-        adjacency[i][j] = w
-        adjacency[j][i] = w
-    loops = [0.0] * n
+    # Node r of the permuted matrix is input node position[r], the r-th in key order.
+    position = np.array(sorted(range(n), key=keys_list.__getitem__), dtype=np.intp)
+    ordered = weights if (position == np.arange(n)).all() else weights[np.ix_(position, position)]
+    rows, cols = np.nonzero((ordered != 0) | (ordered.T != 0))
+    forward, backward = ordered[rows, cols], ordered[cols, rows]
+    if not np.allclose(forward, backward):
+        raise ValueError("weights must be symmetric")
+    if (forward < 0).any():
+        raise ValueError("weights must be non-negative")
+    upper = np.where(position[rows] < position[cols], forward, backward)
+    edge = (upper != 0) & (rows != cols)
+    graph = _Graph.from_edges(rows[edge], cols[edge], upper[edge], np.zeros(n))
 
-    membership = list(range(n))
+    # Level 0's modularity walks the nodes in input order; coarser levels are
+    # numbered in key order, which is the order they walk.
+    walk_rank = position
+    membership = np.arange(n)
     levels: list[float] = []
-
-    current_adj, current_loops, current_keys = adjacency, loops, keys_list
     while True:
-        neighbors = _sorted_neighbors(current_adj, current_keys)
-        node_order = sorted(range(len(neighbors)), key=current_keys.__getitem__)
-        strengths = [
-            current_loops[i] + sum(w for _, w in neighbors[i]) for i in range(len(neighbors))
-        ]
-        two_m = sum(strengths[i] for i in node_order)
+        strengths = _strengths(graph)
+        two_m = sum(strengths)
         if two_m == 0.0:
             levels.append(0.0)
             break
 
-        random.Random(seed).shuffle(node_order)
-        node_com, moved = _local_move(neighbors, strengths, node_order, two_m)
-        q = _phase_modularity(neighbors, current_loops, strengths, node_com, two_m)
+        order = list(range(len(strengths)))
+        random.Random(seed).shuffle(order)
+        node_com, moved = _local_move(graph, strengths, order, two_m)
+        q = _phase_modularity(graph, strengths, node_com, two_m, walk_rank)
         if levels and q < levels[-1] - 1e-9:
             raise RuntimeError(f"modularity decreased across passes: {levels[-1]} -> {q}")
         levels.append(q)
         if not moved:
             break
 
-        current_adj, current_loops, current_keys, new_index = _coarsen(
-            neighbors, current_loops, current_keys, node_com
-        )
-        membership = [new_index[node_com[membership[orig]]] for orig in range(n)]
+        coarse, graph = _coarsen(graph, node_com)
+        membership = coarse[membership]
+        walk_rank = np.arange(len(graph.loops))
 
-    relabel: dict[int, int] = {}
-    labels = []
-    for orig in range(n):
-        com = membership[orig]
-        if com not in relabel:
-            relabel[com] = len(relabel)
-        labels.append(relabel[com])
-    return ClusterAssignment(labels=tuple(labels), modularity_levels=tuple(levels))
+    labels = _first_seen(membership[np.argsort(position)])
+    return ClusterAssignment(labels=tuple(labels.tolist()), modularity_levels=tuple(levels))

@@ -12,6 +12,7 @@ first stage that reads the edited section.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import logging
 import time
@@ -25,7 +26,6 @@ from .aggregate import (
     aggregate,
     aggregated_from_dict,
     aggregated_to_dict,
-    build_schema_graph,
     cluster_instances,
 )
 from .conceptualize import (
@@ -61,6 +61,12 @@ from .similarity import (
 )
 
 log = logging.getLogger(__name__)
+
+# The aggregate module itself: the package re-exports the module's
+# `aggregate` function under the module's name.  build_schema_graph is looked
+# up on it at call time, so a wrapper installed there (perfbench's tracer)
+# sees the pipeline's calls.
+_aggregate_module = importlib.import_module(".aggregate", __package__)
 
 FORMAT_VERSION = 1
 
@@ -262,12 +268,23 @@ def write_stage_file(
     return count
 
 
+def _json_object(path: Path, lineno: int, line: str) -> dict:
+    try:
+        value = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise StageInputError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise StageInputError(f"{path}:{lineno}: expected a JSON object")
+    return value
+
+
 def read_stage_file(
     path: Path, expected_stage: str, expected_key: str | None = None
 ) -> list[dict]:
     """Records of a stage file.  With expected_key, refuse a file whose header
     key differs: it was written under other config sections than the current
-    config gives that stage or an earlier one."""
+    config gives that stage or an earlier one.  A line that is not a JSON
+    object is reported as "<path>:<line>: ..."."""
     if not path.exists():
         raise StageInputError(
             f"missing {path.name}; run the {expected_stage!r} stage first"
@@ -276,7 +293,7 @@ def read_stage_file(
         lines = handle.read().splitlines()
     if not lines:
         raise StageInputError(f"{path} is empty; rerun the {expected_stage!r} stage")
-    header = json.loads(lines[0])
+    header = _json_object(path, 1, lines[0])
     if header.get("stage") != expected_stage:
         raise StageInputError(
             f"{path} was written by stage {header.get('stage')!r}, expected {expected_stage!r}"
@@ -288,7 +305,11 @@ def read_stage_file(
             f"{path} is stale: the config has changed in a section that the "
             f"{expected_stage!r} stage or an earlier one reads; rerun the {expected_stage!r} stage"
         )
-    return [json.loads(line) for line in lines[1:] if line.strip()]
+    return [
+        _json_object(path, lineno, line)
+        for lineno, line in enumerate(lines[1:], 2)
+        if line.strip()
+    ]
 
 
 def _file_hash(path: Path) -> str:
@@ -464,8 +485,9 @@ def _stage_aggregate(cfg: PipelineConfig, out_dir: Path, input_path: Path | None
     if not structured:
         raise StageInputError("no structured instances to aggregate")
     ensemble = build_ensemble(cfg.similarity)
-    assignment = cluster_instances(structured, ensemble, cfg.graph, cfg.seed)
-    schemas = aggregate(structured, assignment, ensemble, cfg.graph, cfg.seed)
+    graph = _aggregate_module.build_schema_graph(structured, ensemble, cfg.graph)
+    assignment = cluster_instances(structured, ensemble, cfg.graph, cfg.seed, graph=graph)
+    schemas = aggregate(structured, assignment, ensemble, cfg.graph, cfg.seed, graph=graph)
     _write_stage(cfg, out_dir, "aggregate", (aggregated_to_dict(s) for s in schemas))
     return {
         "instances": len(structured),
@@ -491,7 +513,7 @@ def _evaluate_metrics(cfg: PipelineConfig, out_dir: Path) -> dict:
     # the graph, similarity and seed sections, all covered by aggregate's key.
     structured = [structured_from_dict(r) for r in _read_stage(cfg, out_dir, "structuralize")]
     ensemble = build_ensemble(cfg.similarity)
-    graph = build_schema_graph(structured, ensemble, cfg.graph)
+    graph = _aggregate_module.build_schema_graph(structured, ensemble, cfg.graph)
     runs: list[ClusteringMetrics] = []
     for repeat in range(cfg.evaluation.repeats):
         assignment = cluster_instances(

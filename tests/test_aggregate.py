@@ -395,3 +395,36 @@ class TestGraphMatchesPairwiseOracle:
         for cfg in GRAPH_CONFIGS:
             for ensemble_name in ensembles():
                 assert_graph_matches_oracle(instances, ensemble_name, cfg)
+
+
+# -- slot similarities kept on the graph against per-cluster ones -------------
+
+
+def assert_slot_reuse_matches(instances, ensemble_name, cfg):
+    ensemble = ensembles()[ensemble_name]
+    graph = build_schema_graph(instances, ensemble, cfg)
+    assignment = cluster_instances(instances, ensemble, cfg, 1234, graph=graph)
+    for group in assignment.groups():
+        names = sorted({slot for i in group for slot in instances[i].slot_names})
+        sliced = graph.slots.among(names)
+        assert sliced.tobytes() == ensemble.matrix(names, names).tobytes()
+    reused = aggregate(instances, assignment, ensemble, cfg, 1234, graph=graph)
+    assert reused == aggregate(instances, assignment, ensembles()[ensemble_name], cfg, 1234)
+
+
+class TestSlotSimilarityReuse:
+    @pytest.mark.parametrize("ensemble_name", list(ensembles()))
+    def test_synthetic_fixture(self, synthetic_instances, ensemble_name):
+        assert_slot_reuse_matches(synthetic_instances, ensemble_name, GraphConfig())
+
+    @given(instance_lists, st.sampled_from(GRAPH_CONFIGS), st.sampled_from(list(ensembles())))
+    @settings(max_examples=100, deadline=None)
+    def test_generated_instances(self, instances, cfg, ensemble_name):
+        assert_slot_reuse_matches(instances, ensemble_name, cfg)
+
+    def test_vocabulary_is_every_slot(self):
+        instances = two_cluster_instances()
+        graph = build_schema_graph(instances, default_ensemble())
+        assert graph.slots.vocabulary == tuple(
+            sorted({slot for inst in instances for slot in inst.slot_names})
+        )

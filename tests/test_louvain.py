@@ -2,10 +2,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eventframes.aggregate import GraphConfig, build_schema_graph, prune_edges
 from eventframes.louvain import ClusterAssignment, louvain
+from eventframes.similarity import default_ensemble
 
-from oracles import best_bipartition, direct_modularity
+from oracles import best_bipartition, direct_modularity, reference_louvain
+from test_aggregate import synthetic_instances  # noqa: F401 (a fixture)
 
 
 def clique_matrix(groups: list[list[int]], n: int, weight: float = 1.0) -> np.ndarray:
@@ -171,3 +176,134 @@ class TestClusterAssignment:
     def test_by_id_requires_ids(self):
         with pytest.raises(ValueError):
             ClusterAssignment(labels=(0,), modularity_levels=()).by_id()
+
+
+def assert_matches_reference(weights, seed=0, keys=None):
+    result = louvain(weights, seed=seed, keys=keys)
+    expected = reference_louvain(weights, seed=seed, keys=keys)
+    assert result.labels == expected.labels
+    levels = np.array(result.modularity_levels)
+    assert levels.tobytes() == np.array(expected.modularity_levels).tobytes(), (
+        result.modularity_levels,
+        expected.modularity_levels,
+    )
+
+
+# Repeated dyadic and non-dyadic values make exact gain ties common; arbitrary
+# floats make the order of every sum show in the last bit.
+edge_weights = st.sampled_from([0.0, 0.0, 0.1, 0.3, 0.5, 1.0, 2.0 / 3.0]) | st.floats(0.0, 3.0)
+
+
+@st.composite
+def weighted_graphs(draw):
+    n = draw(st.integers(0, 14))
+    # Unweighted graphs tie on almost every gain.
+    values = draw(st.sampled_from([edge_weights, st.sampled_from([0.0, 1.0])]))
+    weights = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            weights[i, j] = weights[j, i] = draw(values)
+    if draw(st.booleans()):
+        np.fill_diagonal(weights, draw(st.lists(edge_weights, min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["indices", "ints", "strings"]))
+    keys = None
+    if kind != "indices":
+        order = draw(st.permutations(range(n)))
+        keys = list(order) if kind == "ints" else [f"node-{k:02d}" for k in order]
+    return weights, keys, draw(st.integers(0, 2**16))
+
+
+def planted_graph(types: int, per_type: int, seed: int) -> np.ndarray:
+    """graph-large's shape: planted types, similarities that are ratios of
+    small integers (many ties), weighted 3:1:1 and pruned below the mean."""
+    rng = np.random.default_rng(seed)
+    n = types * per_type
+    planted = np.repeat(np.arange(types), per_type)
+    same = planted[:, None] == planted[None, :]
+
+    def dice() -> np.ndarray:
+        shared = rng.integers(0, 3, (n, n)) + 2 * same
+        return 2.0 * shared / (shared + rng.integers(2, 7, (n, n)))
+
+    weights = 3.0 * dice() + 1.0 * dice() + 1.0 * dice()
+    weights = np.triu(weights, 1)
+    weights = weights + weights.T
+    return prune_edges(weights, GraphConfig())
+
+
+class TestMatchesReference:
+    """Same labels and bitwise-equal modularity_levels as the dict-based
+    reference implementation in tests/oracles.py."""
+
+    @given(weighted_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_generated_graphs(self, case):
+        weights, keys, seed = case
+        assert_matches_reference(weights, seed, keys)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_and_empty(self, n):
+        assert_matches_reference(np.zeros((n, n)))
+        assert_matches_reference(np.ones((n, n)), seed=3)
+
+    def test_isolated_nodes_and_zero_weights(self):
+        weights = np.zeros((7, 7))
+        weights[0, 1] = weights[1, 0] = 1.0
+        weights[2, 3] = weights[3, 2] = 0.0
+        weights[4, 5] = weights[5, 4] = 0.25
+        for seed in range(5):
+            assert_matches_reference(weights, seed, keys=[6, 5, 4, 3, 2, 1, 0])
+
+    def test_nearly_symmetric_input_reads_the_upper_triangle(self):
+        # Within np.allclose's tolerance, so accepted; each pair weighs what
+        # the input's upper triangle says, whatever the key order.
+        rng = np.random.default_rng(5)
+        weights = np.triu(rng.random((9, 9)) * (rng.random((9, 9)) < 0.6), 1)
+        weights = weights + weights.T
+        weights[np.tril_indices(9, -1)] *= 1 + 1e-9
+        weights[0, 8], weights[8, 0] = 5e-9, 0.0
+        weights[7, 1], weights[1, 7] = 5e-9, 0.0
+        for seed in range(5):
+            keys = [f"k{k}" for k in rng.permutation(9)]
+            assert_matches_reference(weights, seed, keys)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 8, 10])
+    def test_tied_gains_keep_the_earliest_community(self, n):
+        # On a uniform ring every node sees two equally good neighbours.
+        weights = np.zeros((n, n))
+        for i in range(n):
+            weights[i, (i + 1) % n] = weights[(i + 1) % n, i] = 1.0
+        for seed in range(4):
+            assert_matches_reference(weights, seed)
+
+    def test_community_weights_add_up_in_row_order(self):
+        # Two 9-cliques B (nodes 0-8) and A (9-17), and node 18 tied to b1 and
+        # a1 by 1.0 and to the rest of A by 2**-53.  Added in row order the
+        # tiny weights vanish, A and B tie, and node 18 stays with B, met
+        # first; a pairwise sum (np.sum) makes A's weight 1 + 4 ulp.
+        weights = np.zeros((19, 19))
+        for group in (range(0, 9), range(9, 18)):
+            for i in group:
+                for j in group:
+                    weights[i, j] = 1.0 if i != j else 0.0
+        weights[18, [0, 9]] = weights[[0, 9], 18] = 1.0
+        weights[18, 10:18] = weights[10:18, 18] = 2.0**-53
+        for seed in range(4):
+            assert_matches_reference(weights, seed)
+            assert louvain(weights, seed).labels[18] == 0
+
+    def test_synthetic_fixture(self, synthetic_instances):
+        # The fixture's config has the default similarity, graph and seed.
+        graph = build_schema_graph(synthetic_instances, default_ensemble(), GraphConfig())
+        ids = [inst.expression.id for inst in synthetic_instances]
+        assert graph.node_count == 30
+        assert_matches_reference(graph.weights, 1234, ids)
+        assert_matches_reference(graph.weights, 1234, ids[::-1])
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_graph_large_shape(self, seed):
+        weights = planted_graph(types=12, per_type=32, seed=seed)
+        ids = [f"x{i:05d}" for i in range(weights.shape[0])]
+        assert_matches_reference(weights, seed, ids)
+        shuffled = random.Random(seed).sample(ids, len(ids))
+        assert_matches_reference(weights, seed, shuffled)

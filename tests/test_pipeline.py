@@ -600,6 +600,22 @@ class TestCli:
             name = STAGE_TABLE[stage].file
             assert (tmp / "staged" / name).read_bytes() == (tmp / "fresh" / name).read_bytes(), name
 
+    def test_corrupt_stage_file_is_reported(self, workspace, capsys):
+        paths, _, tmp = workspace
+        common = ["--config", str(paths["config"]), "--output", str(tmp / "corrupt")]
+        assert cli_main(["ingest", "--input", str(paths["corpus"]), *common]) == 0
+        capsys.readouterr()
+        expressions = tmp / "corrupt" / "expressions.jsonl"
+        lines = expressions.read_text(encoding="utf-8").count("\n")
+        with open(expressions, "a", encoding="utf-8") as handle:
+            handle.write("{broken\n")
+        code = cli_main(["conceptualize", "--force", *common])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith(f"error: {expressions}:{lines + 1}: not valid JSON")
+        assert len(err.splitlines()) == 1, err
+
     def test_missing_input_is_reported(self, workspace, capsys):
         paths, _, tmp = workspace
         code = cli_main(
