@@ -6,7 +6,7 @@ Run from the repo root:  python3 demos/02_schema_candidates.py
 
 from eventframes.conceptualize import build_prompt, conceptualize_corpus, sample_demonstrations
 from eventframes.corpus import EventExpression
-from eventframes.endpoint import StaticClient
+from eventframes.endpoint import GenerationResponse
 from eventframes.schemas import Demonstration, SchemaCandidate, parse_schema, render_schema
 
 # the schema surface form and its parser are inverses
@@ -34,14 +34,20 @@ print("prompt sent to the endpoint:")
 print(prompt)
 print()
 
-client = StaticClient(
-    table={},
-    default=[
-        "Type: attack, Slots: attacker; target; weapon",
-        "Type: attack, Slots: attacker; victim",
-        "not a schema at all",  # parse failures drop the candidate, not the instance
-    ],
-)
+# a stand-in endpoint that answers every prompt with the same completions
+CANNED = [
+    "Type: attack, Slots: attacker; target; weapon",
+    "Type: attack, Slots: attacker; victim",
+    "not a schema at all",  # parse failures drop the candidate, not the instance
+]
+
+
+class CannedClient:
+    def generate(self, request):
+        return GenerationResponse(completions=tuple(CANNED[: request.n]))
+
+
+client = CannedClient()
 instances, report = conceptualize_corpus(client, demos, expressions, n=3)
 
 for inst in instances:

@@ -51,12 +51,15 @@ with np.printoptions(precision=2, suppress=True):
     print(graph.weights)
 print()
 
-assignment = cluster_instances(instances, ensemble, cfg, seed=1234)
-print("clusters:", {assignment.ids[i]: label for i, label in enumerate(assignment.labels)})
+# the one graph is read twice: Louvain partitions it, and each cluster's slot
+# synonyms are merged from the slot similarities it holds
+assignment = cluster_instances(instances, graph, seed=1234)
+ids = [inst.expression.id for inst in instances]
+print("clusters:", dict(zip(ids, assignment.labels)))
 print("modularity per pass:", [round(q, 4) for q in assignment.modularity_levels])
 print()
 
-schemas = aggregate(instances, assignment, ensemble, cfg, seed=1234)
+schemas = aggregate(instances, assignment, graph, cfg, seed=1234)
 for schema in schemas:
     print(render_aggregated(schema))
     print(f"  members: {list(schema.member_ids)}  types seen: {list(schema.type_candidates)}")

@@ -4,7 +4,7 @@ into one normalized schema with a representative type and slot names."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -165,19 +165,10 @@ def build_schema_graph(
 
 
 def cluster_instances(
-    instances: Sequence[StructuredInstance],
-    ensemble: SimilarityEnsemble,
-    cfg: GraphConfig = GraphConfig(),
-    seed: int = 1234,
-    graph: SchemaGraph | None = None,
+    instances: Sequence[StructuredInstance], graph: SchemaGraph, seed: int = 1234
 ) -> ClusterAssignment:
-    """Partition the schema graph, keyed by expression id.  The graph is built
-    from the instances unless a prebuilt one is given."""
-    if graph is None:
-        graph = build_schema_graph(instances, ensemble, cfg)
-    ids = tuple(inst.expression.id for inst in instances)
-    assignment = louvain(graph.weights, seed=seed, keys=list(ids))
-    return replace(assignment, ids=ids)
+    """Partition the instances' schema graph; Louvain keys are expression ids."""
+    return louvain(graph.weights, seed=seed, keys=[inst.expression.id for inst in instances])
 
 
 @dataclass(frozen=True)
@@ -217,22 +208,20 @@ def normalize_type_name(members: Sequence[StructuredInstance]) -> str:
 def merge_slot_synonyms(
     slots: set[str],
     slot_scores: Mapping[str, float],
-    ensemble: SimilarityEnsemble,
+    similarity: SlotSimilarity,
     cfg: GraphConfig = GraphConfig(),
     seed: int = 1234,
-    similarity: SlotSimilarity | None = None,
 ) -> list[SlotGroup]:
-    """Group synonymous slots by clustering the slot-similarity graph.
+    """Group synonymous slots by clustering the slot-similarity graph, sliced
+    from `similarity` (its vocabulary must hold every slot).
 
     Each community becomes one group whose representative is the member with
-    the highest summed confidence score, ties lexicographic.  The slot
-    similarities are sliced from `similarity` when given (its vocabulary
-    must hold every slot), else computed.
+    the highest summed confidence score, ties lexicographic.
     """
     names = sorted(slots)
     if not names:
         return []
-    weights = (similarity or SlotSimilarity.of(names, ensemble)).among(names)
+    weights = similarity.among(names)
     np.fill_diagonal(weights, 0.0)
     assignment = louvain(prune_edges(weights, cfg), seed=seed, keys=names)
     groups: list[SlotGroup] = []
@@ -247,21 +236,19 @@ def merge_slot_synonyms(
 def aggregate(
     instances: Sequence[StructuredInstance],
     assignment: ClusterAssignment,
-    ensemble: SimilarityEnsemble,
+    graph: SchemaGraph,
     cfg: GraphConfig = GraphConfig(),
     seed: int = 1234,
-    graph: SchemaGraph | None = None,
 ) -> list[AggregatedSchema]:
     """Merge each cluster's members into one schema.
 
     Types pool into a multiset, slots into a union, then the representative
     type is chosen and synonymous slots are merged, with slot similarities
-    taken from the instances' schema graph when one is given.  Output is
-    sorted by descending cluster size.
+    taken from the instances' schema graph.  Output is sorted by descending
+    cluster size.
     """
     if len(assignment.labels) != len(instances):
         raise ValueError("assignment does not cover the instances")
-    similarity = graph.slots if graph is not None else None
     schemas: list[AggregatedSchema] = []
     for group in assignment.groups():
         members = [instances[i] for i in group]
@@ -276,7 +263,7 @@ def aggregate(
                 type_name=normalize_type_name(members),
                 type_candidates=tuple(sorted(inst.event_type for inst in members)),
                 slot_groups=tuple(
-                    merge_slot_synonyms(slot_union, slot_scores, ensemble, cfg, seed, similarity)
+                    merge_slot_synonyms(slot_union, slot_scores, graph.slots, cfg, seed)
                 ),
                 member_ids=tuple(inst.expression.id for inst in members),
             )

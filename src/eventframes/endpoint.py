@@ -138,20 +138,6 @@ class OpenAICompletionsClient(HttpGenerationClient):
         return GenerationResponse(completions=tuple(str(c.get("text", "")) for c in choices))
 
 
-@dataclass
-class StaticClient:
-    """Serves canned completions from a prompt -> completions table (for tests and demos)."""
-
-    table: dict[str, list[str]]
-    default: list[str] | None = None
-
-    def generate(self, request: GenerationRequest) -> GenerationResponse:
-        completions = self.table.get(request.prompt, self.default)
-        if completions is None:
-            raise TransportError(f"no canned completions for prompt {request.prompt[:80]!r}")
-        return GenerationResponse(completions=tuple(completions[: request.n]))
-
-
 class ReplayMissError(KeyError):
     """Replay store has no entry for the requested prompt."""
 

@@ -12,8 +12,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .louvain import ClusterAssignment
-
 
 class PartitionInputError(ValueError):
     pass
@@ -149,16 +147,15 @@ def top_k_types(gold_mentions: Sequence[tuple[str, str]], k: int) -> list[str]:
 
 def mention_harness(
     gold_mentions: Sequence[tuple[str, str]],
-    assignment: ClusterAssignment | Mapping[str, int],
+    predicted: Mapping[str, int],
     k: int = 15,
 ) -> ClusteringMetrics:
     """Restrict to mentions of the k most frequent gold types, then score the
-    predicted assignment against the gold types.
+    predicted cluster labels (expression id -> label) against the gold types.
 
     Mentions align to predictions by expression id, one mention per
     expression.
     """
-    predicted = assignment.by_id() if isinstance(assignment, ClusterAssignment) else dict(assignment)
     retained_types = set(top_k_types(gold_mentions, k))
     gold: list[str] = []
     pred: list[int] = []

@@ -33,7 +33,6 @@ class ClusterAssignment:
 
     labels: tuple[int, ...]
     modularity_levels: tuple[float, ...]
-    ids: tuple[str, ...] | None = None
 
     @property
     def n_clusters(self) -> int:
@@ -47,11 +46,6 @@ class ClusterAssignment:
 
     def as_partition(self) -> frozenset[frozenset[int]]:
         return frozenset(frozenset(group) for group in self.groups())
-
-    def by_id(self) -> dict[str, int]:
-        if self.ids is None:
-            raise ValueError("assignment carries no instance ids")
-        return dict(zip(self.ids, self.labels))
 
 
 class _Graph(NamedTuple):

@@ -23,6 +23,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .aggregate import (
     GraphConfig,
+    SchemaGraph,
     aggregate,
     aggregated_from_dict,
     aggregated_to_dict,
@@ -51,7 +52,13 @@ from .evaluation import (
 )
 from .fileio import atomic_write
 from .schemas import SchemaCandidate, load_demonstrations
-from .scoring import ScoringConfig, structured_from_dict, structured_to_dict, structuralize
+from .scoring import (
+    ScoringConfig,
+    StructuredInstance,
+    structured_from_dict,
+    structured_to_dict,
+    structuralize,
+)
 from .similarity import (
     EmbeddingBackend,
     EmbeddingServiceBackend,
@@ -116,6 +123,10 @@ class GenerationSettings:
             raise ValueError(f"unknown endpoint_style: {self.endpoint_style!r}")
 
 
+# The keys each similarity backend kind takes besides "kind".
+BACKEND_KEYS = {"lexical": set(), "lexicon": {"path"}, "embedding": {"path", "url"}}
+
+
 @dataclass(frozen=True)
 class SimilaritySettings:
     backends: tuple[Mapping, ...] = ({"kind": "lexical"},)
@@ -125,6 +136,24 @@ class SimilaritySettings:
         object.__setattr__(self, "backends", tuple(dict(b) for b in self.backends))
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        for entry in self.backends:
+            kind = entry.get("kind")
+            if kind not in BACKEND_KEYS:
+                raise ConfigError(f"unknown similarity backend kind: {kind!r}")
+            unknown = set(entry) - BACKEND_KEYS[kind] - {"kind"}
+            if unknown:
+                raise ConfigError(f"unknown keys in {kind} backend: {sorted(unknown)}")
+            if kind == "lexicon" and not entry.get("path"):
+                raise ConfigError("lexicon backend requires a 'path'")
+            if kind == "embedding" and not (entry.get("path") or entry.get("url")):
+                raise ConfigError("embedding backend requires a 'path' or 'url'")
+        # The ensemble checks the weights against the backends.
+        SimilarityEnsemble([LexicalBackend()] * len(self.backends), self.weights)
+
+    @property
+    def tables(self) -> list[Path]:
+        """The lexicon and vector table files that the backends read."""
+        return [Path(b["path"]) for b in self.backends if b.get("path") and not b.get("url")]
 
 
 @dataclass(frozen=True)
@@ -207,24 +236,17 @@ def _load(loader: Callable, *args: Any) -> Any:
 
 
 def build_ensemble(settings: SimilaritySettings) -> SimilarityEnsemble:
+    """The ensemble of the backends that SimilaritySettings has checked."""
     backends = []
     for entry in settings.backends:
-        kind = entry.get("kind")
-        if kind == "lexical":
+        if entry["kind"] == "lexical":
             backends.append(LexicalBackend())
-        elif kind == "lexicon":
-            if "path" not in entry:
-                raise ConfigError("lexicon backend requires a 'path'")
+        elif entry["kind"] == "lexicon":
             backends.append(_load(LexiconBackend.from_file, entry["path"]))
-        elif kind == "embedding":
-            if entry.get("url"):
-                backends.append(EmbeddingServiceBackend(entry["url"]))
-            elif entry.get("path"):
-                backends.append(_load(EmbeddingBackend.from_file, entry["path"]))
-            else:
-                raise ConfigError("embedding backend requires a 'path' or 'url'")
+        elif entry.get("url"):
+            backends.append(EmbeddingServiceBackend(entry["url"]))
         else:
-            raise ConfigError(f"unknown similarity backend kind: {kind!r}")
+            backends.append(_load(EmbeddingBackend.from_file, entry["path"]))
     weights = list(settings.weights) if settings.weights is not None else None
     return SimilarityEnsemble(backends=backends, weights=weights)
 
@@ -480,14 +502,21 @@ def _stage_structuralize(cfg: PipelineConfig, out_dir: Path, input_path: Path | 
     }
 
 
-def _stage_aggregate(cfg: PipelineConfig, out_dir: Path, input_path: Path | None) -> dict:
+def _schema_graph(
+    cfg: PipelineConfig, out_dir: Path
+) -> tuple[list[StructuredInstance], SchemaGraph]:
+    """The structured instances and their schema graph."""
     structured = [structured_from_dict(r) for r in _read_stage(cfg, out_dir, "structuralize")]
     if not structured:
         raise StageInputError("no structured instances to aggregate")
     ensemble = build_ensemble(cfg.similarity)
-    graph = _aggregate_module.build_schema_graph(structured, ensemble, cfg.graph)
-    assignment = cluster_instances(structured, ensemble, cfg.graph, cfg.seed, graph=graph)
-    schemas = aggregate(structured, assignment, ensemble, cfg.graph, cfg.seed, graph=graph)
+    return structured, _aggregate_module.build_schema_graph(structured, ensemble, cfg.graph)
+
+
+def _stage_aggregate(cfg: PipelineConfig, out_dir: Path, input_path: Path | None) -> dict:
+    structured, graph = _schema_graph(cfg, out_dir)
+    assignment = cluster_instances(structured, graph, cfg.seed)
+    schemas = aggregate(structured, assignment, graph, cfg.graph, cfg.seed)
     _write_stage(cfg, out_dir, "aggregate", (aggregated_to_dict(s) for s in schemas))
     return {
         "instances": len(structured),
@@ -511,15 +540,12 @@ def _evaluate_metrics(cfg: PipelineConfig, out_dir: Path) -> dict:
 
     # Re-cluster with varied seeds and report the averaged result.  This reads
     # the graph, similarity and seed sections, all covered by aggregate's key.
-    structured = [structured_from_dict(r) for r in _read_stage(cfg, out_dir, "structuralize")]
-    ensemble = build_ensemble(cfg.similarity)
-    graph = _aggregate_module.build_schema_graph(structured, ensemble, cfg.graph)
+    structured, graph = _schema_graph(cfg, out_dir)
+    ids = [inst.expression.id for inst in structured]
     runs: list[ClusteringMetrics] = []
     for repeat in range(cfg.evaluation.repeats):
-        assignment = cluster_instances(
-            structured, ensemble, cfg.graph, cfg.seed + repeat, graph=graph
-        )
-        runs.append(mention_harness(gold, assignment, cfg.evaluation.top_k))
+        labels = cluster_instances(structured, graph, cfg.seed + repeat).labels
+        runs.append(mention_harness(gold, dict(zip(ids, labels)), cfg.evaluation.top_k))
     return {
         "repeats": cfg.evaluation.repeats,
         "metrics": average_metrics(runs).as_dict(),
@@ -602,11 +628,14 @@ def _stage_io(
             inputs.append(Path(cfg.demonstrations.path))
         if cfg.generation.replay and Path(cfg.generation.replay).exists():
             inputs.append(Path(cfg.generation.replay))
+    if "similarity" in stage.sections:
+        inputs.extend(cfg.similarity.tables)
     if stage.name == "evaluate":
         if cfg.evaluation.gold:
             inputs.append(Path(cfg.evaluation.gold))
         if cfg.evaluation.repeats > 1:
             inputs.append(_stage_path(out_dir, "structuralize"))
+            inputs.extend(cfg.similarity.tables)
     return inputs, [_stage_path(out_dir, stage.name)]
 
 

@@ -1,9 +1,13 @@
-"""Shared builders for tests: tiny instances and a table-backed similarity."""
+"""Shared builders for tests: tiny instances, a table-backed similarity, and
+a client that serves canned completions."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from eventframes.conceptualize import ConceptualizedInstance
 from eventframes.corpus import EventExpression
+from eventframes.endpoint import GenerationRequest, GenerationResponse, TransportError
 from eventframes.schemas import SchemaCandidate
 from eventframes.similarity import SimilarityEnsemble
 
@@ -25,6 +29,20 @@ class TableBackend:
 
 def table_ensemble(table: dict[tuple[str, str], float], default: float = 0.0) -> SimilarityEnsemble:
     return SimilarityEnsemble(backends=[TableBackend(table, default)])
+
+
+@dataclass
+class StaticClient:
+    """Serves canned completions from a prompt -> completions table."""
+
+    table: dict[str, list[str]]
+    default: list[str] | None = None
+
+    def generate(self, request: GenerationRequest) -> GenerationResponse:
+        completions = self.table.get(request.prompt, self.default)
+        if completions is None:
+            raise TransportError(f"no canned completions for prompt {request.prompt[:80]!r}")
+        return GenerationResponse(completions=tuple(completions[: request.n]))
 
 
 def expression(expr_id: str, text: str) -> EventExpression:

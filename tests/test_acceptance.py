@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from eventframes.aggregate import GraphConfig, aggregate, cluster_instances
+from eventframes.aggregate import GraphConfig, aggregate, build_schema_graph, cluster_instances
 from eventframes.evaluation import ari, bcubed, mention_harness, nmi
 from eventframes.louvain import louvain
 from eventframes.pipeline import PipelineConfig, read_stage_file, run_stage
@@ -203,10 +203,11 @@ def test_criterion_9_synonym_merged_aggregation():
         backends=[LexiconBackend([["die", "decease"], ["dead", "victim"]])]
     )
     cfg = GraphConfig(edge_prune="absolute", prune_tau=0.9)
-    assignment = cluster_instances([first, second], ensemble, cfg, seed=1234)
+    graph = build_schema_graph([first, second], ensemble, cfg)
+    assignment = cluster_instances([first, second], graph, seed=1234)
     assert assignment.n_clusters == 1
 
-    schemas = aggregate([first, second], assignment, ensemble, cfg, seed=1234)
+    schemas = aggregate([first, second], assignment, graph, cfg, seed=1234)
     assert len(schemas) == 1
     schema = schemas[0]
     assert schema.type_name == "die"

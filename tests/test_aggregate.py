@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from eventframes.aggregate import (
     GraphConfig,
+    SlotSimilarity,
     aggregate,
     aggregated_from_dict,
     aggregated_to_dict,
@@ -160,7 +161,7 @@ class TestMergeSlotSynonyms:
         groups = merge_slot_synonyms(
             {"dead", "victim"},
             {"victim": 2.0, "dead": 1.0},
-            self.lexicon_ensemble(),
+            SlotSimilarity.of({"dead", "victim"}, self.lexicon_ensemble()),
         )
         assert len(groups) == 1
         assert groups[0].representative == "victim"
@@ -168,17 +169,22 @@ class TestMergeSlotSynonyms:
 
     def test_dissimilar_slots_stay_apart(self):
         groups = merge_slot_synonyms(
-            {"place", "weapon"}, {}, default_ensemble(), GraphConfig()
+            {"place", "weapon"},
+            {},
+            SlotSimilarity.of({"place", "weapon"}, default_ensemble()),
+            GraphConfig(),
         )
         assert {g.representative for g in groups} == {"place", "weapon"}
         assert all(len(g.members) == 1 for g in groups)
 
     def test_empty_slot_set(self):
-        assert merge_slot_synonyms(set(), {}, default_ensemble()) == []
+        assert merge_slot_synonyms(set(), {}, SlotSimilarity.of(set(), default_ensemble())) == []
 
     def test_representative_tie_breaks_lexicographically(self):
         groups = merge_slot_synonyms(
-            {"dead", "victim"}, {"victim": 1.0, "dead": 1.0}, self.lexicon_ensemble()
+            {"dead", "victim"},
+            {"victim": 1.0, "dead": 1.0},
+            SlotSimilarity.of({"dead", "victim"}, self.lexicon_ensemble()),
         )
         assert groups[0].representative == "dead"
 
@@ -193,15 +199,16 @@ def two_cluster_instances():
 
 class TestAggregate:
     def assignment_for(self, instances, labels):
-        return ClusterAssignment(
-            labels=tuple(labels),
-            modularity_levels=(0.0,),
-            ids=tuple(i.expression.id for i in instances),
-        )
+        return ClusterAssignment(labels=tuple(labels), modularity_levels=(0.0,))
+
+    def graph_for(self, instances):
+        return build_schema_graph(instances, default_ensemble())
 
     def test_singleton_cluster_reproduces_member(self):
         instances = [structured("a", "some text", "resign", ["official", "post"])]
-        schemas = aggregate(instances, self.assignment_for(instances, [0]), default_ensemble())
+        schemas = aggregate(
+            instances, self.assignment_for(instances, [0]), self.graph_for(instances)
+        )
         assert len(schemas) == 1
         schema = schemas[0]
         assert schema.type_name == "resign"
@@ -214,14 +221,16 @@ class TestAggregate:
             structured("a", "one text", "die", ["agent", "victim"]),
             structured("b", "two text", "die", ["agent", "victim"]),
         ]
-        schemas = aggregate(instances, self.assignment_for(instances, [0, 0]), default_ensemble())
+        schemas = aggregate(
+            instances, self.assignment_for(instances, [0, 0]), self.graph_for(instances)
+        )
         members = set().union(*(g.members for g in schemas[0].slot_groups))
         assert members == {"agent", "victim"}
 
     def test_every_slot_lands_in_exactly_one_group(self):
         instances = two_cluster_instances()
         schemas = aggregate(
-            instances, self.assignment_for(instances, [0, 0, 1]), default_ensemble()
+            instances, self.assignment_for(instances, [0, 0, 1]), self.graph_for(instances)
         )
         for schema in schemas:
             member_instances = [
@@ -236,7 +245,7 @@ class TestAggregate:
     def test_sorted_by_descending_size(self):
         instances = two_cluster_instances()
         schemas = aggregate(
-            instances, self.assignment_for(instances, [0, 0, 1]), default_ensemble()
+            instances, self.assignment_for(instances, [0, 0, 1]), self.graph_for(instances)
         )
         assert [len(s.member_ids) for s in schemas] == [2, 1]
 
@@ -247,14 +256,16 @@ class TestAggregate:
             structured("c", "t", "decease", []),
         ]
         schemas = aggregate(
-            instances, self.assignment_for(instances, [0, 0, 0]), default_ensemble()
+            instances, self.assignment_for(instances, [0, 0, 0]), self.graph_for(instances)
         )
         assert schemas[0].type_candidates == ("decease", "die", "die")
 
     def test_assignment_must_cover(self):
         instances = two_cluster_instances()
         with pytest.raises(ValueError):
-            aggregate(instances, self.assignment_for(instances[:2], [0, 0]), default_ensemble())
+            aggregate(
+                instances, self.assignment_for(instances[:2], [0, 0]), self.graph_for(instances)
+            )
 
 
 class TestClusterInstances:
@@ -265,9 +276,10 @@ class TestClusterInstances:
             structured("b1", "citizens praise election", "election", ["winner", "country"]),
             structured("b2", "citizens praise leader", "election", ["winner", "country"]),
         ]
-        assignment = cluster_instances(instances, default_ensemble(), seed=1234)
-        assert assignment.ids == ("a1", "a2", "b1", "b2")
-        groups = {frozenset(assignment.ids[i] for i in g) for g in assignment.groups()}
+        graph = build_schema_graph(instances, default_ensemble())
+        assignment = cluster_instances(instances, graph, seed=1234)
+        ids = [inst.expression.id for inst in instances]
+        groups = {frozenset(ids[i] for i in g) for g in assignment.groups()}
         assert groups == {frozenset({"a1", "a2"}), frozenset({"b1", "b2"})}
 
     def test_prebuilt_graph_gives_the_same_assignment(self):
@@ -275,8 +287,8 @@ class TestClusterInstances:
         ensemble, cfg = default_ensemble(), GraphConfig()
         graph = build_schema_graph(instances, ensemble, cfg)
         for seed in (0, 7, 1234):
-            assert cluster_instances(instances, ensemble, cfg, seed, graph=graph) == (
-                cluster_instances(instances, ensemble, cfg, seed)
+            assert cluster_instances(instances, graph, seed) == (
+                cluster_instances(instances, build_schema_graph(instances, ensemble, cfg), seed)
             )
 
 
@@ -285,8 +297,8 @@ class TestRenderingAndSerialization:
         instances = [structured("a", "t", "die", ["agent", "victim"])]
         schemas = aggregate(
             instances,
-            ClusterAssignment(labels=(0,), modularity_levels=(0.0,), ids=("a",)),
-            default_ensemble(),
+            ClusterAssignment(labels=(0,), modularity_levels=(0.0,)),
+            build_schema_graph(instances, default_ensemble()),
         )
         rendered = render_aggregated(schemas[0])
         assert rendered.startswith("Type: die, Slots: ")
@@ -296,17 +308,16 @@ class TestRenderingAndSerialization:
         instances = [structured("a", "t", "die", [])]
         schemas = aggregate(
             instances,
-            ClusterAssignment(labels=(0,), modularity_levels=(0.0,), ids=("a",)),
-            default_ensemble(),
+            ClusterAssignment(labels=(0,), modularity_levels=(0.0,)),
+            build_schema_graph(instances, default_ensemble()),
         )
         assert render_aggregated(schemas[0]) == "Type: die, Slots:"
 
     def test_dict_roundtrip(self):
         instances = two_cluster_instances()
-        assignment = ClusterAssignment(
-            labels=(0, 0, 1), modularity_levels=(0.0,), ids=("a1", "a2", "b1")
-        )
-        for schema in aggregate(instances, assignment, default_ensemble()):
+        assignment = ClusterAssignment(labels=(0, 0, 1), modularity_levels=(0.0,))
+        graph = build_schema_graph(instances, default_ensemble())
+        for schema in aggregate(instances, assignment, graph):
             assert aggregated_from_dict(aggregated_to_dict(schema)) == schema
 
 
@@ -403,13 +414,26 @@ class TestGraphMatchesPairwiseOracle:
 def assert_slot_reuse_matches(instances, ensemble_name, cfg):
     ensemble = ensembles()[ensemble_name]
     graph = build_schema_graph(instances, ensemble, cfg)
-    assignment = cluster_instances(instances, ensemble, cfg, 1234, graph=graph)
+    assignment = cluster_instances(instances, graph, 1234)
     for group in assignment.groups():
         names = sorted({slot for i in group for slot in instances[i].slot_names})
         sliced = graph.slots.among(names)
         assert sliced.tobytes() == ensemble.matrix(names, names).tobytes()
-    reused = aggregate(instances, assignment, ensemble, cfg, 1234, graph=graph)
-    assert reused == aggregate(instances, assignment, ensembles()[ensemble_name], cfg, 1234)
+    reused = aggregate(instances, assignment, graph, cfg, 1234)
+    # Each cluster's slot groups equal a merge given only that cluster's slot
+    # similarities, computed afresh.
+    per_cluster = {}
+    for group in assignment.groups():
+        members = [instances[i] for i in group]
+        slot_scores: dict[str, float] = {}
+        for inst in members:
+            for record in inst.slots:
+                slot_scores[record.slot] = slot_scores.get(record.slot, 0.0) + record.score
+        similarity = SlotSimilarity.of(slot_scores, ensembles()[ensemble_name])
+        per_cluster[tuple(inst.expression.id for inst in members)] = tuple(
+            merge_slot_synonyms(set(slot_scores), slot_scores, similarity, cfg, 1234)
+        )
+    assert {schema.member_ids: schema.slot_groups for schema in reused} == per_cluster
 
 
 class TestSlotSimilarityReuse:

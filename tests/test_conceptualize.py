@@ -7,10 +7,10 @@ from eventframes.conceptualize import (
     conceptualize_corpus,
     sample_demonstrations,
 )
-from eventframes.endpoint import ReplayClient, ReplayStore, StaticClient
+from eventframes.endpoint import ReplayClient, ReplayStore
 from eventframes.schemas import Demonstration, SchemaCandidate
 
-from helpers import expression
+from helpers import StaticClient, expression
 
 
 def demo(text, event_type, slots=()):

@@ -11,10 +11,11 @@ from eventframes.endpoint import (
     ReplayClient,
     ReplayMissError,
     ReplayStore,
-    StaticClient,
     TransportError,
     prompt_hash,
 )
+
+from helpers import StaticClient
 
 
 class TestGenerationRequest:

@@ -16,7 +16,6 @@ from eventframes.evaluation import (
     score_partition,
     top_k_types,
 )
-from eventframes.louvain import ClusterAssignment
 
 from oracles import (
     pair_counting_ari,
@@ -176,14 +175,6 @@ class TestMentionHarness:
     def test_empty_retained_rejected(self):
         with pytest.raises(PartitionInputError):
             mention_harness([], {}, k=15)
-
-    def test_accepts_cluster_assignment(self):
-        assignment = ClusterAssignment(
-            labels=(0, 0, 0, 1, 1, 2),
-            modularity_levels=(0.0,),
-            ids=tuple(m for m, _ in GOLD_MENTIONS),
-        )
-        assert mention_harness(GOLD_MENTIONS, assignment, k=15).ari == 1.0
 
 
 class TestReporting:

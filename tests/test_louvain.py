@@ -166,16 +166,9 @@ class TestPermutationInvariance:
 
 
 class TestClusterAssignment:
-    def test_groups_and_by_id(self):
-        assignment = ClusterAssignment(
-            labels=(0, 1, 0), modularity_levels=(0.1,), ids=("a", "b", "c")
-        )
+    def test_groups(self):
+        assignment = ClusterAssignment(labels=(0, 1, 0), modularity_levels=(0.1,))
         assert assignment.groups() == [(0, 2), (1,)]
-        assert assignment.by_id() == {"a": 0, "b": 1, "c": 0}
-
-    def test_by_id_requires_ids(self):
-        with pytest.raises(ValueError):
-            ClusterAssignment(labels=(0,), modularity_levels=()).by_id()
 
 
 def assert_matches_reference(weights, seed=0, keys=None):

@@ -278,6 +278,33 @@ class TestScopedStageKeys:
             fresh = (tmp / "fresh" / stage_file).read_bytes()
             assert (tmp / "out" / stage_file).read_bytes() == fresh, stage_file
 
+    @pytest.mark.parametrize("repeats", [1, 2])
+    def test_edited_similarity_table_reruns_the_stages_that_read_it(self, workspace, repeats):
+        paths, cfg, tmp = workspace
+        lexicon = tmp / "lexicon.tsv"
+        lexicon.write_text("zebra\tquagga\n", encoding="utf-8")
+        data = cfg.to_dict()
+        data["similarity"]["backends"] = [
+            {"kind": "lexical"},
+            {"kind": "lexicon", "path": str(lexicon)},
+        ]
+        data["evaluation"]["repeats"] = repeats
+        cfg = PipelineConfig.from_dict(data)
+        run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        lexicon.write_text("attacker\tvictim\tweapon\nwinner\trival\n", encoding="utf-8")
+        report = run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        rerun = {s for s, r in report.items() if r.get("status") != "up-to-date"}
+        assert rerun == {"structuralize", "aggregate", "evaluate"}
+        for stage in ("structuralize", "aggregate", "evaluate"):
+            manifest = json.loads((tmp / "out" / f"{stage}.manifest.json").read_text("utf-8"))
+            reads_table = stage != "evaluate" or repeats > 1
+            assert (str(lexicon) in manifest["inputs"]) is reads_table, stage
+
+        run_stage("all", cfg, tmp / "fresh", input_path=paths["corpus"], force=True)
+        for stage_file in ("structured.jsonl", "schemas.jsonl", "metrics.json"):
+            fresh = (tmp / "fresh" / stage_file).read_bytes()
+            assert (tmp / "out" / stage_file).read_bytes() == fresh, stage_file
+
     def test_keys_chain_through_predecessors(self):
         base = PipelineConfig()
         changed = edited(base, "scoring", "threshold", 0.5)
@@ -459,6 +486,13 @@ def _add_unrecorded_line(data, paths):
         handle.write(json.dumps({"id": "m99", "text": "crews repair engines"}) + "\n")
 
 
+def _similarity(**section):
+    def edit(data, paths):
+        data["similarity"] = section
+
+    return edit
+
+
 def _malformed_vectors(data, paths):
     paths["vectors"] = paths["config"].parent / "vectors.txt"
     paths["vectors"].write_text("a 1 2\nb 1 x\n", encoding="utf-8")
@@ -498,6 +532,21 @@ CLI_ERRORS = {
     "malformed-demos": (_overwrite("demos", "[]\n"), "{demos}:1: bad demonstration", False),
     "malformed-gold": (_overwrite("gold", "{}\n"), "{gold}:1: bad gold record", False),
     "malformed-vectors": (_malformed_vectors, "{vectors}:2: could not convert", False),
+    "weights-misaligned": (
+        _similarity(backends=[{"kind": "lexical"}], weights=[0.5, 0.5]),
+        "bad config section 'similarity': weights and backends must align",
+        True,
+    ),
+    "unknown-backend": (
+        _similarity(backends=[{"kind": "bogus"}]),
+        "bad config section 'similarity': unknown similarity backend kind: 'bogus'",
+        True,
+    ),
+    "unknown-backend-key": (
+        _similarity(backends=[{"kind": "lexical", "pth": "x"}]),
+        "bad config section 'similarity': unknown keys in lexical backend: ['pth']",
+        True,
+    ),
 }
 
 
