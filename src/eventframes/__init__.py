@@ -38,6 +38,7 @@ from .endpoint import (
     RecordingClient,
     ReplayClient,
     ReplayStore,
+    generate_all,
 )
 from .evaluation import (
     ClusteringMetrics,

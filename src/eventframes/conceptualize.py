@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import logging
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import EventExpression
-from .endpoint import GenerationClient, GenerationRequest, TransportError
+from .endpoint import GenerationClient, GenerationRequest, TransportError, generate_all
 from .schemas import Demonstration, SchemaCandidate, SchemaParseError, parse_schema, render_schema
 
 log = logging.getLogger(__name__)
@@ -82,45 +81,6 @@ def build_prompt(demos: Sequence[Demonstration], text: str) -> str:
     return "\n".join(lines)
 
 
-def conceptualize_expression(
-    client: GenerationClient,
-    demos: Sequence[Demonstration],
-    expression: EventExpression,
-    n: int,
-    max_new_tokens: int = 64,
-    temperature: float | None = None,
-) -> ConceptualizedInstance | None:
-    """Generate and parse n candidates for one expression.
-
-    Completions that fail to parse are dropped individually; the instance is
-    dropped (None) only when every completion fails or transport gives out.
-    """
-    if temperature is None:
-        temperature = 0.7 if n > 1 else 0.0
-    request = GenerationRequest(
-        prompt=build_prompt(demos, expression.text),
-        n=n,
-        max_new_tokens=max_new_tokens,
-        temperature=temperature,
-    )
-    try:
-        response = client.generate(request)
-    except TransportError as exc:
-        log.warning("expression %s dropped: %s", expression.id, exc)
-        return None
-
-    candidates: list[SchemaCandidate] = []
-    failures = 0
-    for completion in response.completions[:n]:
-        try:
-            candidates.append(parse_schema(completion))
-        except SchemaParseError:
-            failures += 1
-    if not candidates:
-        return ConceptualizedInstance(expression, (), parse_failures=failures)
-    return ConceptualizedInstance(expression, tuple(candidates), parse_failures=failures)
-
-
 def conceptualize_corpus(
     client: GenerationClient,
     demos: Sequence[Demonstration],
@@ -132,34 +92,45 @@ def conceptualize_corpus(
 ) -> tuple[list[ConceptualizedInstance], ConceptualizeReport]:
     """Conceptualize every expression, preserving corpus order.
 
-    Up to `workers` generation requests are in flight at once; instances whose
-    every completion fails (or whose request ultimately fails) are dropped and
-    counted in the report.
+    Each distinct prompt is requested once (`generate_all`), with up to
+    `workers` requests in flight; expressions with the same text share its
+    completions.  An expression is dropped, and counted in the report, when
+    its request fails or every completion fails to parse.
     """
-    report = ConceptualizeReport()
-
-    def run(expression: EventExpression) -> ConceptualizedInstance | None:
-        return conceptualize_expression(
-            client, demos, expression, n, max_new_tokens=max_new_tokens, temperature=temperature
+    if temperature is None:
+        temperature = 0.7 if n > 1 else 0.0
+    requests = [
+        GenerationRequest(
+            prompt=build_prompt(demos, expression.text),
+            n=n,
+            max_new_tokens=max_new_tokens,
+            temperature=temperature,
         )
+        for expression in corpus
+    ]
+    outcomes = generate_all(client, requests, workers)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, corpus))
-    else:
-        results = [run(e) for e in corpus]
-
+    report = ConceptualizeReport()
     instances: list[ConceptualizedInstance] = []
-    for result in results:
-        if result is None:
+    for expression, request in zip(corpus, requests):
+        outcome = outcomes[request]
+        if isinstance(outcome, TransportError):
+            log.warning("expression %s dropped: %s", expression.id, outcome)
             report.dropped += 1
             report.transport_failures += 1
             continue
-        report.parse_failures += result.parse_failures
-        if not result.candidates:
+        candidates: list[SchemaCandidate] = []
+        failures = 0
+        for completion in outcome.completions[:n]:
+            try:
+                candidates.append(parse_schema(completion))
+            except SchemaParseError:
+                failures += 1
+        report.parse_failures += failures
+        if not candidates:
             report.dropped += 1
-            log.warning("expression %s dropped: all completions malformed", result.expression.id)
+            log.warning("expression %s dropped: all completions malformed", expression.id)
             continue
-        instances.append(result)
+        instances.append(ConceptualizedInstance(expression, tuple(candidates), failures))
         report.instances += 1
     return instances, report

@@ -121,6 +121,8 @@ class GenerationSettings:
         GenerationRequest("", self.n, self.max_new_tokens, self.temperature or 0.0)
         if self.endpoint_style not in ("native", "openai"):
             raise ValueError(f"unknown endpoint_style: {self.endpoint_style!r}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 # The keys each similarity backend kind takes besides "kind".

@@ -517,6 +517,11 @@ CLI_ERRORS = {
         "bad config section 'generation': n must be >= 1, got 0",
         True,
     ),
+    "workers-zero": (
+        _set("generation", "workers", 0),
+        "bad config section 'generation': workers must be >= 1, got 0",
+        True,
+    ),
     "top-k-zero": (
         _set("evaluation", "top_k", 0),
         "bad config section 'evaluation': top_k and repeats must be >= 1",
