@@ -11,6 +11,7 @@ from pathlib import Path
 from .endpoint import ReplayMissError
 from .evaluation import ClusteringMetrics, metrics_table
 from .pipeline import ConfigError, PipelineConfig, StageInputError, run_stage
+from .similarity import EmbeddingServiceError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,7 +92,9 @@ def main(argv: list[str] | None = None) -> int:
         report = run_stage(
             args.stage, cfg, Path(args.output), input_path=args.input, force=args.force
         )
-    except (ConfigError, StageInputError, ReplayMissError, FileNotFoundError) as exc:
+    except (
+        ConfigError, StageInputError, ReplayMissError, EmbeddingServiceError, FileNotFoundError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,6 +11,7 @@ first stage that reads the edited section.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib
 import json
@@ -253,6 +254,11 @@ def build_ensemble(settings: SimilaritySettings) -> SimilarityEnsemble:
     return SimilarityEnsemble(backends=backends, weights=weights)
 
 
+# A zero-argument callable that returns the ensemble of cfg.similarity; the
+# stages that read the similarity section call it when they need it.
+EnsembleSource = Callable[[], SimilarityEnsemble]
+
+
 def build_client(cfg: PipelineConfig) -> GenerationClient:
     gen = cfg.generation
     if gen.replay and not gen.record:
@@ -434,7 +440,9 @@ def _load_conceptualized(out_dir: Path, cfg: PipelineConfig) -> list[Conceptuali
     return instances
 
 
-def _stage_ingest(cfg: PipelineConfig, out_dir: Path, input_path: Path | None) -> dict:
+def _stage_ingest(
+    cfg: PipelineConfig, out_dir: Path, input_path: Path | None, ensemble: EnsembleSource
+) -> dict:
     if input_path is None:
         raise StageInputError("ingest needs an --input corpus file")
     if not input_path.exists():
@@ -454,7 +462,9 @@ def _stage_ingest(cfg: PipelineConfig, out_dir: Path, input_path: Path | None) -
     return report.as_dict()
 
 
-def _stage_conceptualize(cfg: PipelineConfig, out_dir: Path, input_path: Path | None) -> dict:
+def _stage_conceptualize(
+    cfg: PipelineConfig, out_dir: Path, input_path: Path | None, ensemble: EnsembleSource
+) -> dict:
     if not cfg.demonstrations.path:
         raise ConfigError("conceptualize needs a demonstrations path in the config")
     pool = _load(load_demonstrations, cfg.demonstrations.path)
@@ -492,10 +502,11 @@ def _stage_conceptualize(cfg: PipelineConfig, out_dir: Path, input_path: Path | 
     return report.as_dict()
 
 
-def _stage_structuralize(cfg: PipelineConfig, out_dir: Path, input_path: Path | None) -> dict:
+def _stage_structuralize(
+    cfg: PipelineConfig, out_dir: Path, input_path: Path | None, ensemble: EnsembleSource
+) -> dict:
     instances = _load_conceptualized(out_dir, cfg)
-    ensemble = build_ensemble(cfg.similarity)
-    structured = structuralize(instances, cfg.scoring, ensemble)
+    structured = structuralize(instances, cfg.scoring, ensemble())
     _write_stage(cfg, out_dir, "structuralize", (structured_to_dict(s) for s in structured))
     return {
         "instances": len(structured),
@@ -505,18 +516,19 @@ def _stage_structuralize(cfg: PipelineConfig, out_dir: Path, input_path: Path | 
 
 
 def _schema_graph(
-    cfg: PipelineConfig, out_dir: Path
+    cfg: PipelineConfig, out_dir: Path, ensemble: EnsembleSource
 ) -> tuple[list[StructuredInstance], SchemaGraph]:
     """The structured instances and their schema graph."""
     structured = [structured_from_dict(r) for r in _read_stage(cfg, out_dir, "structuralize")]
     if not structured:
         raise StageInputError("no structured instances to aggregate")
-    ensemble = build_ensemble(cfg.similarity)
-    return structured, _aggregate_module.build_schema_graph(structured, ensemble, cfg.graph)
+    return structured, _aggregate_module.build_schema_graph(structured, ensemble(), cfg.graph)
 
 
-def _stage_aggregate(cfg: PipelineConfig, out_dir: Path, input_path: Path | None) -> dict:
-    structured, graph = _schema_graph(cfg, out_dir)
+def _stage_aggregate(
+    cfg: PipelineConfig, out_dir: Path, input_path: Path | None, ensemble: EnsembleSource
+) -> dict:
+    structured, graph = _schema_graph(cfg, out_dir, ensemble)
     assignment = cluster_instances(structured, graph, cfg.seed)
     schemas = aggregate(structured, assignment, graph, cfg.graph, cfg.seed)
     _write_stage(cfg, out_dir, "aggregate", (aggregated_to_dict(s) for s in schemas))
@@ -527,7 +539,7 @@ def _stage_aggregate(cfg: PipelineConfig, out_dir: Path, input_path: Path | None
     }
 
 
-def _evaluate_metrics(cfg: PipelineConfig, out_dir: Path) -> dict:
+def _evaluate_metrics(cfg: PipelineConfig, out_dir: Path, ensemble: EnsembleSource) -> dict:
     if not cfg.evaluation.gold:
         raise ConfigError("evaluate needs a gold mentions path in the config")
     gold = _load(load_gold_mentions, cfg.evaluation.gold)
@@ -542,7 +554,7 @@ def _evaluate_metrics(cfg: PipelineConfig, out_dir: Path) -> dict:
 
     # Re-cluster with varied seeds and report the averaged result.  This reads
     # the graph, similarity and seed sections, all covered by aggregate's key.
-    structured, graph = _schema_graph(cfg, out_dir)
+    structured, graph = _schema_graph(cfg, out_dir, ensemble)
     ids = [inst.expression.id for inst in structured]
     runs: list[ClusteringMetrics] = []
     for repeat in range(cfg.evaluation.repeats):
@@ -555,8 +567,10 @@ def _evaluate_metrics(cfg: PipelineConfig, out_dir: Path) -> dict:
     }
 
 
-def _stage_evaluate(cfg: PipelineConfig, out_dir: Path, input_path: Path | None) -> dict:
-    report = _evaluate_metrics(cfg, out_dir)
+def _stage_evaluate(
+    cfg: PipelineConfig, out_dir: Path, input_path: Path | None, ensemble: EnsembleSource
+) -> dict:
+    report = _evaluate_metrics(cfg, out_dir, ensemble)
     payload = dict(report)
     payload["stage"] = "evaluate"
     payload["config_hash"] = cfg.stage_keys["evaluate"]
@@ -575,7 +589,7 @@ class Stage:
     file: str
     predecessor: str | None
     sections: tuple[str, ...]
-    run: Callable[[PipelineConfig, Path, Path | None], dict]
+    run: Callable[[PipelineConfig, Path, Path | None, EnsembleSource], dict]
 
 
 STAGE_TABLE = {
@@ -647,10 +661,15 @@ def run_stage(
     out_dir: str | Path,
     input_path: str | Path | None = None,
     force: bool = False,
+    ensemble: EnsembleSource | None = None,
 ) -> dict:
     """Run one stage (or "all"), skipping work whose inputs are unchanged.
 
     Returns a report dict; for "all" the reports are keyed by stage name.
+    A stage that reads the similarity section takes its ensemble from
+    `ensemble`, or builds its own when none is given.  "all" passes its
+    stages one source, so a run builds the ensemble at most once, and only
+    when such a stage runs.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -660,7 +679,13 @@ def run_stage(
         stages = list(STAGES)
         if not cfg.evaluation.gold:
             stages.remove("evaluate")
-        return {s: run_stage(s, cfg, out_dir, input_path, force=force) for s in stages}
+        # The lambda looks build_ensemble up when a stage first calls it, so
+        # a wrapper installed on this module sees the one build.
+        shared = functools.cache(lambda: build_ensemble(cfg.similarity))
+        return {
+            s: run_stage(s, cfg, out_dir, input_path, force=force, ensemble=shared)
+            for s in stages
+        }
 
     if stage not in STAGE_TABLE:
         raise ConfigError(f"unknown stage: {stage!r}")
@@ -683,7 +708,9 @@ def run_stage(
         return {"status": "up-to-date", "stage": stage}
 
     started = time.monotonic()
-    report = spec.run(cfg, out_dir, input_path)
+    report = spec.run(
+        cfg, out_dir, input_path, ensemble or (lambda: build_ensemble(cfg.similarity))
+    )
     elapsed = time.monotonic() - started
     # record mode may have created the replay store; refresh input list
     inputs, outputs = _stage_io(spec, cfg, input_path, out_dir)

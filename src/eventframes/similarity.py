@@ -8,6 +8,10 @@ Each backend scores one pair (`score`) or every pair of two string lists at
 once (`matrix`); the matrix holds exactly the floats `score` returns.  The
 lexicon and embedding backends fall back to the lexical score, so `matrix`
 takes the lexical matrix of the same lists when the caller already has it.
+The embedding matrix computes all cosines of the covered strings in one
+numpy call, with the same dot-product kernel as `score`.  An embedding
+service that fails to return vectors raises `EmbeddingServiceError`; it is
+never replaced by lexical scores.
 """
 
 from __future__ import annotations
@@ -223,9 +227,10 @@ class EmbeddingBackend:
         return pooled / norm
 
     @staticmethod
-    def _cosine_score(vec_a: np.ndarray, vec_b: np.ndarray) -> float:
-        cosine = float(np.clip(np.dot(vec_a, vec_b), -1.0, 1.0))
-        return (1.0 + cosine) / 2.0
+    def _unit(cosine: np.ndarray) -> np.ndarray:
+        """Cosines, clipped to [-1, 1], mapped onto [0, 1]: the one expression
+        that score and matrix share, elementwise in float64."""
+        return (1.0 + np.clip(cosine, -1.0, 1.0)) / 2.0
 
     def score(self, a: str, b: str) -> float:
         vec_a, vec_b = self._pool(a), self._pool(b)
@@ -233,13 +238,12 @@ class EmbeddingBackend:
             self.fallback_count += 1
             log.debug("embedding miss for (%r, %r); lexical fallback", a[:40], b[:40])
             return self._fallback.score(a, b)
-        return self._cosine_score(vec_a, vec_b)
+        return float(self._unit(np.dot(vec_a, vec_b)))
 
     def matrix(
         self, xs: Sequence[str], ys: Sequence[str], lexical: np.ndarray | None = None
     ) -> np.ndarray:
-        # One np.dot per covered pair, as in score: a matrix product may
-        # round differently.  Every uncovered cell counts as one fallback.
+        # Every uncovered cell counts as one fallback.
         pooled = {text: self._pool(text) for text in dict.fromkeys([*xs, *ys])}
         covered_x = [i for i, x in enumerate(xs) if pooled[x] is not None]
         covered_y = [j for j, y in enumerate(ys) if pooled[y] is not None]
@@ -247,18 +251,28 @@ class EmbeddingBackend:
         self.fallback_count += misses
         log.debug("embedding misses: %d of %d pairs scored lexically", misses, len(xs) * len(ys))
         out = self._fallback.matrix(xs, ys) if lexical is None else lexical.copy()
-        for i in covered_x:
-            vec_x = pooled[xs[i]]
-            for j in covered_y:
-                out[i, j] = self._cosine_score(vec_x, pooled[ys[j]])
+        if covered_x and covered_y:
+            # A stack of 1×d @ d×1 products: numpy runs each through the same
+            # dot kernel as np.dot on two vectors, so every cell equals score
+            # bitwise.  A gemm (vec_x @ vec_y.T) or einsum sums in another
+            # order and can differ in the last bit.
+            vec_x = np.stack([pooled[xs[i]] for i in covered_x])
+            vec_y = np.stack([pooled[ys[j]] for j in covered_y])
+            dots = np.matmul(vec_x[:, None, None, :], vec_y[None, :, :, None])[:, :, 0, 0]
+            out[np.ix_(covered_x, covered_y)] = self._unit(dots)
         return out
+
+
+class EmbeddingServiceError(RuntimeError):
+    """The embedding service did not return the vectors asked for."""
 
 
 class EmbeddingServiceBackend(EmbeddingBackend):
     """Embedding backend that fetches vectors from an HTTP service on demand.
 
-    POSTs {"texts": [...]} and expects {"vectors": [[...], ...]}.  Fetched
-    vectors are cached for the lifetime of the backend.
+    POSTs {"texts": [...]} and expects {"vectors": [[...], ...]}, one vector
+    per text.  Fetched vectors are cached for the lifetime of the backend.  A
+    failed fetch raises EmbeddingServiceError rather than scoring lexically.
     """
 
     def __init__(self, url: str, fetch: Callable[[list[str]], list[list[float]]] | None = None):
@@ -277,10 +291,13 @@ class EmbeddingServiceBackend(EmbeddingBackend):
         missing = [t for t in _tokens(text) if t not in self._vectors]
         if missing:
             try:
-                for token, vector in zip(missing, self._fetch(missing)):
-                    self._vectors[token] = np.asarray(vector, dtype=float)
+                vectors = self._fetch(missing)
+                if len(vectors) != len(missing):
+                    raise ValueError(f"{len(vectors)} vectors for {len(missing)} texts")
             except Exception as exc:
-                log.warning("embedding service fetch failed: %s", exc)
+                raise EmbeddingServiceError(f"embedding service {self.url} failed: {exc}") from exc
+            for token, vector in zip(missing, vectors):
+                self._vectors[token] = np.asarray(vector, dtype=float)
         return super()._pool(text)
 
 

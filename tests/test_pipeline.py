@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from eventframes import pipeline
 from eventframes.pipeline import (
     STAGE_TABLE,
     STAGES,
@@ -20,6 +21,7 @@ from eventframes.pipeline import (
 )
 from eventframes.cli import main as cli_main
 from eventframes.endpoint import ReplayStore
+from eventframes.similarity import EmbeddingServiceBackend
 
 from synthetic import build_workspace, planted_mentions
 
@@ -346,6 +348,44 @@ class TestScopedStageKeys:
         assert "structuralize" in capsys.readouterr().err
 
 
+class TestOneEnsemblePerRun:
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        calls = []
+        original = pipeline.build_ensemble
+
+        def counted(settings):
+            calls.append(settings)
+            return original(settings)
+
+        monkeypatch.setattr(pipeline, "build_ensemble", counted)
+        return calls
+
+    def test_a_run_builds_the_ensemble_only_when_a_stage_needs_it(self, workspace, builds):
+        paths, cfg, tmp = workspace
+
+        def builds_of(cfg, out):
+            before = len(builds)
+            run_stage("all", cfg, tmp / out, input_path=paths["corpus"])
+            return len(builds) - before
+
+        assert builds_of(cfg, "out") == 1
+        assert builds_of(cfg, "out") == 0
+        cfg = edited(cfg, "evaluation", "top_k", 10)
+        assert builds_of(cfg, "out") == 0
+        cfg = edited(cfg, "scoring", "threshold", 0.3)
+        assert builds_of(cfg, "out") == 1
+        assert builds_of(edited(cfg, "evaluation", "repeats", 3), "repeats") == 1
+
+    def test_a_stage_run_alone_builds_its_own(self, workspace, builds):
+        paths, cfg, tmp = workspace
+        run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        before = len(builds)
+        run_stage("aggregate", cfg, tmp / "out", force=True)
+        run_stage("structuralize", cfg, tmp / "out", force=True)
+        assert len(builds) - before == 2
+
+
 class TestCrashSafeWrites:
     def test_failed_stage_write_keeps_the_previous_file(self, tmp_path):
         path = tmp_path / "structured.jsonl"
@@ -669,6 +709,27 @@ class TestCli:
         assert "Traceback" not in err
         assert err.startswith(f"error: {expressions}:{lines + 1}: not valid JSON")
         assert len(err.splitlines()) == 1, err
+
+    def test_embedding_service_outage_fails_the_stage(self, workspace, capsys, monkeypatch):
+        def refused(backend, texts):
+            raise ConnectionError("connection refused")
+
+        monkeypatch.setattr(EmbeddingServiceBackend, "_http_fetch", refused)
+        paths, _, tmp = workspace
+        data = json.loads(paths["config"].read_text(encoding="utf-8"))
+        data["similarity"] = {"backends": [{"kind": "embedding", "url": "http://vectors"}]}
+        config = tmp / "service.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        code = cli_main(
+            ["all", "--config", str(config), "--input", str(paths["corpus"]),
+             "--output", str(tmp / "outage")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: embedding service http://vectors failed: connection refused"]
+        assert not (tmp / "outage" / "structured.jsonl").exists()
 
     def test_missing_input_is_reported(self, workspace, capsys):
         paths, _, tmp = workspace

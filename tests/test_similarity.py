@@ -7,6 +7,7 @@ from eventframes import similarity
 from eventframes.similarity import (
     EmbeddingBackend,
     EmbeddingServiceBackend,
+    EmbeddingServiceError,
     LexicalBackend,
     LexiconBackend,
     SimilarityEnsemble,
@@ -116,6 +117,22 @@ class TestEmbeddingBackend:
         assert backend.score("alpha", "alpha") == pytest.approx(1.0)
         backend.score("alpha", "alpha")
         assert fetched == [["alpha"]]
+
+    def test_service_outage_raises(self):
+        def refused(texts):
+            raise ConnectionError("connection refused")
+
+        backend = EmbeddingServiceBackend("http://vectors", fetch=refused)
+        with pytest.raises(EmbeddingServiceError, match="vectors failed: connection refused"):
+            backend.score("alpha", "beta")
+        with pytest.raises(EmbeddingServiceError):
+            backend.matrix(["alpha"], ["beta"])
+        assert backend.fallback_count == 0
+
+    def test_service_short_response_raises(self):
+        backend = EmbeddingServiceBackend("http://vectors", fetch=lambda texts: [[1.0, 0.0]])
+        with pytest.raises(EmbeddingServiceError, match="failed: 1 vectors for 2 texts"):
+            backend.score("alpha beta", "alpha")
 
 
 class TestEnsemble:
@@ -285,3 +302,36 @@ class TestMatrixEqualsPerPair:
         out = backend.matrix(["alpha", "beta alpha"], ["alpha", "beta"])
         assert fetched == [["alpha"], ["beta"]]
         assert_bitwise(out, per_pair(backend.score, ["alpha", "beta alpha"], ["alpha", "beta"]))
+
+
+def random_vectors(dim: int, seed: int) -> dict[str, np.ndarray]:
+    """Gaussian vectors for the lower-cased MATRIX_WORDS except "b", "x" and
+    "zz", which stay uncovered."""
+    rng = np.random.default_rng(seed)
+    words = sorted({w.lower() for w in MATRIX_WORDS} - {"b", "x", "zz"})
+    return {word: rng.standard_normal(dim) for word in words}
+
+
+class TestEmbeddingMatrixAtRealDimensions:
+    """With the 3-dimensional vectors of matrix_backends a gemm (P @ Q.T) or
+    an einsum may round every drawn cell like np.dot; at these sizes many
+    cells differ in the last bit, so this property catches a matrix that is
+    not one dot product per cell."""
+
+    @given(
+        st.sampled_from([16, 17, 300]),
+        st.integers(0, 2**32 - 1),
+        st.lists(matrix_strings, min_size=1, max_size=8),
+        st.lists(matrix_strings, min_size=1, max_size=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matrix_is_score_bitwise(self, dim, seed, xs, ys):
+        by_matrix = EmbeddingBackend(random_vectors(dim, seed))
+        by_score = EmbeddingBackend(random_vectors(dim, seed))
+        assert_bitwise(by_matrix.matrix(xs, ys), per_pair(by_score.score, xs, ys))
+        assert by_matrix.fallback_count == by_score.fallback_count
+        ensemble = SimilarityEnsemble(
+            backends=[*matrix_backends()[:2], EmbeddingBackend(random_vectors(dim, seed))],
+            weights=[0.2, 0.3, 0.5],
+        )
+        assert_bitwise(ensemble.matrix(xs, ys), per_pair(ensemble.sim, xs, ys))
