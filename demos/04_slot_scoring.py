@@ -45,7 +45,7 @@ corpus = [target] + background
 slot_set = collect_slot_set(target)
 print("slot frequencies within the instance:", dict(slot_set.freq))
 
-totals, size = global_slot_frequencies(corpus)
+totals, size = global_slot_frequencies([collect_slot_set(inst) for inst in corpus])
 print("corpus-wide totals:", totals, "instances:", size)
 print()
 

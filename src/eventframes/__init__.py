@@ -63,6 +63,7 @@ from .scoring import (
     salience,
     select_event_type,
     structuralize,
+    type_similarities,
 )
 from .similarity import (
     EmbeddingBackend,

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .endpoint import ReplayMissError
 from .evaluation import ClusteringMetrics, metrics_table
-from .pipeline import ConfigError, PipelineConfig, StageInputError, run_stage
+from .pipeline import STAGES, ConfigError, PipelineConfig, StageInputError, run_stage
 from .similarity import EmbeddingServiceError
 
 
@@ -19,8 +19,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="eventframes",
         description="Induce event schemas (Type + Slots) from an unlabeled corpus.",
     )
-    parser.add_argument("stage", choices=["ingest", "conceptualize", "structuralize",
-                                          "aggregate", "evaluate", "all"])
+    parser.add_argument("stage", choices=[*STAGES, "all"])
     parser.add_argument("--config", help="pipeline config JSON file")
     parser.add_argument("--input", help="corpus file (ingest / all)")
     parser.add_argument("--output", required=True, help="output directory for stage files")

@@ -384,18 +384,17 @@ def _up_to_date(out_dir: Path, stage: str, config_hash: str, inputs: Sequence[Pa
     try:
         with open(manifest_path, encoding="utf-8") as handle:
             manifest = json.load(handle)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, UnicodeDecodeError):
         return False
-    if manifest.get("config_hash") != config_hash:
+    if not isinstance(manifest, dict) or manifest.get("config_hash") != config_hash:
         return False
     recorded_inputs = manifest.get("inputs", {})
+    recorded_outputs = manifest.get("outputs", {})
+    if not isinstance(recorded_inputs, dict) or not isinstance(recorded_outputs, dict):
+        return False
     if set(recorded_inputs) != {str(p) for p in inputs}:
         return False
-    for path_str, digest in recorded_inputs.items():
-        path = Path(path_str)
-        if not path.exists() or _file_hash(path) != digest:
-            return False
-    for path_str, digest in manifest.get("outputs", {}).items():
+    for path_str, digest in [*recorded_inputs.items(), *recorded_outputs.items()]:
         path = Path(path_str)
         if not path.exists() or _file_hash(path) != digest:
             return False
@@ -445,8 +444,6 @@ def _stage_ingest(
 ) -> dict:
     if input_path is None:
         raise StageInputError("ingest needs an --input corpus file")
-    if not input_path.exists():
-        raise StageInputError(f"corpus file not found: {input_path}")
     expressions, report = load_corpus(input_path, cfg.corpus)
     if not expressions:
         raise StageInputError(

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .conceptualize import ConceptualizedInstance
 from .corpus import EventExpression
-from .similarity import SimilarityEnsemble, default_ensemble
+from .similarity import SimilarityEnsemble
 
 SQUARED_LOG = "squared-log"  # 1 + (log f)^2
 LOG_OF_SQUARE = "log-of-square"  # 1 + log(f^2)
@@ -93,14 +93,12 @@ def collect_slot_set(instance: ConceptualizedInstance) -> SlotSet:
     return SlotSet(freq=freq, members=tuple(members))
 
 
-def global_slot_frequencies(
-    instances: Sequence[ConceptualizedInstance],
-) -> tuple[dict[str, int], int]:
-    """Total slot frequency across all instances, plus the instance count."""
+def global_slot_frequencies(slot_sets: Sequence[SlotSet]) -> tuple[dict[str, int], int]:
+    """Total slot frequency across all instances' slot sets, plus the instance count."""
     totals: Counter = Counter()
-    for instance in instances:
-        totals.update(collect_slot_set(instance).freq)
-    return dict(totals), len(instances)
+    for slot_set in slot_sets:
+        totals.update(slot_set.freq)
+    return dict(totals), len(slot_sets)
 
 
 def salience(
@@ -172,6 +170,7 @@ def pagerank(
     if n == 0:
         return {}, PageRankTrace((), ())
     degree = {s: sum(adjacency[s].values()) for s in nodes}
+    neighbours = {s: sorted(adjacency[s].items()) for s in nodes}
     teleport = (1.0 - beta) / n
     scores = {s: 1.0 / n for s in nodes}
     max_changes: list[float] = []
@@ -179,7 +178,7 @@ def pagerank(
     for _ in range(max_iterations):
         updated: dict[str, float] = {}
         for s in nodes:
-            inflow = sum(scores[o] * w / degree[o] for o, w in sorted(adjacency[s].items()))
+            inflow = sum(scores[o] * w / degree[o] for o, w in neighbours[s])
             updated[s] = beta * inflow + teleport
         deltas = [abs(updated[s] - scores[s]) for s in nodes]
         max_changes.append(max(deltas))
@@ -199,11 +198,22 @@ def reliability(slot_set: SlotSet, cfg: ScoringConfig = ScoringConfig()) -> dict
     return scores
 
 
-def consistency(slot: str, instance: ConceptualizedInstance, ensemble: SimilarityEnsemble) -> float:
+def type_similarities(
+    instance: ConceptualizedInstance, ensemble: SimilarityEnsemble
+) -> dict[str, float]:
+    """sim(type, text) for each distinct candidate type, in first-seen order."""
+    text = instance.expression.text
+    types = dict.fromkeys(candidate.event_type for candidate in instance.candidates)
+    return {t: ensemble.sim(t, text) for t in types}
+
+
+def consistency(
+    slot: str, instance: ConceptualizedInstance, type_sims: Mapping[str, float]
+) -> float:
     """Faithfulness of a slot to its source text: the max, over candidates
-    containing the slot, of sim(candidate type, text)."""
+    containing the slot, of sim(candidate type, text) from `type_sims`."""
     sims = [
-        ensemble.sim(candidate.event_type, instance.expression.text)
+        type_sims[candidate.event_type]
         for candidate in instance.candidates
         if slot in candidate.slots
     ]
@@ -218,9 +228,10 @@ def score(record: SlotRecord, cfg: ScoringConfig = ScoringConfig()) -> float:
 
 
 def select_event_type(
-    instance: ConceptualizedInstance, ensemble: SimilarityEnsemble
+    instance: ConceptualizedInstance, type_sims: Mapping[str, float]
 ) -> tuple[str, float]:
-    """Top-1 consistent event type among the instance's candidate types.
+    """Top-1 consistent event type among the instance's candidate types,
+    read from `type_sims`.
 
     Ties break toward the type proposed by more candidates, then
     lexicographically.
@@ -228,59 +239,49 @@ def select_event_type(
     if not instance.candidates:
         raise ValueError("instance has no parsed candidates")
     type_freq = Counter(candidate.event_type for candidate in instance.candidates)
-    text = instance.expression.text
-    sims = {t: ensemble.sim(t, text) for t in type_freq}
-    best = min(sims, key=lambda t: (-sims[t], -type_freq[t], t))
-    return best, sims[best]
-
-
-def structuralize_instance(
-    instance: ConceptualizedInstance,
-    totals: Mapping[str, int],
-    corpus_size: int,
-    cfg: ScoringConfig,
-    ensemble: SimilarityEnsemble,
-) -> StructuredInstance:
-    """Score one instance against the frozen global frequency table."""
-    slot_set = collect_slot_set(instance)
-    reliabilities = reliability(slot_set, cfg)
-    records: list[SlotRecord] = []
-    for slot in sorted(slot_set.freq):
-        partial = SlotRecord(
-            slot=slot,
-            freq=slot_set.freq[slot],
-            salience=salience(slot_set.freq[slot], totals[slot], corpus_size, cfg),
-            reliability=reliabilities[slot],
-            consistency=consistency(slot, instance, ensemble),
-            score=0.0,
-        )
-        records.append(replace(partial, score=score(partial, cfg)))
-    surviving = tuple(r for r in records if r.score >= cfg.threshold)
-    event_type, type_consistency = select_event_type(instance, ensemble)
-    return StructuredInstance(
-        expression=instance.expression,
-        event_type=event_type,
-        slots=surviving,
-        type_consistency=type_consistency,
-    )
+    best = min(type_freq, key=lambda t: (-type_sims[t], -type_freq[t], t))
+    return best, type_sims[best]
 
 
 def structuralize(
     instances: Sequence[ConceptualizedInstance],
-    cfg: ScoringConfig = ScoringConfig(),
-    ensemble: SimilarityEnsemble | None = None,
+    cfg: ScoringConfig,
+    ensemble: SimilarityEnsemble,
 ) -> list[StructuredInstance]:
-    """Two passes: global slot frequencies first, then per-instance scoring.
+    """Score every instance against the corpus-wide slot frequencies.
 
-    Instances are retained even when every slot is filtered out (type-only
-    schema).
+    Each instance's slot set and candidate-type similarities are computed
+    once.  Instances are retained even when every slot is filtered out
+    (type-only schema).
     """
-    ensemble = ensemble or default_ensemble()
-    totals, corpus_size = global_slot_frequencies(instances)
-    return [
-        structuralize_instance(instance, totals, corpus_size, cfg, ensemble)
-        for instance in instances
-    ]
+    slot_sets = [collect_slot_set(instance) for instance in instances]
+    totals, corpus_size = global_slot_frequencies(slot_sets)
+    structured: list[StructuredInstance] = []
+    for instance, slot_set in zip(instances, slot_sets):
+        type_sims = type_similarities(instance, ensemble)
+        reliabilities = reliability(slot_set, cfg)
+        records: list[SlotRecord] = []
+        for slot in sorted(slot_set.freq):
+            partial = SlotRecord(
+                slot=slot,
+                freq=slot_set.freq[slot],
+                salience=salience(slot_set.freq[slot], totals[slot], corpus_size, cfg),
+                reliability=reliabilities[slot],
+                consistency=consistency(slot, instance, type_sims),
+                score=0.0,
+            )
+            records.append(replace(partial, score=score(partial, cfg)))
+        event_type, type_consistency = select_event_type(instance, type_sims)
+        surviving = tuple(r for r in records if r.score >= cfg.threshold)
+        structured.append(
+            StructuredInstance(
+                expression=instance.expression,
+                event_type=event_type,
+                slots=surviving,
+                type_consistency=type_consistency,
+            )
+        )
+    return structured
 
 
 def structured_to_dict(instance: StructuredInstance) -> dict:

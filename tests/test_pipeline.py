@@ -414,6 +414,44 @@ class TestCrashSafeWrites:
         assert names == ["expressions.jsonl", "ingest.manifest.json"]
 
 
+def _as_list(field):
+    """The manifest with `field` recorded as a list of its paths."""
+
+    def corrupt(manifest):
+        return json.dumps({**manifest, field: list(manifest[field])}).encode("utf-8")
+
+    return corrupt
+
+
+MALFORMED_MANIFESTS = {
+    "list": lambda manifest: b"[]",
+    "string": lambda manifest: b'"x"',
+    "inputs-list": _as_list("inputs"),
+    "outputs-list": _as_list("outputs"),
+    "not-utf8": lambda manifest: b"\xff" + json.dumps(manifest).encode("utf-8"),
+}
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+    def test_stage_reruns_and_matches_a_fresh_run(self, workspace, capsys, case):
+        paths, _, tmp = workspace
+        common = ["all", "--config", str(paths["config"]), "--input", str(paths["corpus"])]
+        assert cli_main([*common, "--output", str(tmp / "out")]) == 0
+        manifest = tmp / "out" / "aggregate.manifest.json"
+        corrupt = MALFORMED_MANIFESTS[case]
+        manifest.write_bytes(corrupt(json.loads(manifest.read_text(encoding="utf-8"))))
+        capsys.readouterr()
+        assert cli_main([*common, "--output", str(tmp / "out")]) == 0
+        statuses = {s: r.get("status") for s, r in json.loads(capsys.readouterr().out).items()}
+        assert statuses == {**dict.fromkeys(STAGES, "up-to-date"), "aggregate": None}
+        assert json.loads(manifest.read_text(encoding="utf-8"))["stage"] == "aggregate"
+        assert cli_main([*common, "--output", str(tmp / "fresh")]) == 0
+        for stage in STAGES:
+            name = STAGE_TABLE[stage].file
+            assert (tmp / "out" / name).read_bytes() == (tmp / "fresh" / name).read_bytes(), name
+
+
 class TestEmptyCorpus:
     def test_ingest_fails_with_discard_counts(self, workspace):
         paths, cfg, tmp = workspace
@@ -526,6 +564,10 @@ def _add_unrecorded_line(data, paths):
         handle.write(json.dumps({"id": "m99", "text": "crews repair engines"}) + "\n")
 
 
+def _delete_corpus(data, paths):
+    paths["corpus"].unlink()
+
+
 def _similarity(**section):
     def edit(data, paths):
         data["similarity"] = section
@@ -572,6 +614,7 @@ CLI_ERRORS = {
         "demonstration pool has 10 entries but m=50 were requested",
         False,
     ),
+    "missing-corpus": (_delete_corpus, "missing input file for stage 'ingest': {corpus}", False),
     "replay-miss": (_add_unrecorded_line, "replay miss for prompt hash ", False),
     "malformed-store": (_overwrite("store", "{}\n"), "{store}:1: bad replay entry", False),
     "malformed-demos": (_overwrite("demos", "[]\n"), "{demos}:1: bad demonstration", False),

@@ -19,7 +19,9 @@ from eventframes.scoring import (
     structuralize,
     structured_from_dict,
     structured_to_dict,
+    type_similarities,
 )
+from eventframes.similarity import SimilarityEnsemble, default_ensemble
 
 from helpers import instance, table_ensemble
 
@@ -50,17 +52,17 @@ class TestGlobalSlotFrequencies:
             instance("e1", "t1", [("t", ["victim"]), ("t", ["victim"])]),
             instance("e2", "t2", [("t", ["victim"])]),
         ]
-        totals, size = global_slot_frequencies(instances)
+        totals, size = global_slot_frequencies([collect_slot_set(i) for i in instances])
         assert totals == {"victim": 3}
         assert size == 2
 
     def test_absent_slot_not_in_map(self):
-        totals, _ = global_slot_frequencies([instance("e", "t", [("t", ["a"])])])
+        totals, _ = global_slot_frequencies([collect_slot_set(instance("e", "t", [("t", ["a"])]))])
         assert "b" not in totals
 
     def test_single_instance_identity(self):
         inst = instance("e", "t", [("t", ["a", "b"]), ("t", ["a"])])
-        totals, size = global_slot_frequencies([inst])
+        totals, size = global_slot_frequencies([collect_slot_set(inst)])
         assert totals == dict(collect_slot_set(inst).freq)
         assert size == 1
 
@@ -130,6 +132,27 @@ def is_connected(adjacency):
     return len(seen) == len(nodes)
 
 
+def reference_pagerank(adjacency, beta, max_iterations, tolerance):
+    """Power iteration that sorts each neighbour list on every step."""
+    nodes = sorted(adjacency)
+    degree = {s: sum(adjacency[s].values()) for s in nodes}
+    scores = {s: 1.0 / len(nodes) for s in nodes}
+    max_changes, l1_changes = [], []
+    for _ in range(max_iterations):
+        updated = {
+            s: beta * sum(scores[o] * w / degree[o] for o, w in sorted(adjacency[s].items()))
+            + (1.0 - beta) / len(nodes)
+            for s in nodes
+        }
+        deltas = [abs(updated[s] - scores[s]) for s in nodes]
+        max_changes.append(max(deltas))
+        l1_changes.append(sum(deltas))
+        scores = updated
+        if max_changes[-1] < tolerance:
+            break
+    return scores, tuple(max_changes), tuple(l1_changes)
+
+
 class TestReliability:
     def test_single_slot_teleport_only(self):
         scores = reliability(collect_slot_set(instance("e", "t", [("t", ["only"])])))
@@ -172,6 +195,21 @@ class TestReliability:
             if not dangling and is_connected(adjacency):
                 assert sum(scores.values()) == pytest.approx(1.0, abs=1e-6)
 
+    def test_matches_reference_bitwise(self):
+        rng = random.Random(99)
+        for weighted in (False, True):
+            for _ in range(100):
+                adjacency = union_of_cliques_adjacency(rng)
+                if weighted:
+                    adjacency = {
+                        a: {b: float(rng.randint(1, 4)) for b in sorted(row)}
+                        for a, row in adjacency.items()
+                    }
+                scores, trace = pagerank(adjacency, beta=0.8, max_iterations=300, tolerance=1e-6)
+                expected, max_changes, l1_changes = reference_pagerank(adjacency, 0.8, 300, 1e-6)
+                assert scores == expected
+                assert (trace.max_changes, trace.l1_changes) == (max_changes, l1_changes)
+
     def test_l1_change_contracts(self):
         rng = random.Random(1234)
         for _ in range(200):
@@ -185,26 +223,26 @@ class TestConsistency:
     def test_single_candidate(self):
         inst = instance("e", "the text", [("die", ["agent"])])
         ensemble = table_ensemble({("die", "the text"): 0.42})
-        assert consistency("agent", inst, ensemble) == pytest.approx(0.42)
+        assert consistency("agent", inst, type_similarities(inst, ensemble)) == pytest.approx(0.42)
 
     def test_max_over_containing_candidates(self):
         inst = instance("e", "the text", [("die", ["agent"]), ("perish", ["agent"])])
         ensemble = table_ensemble({("die", "the text"): 0.4, ("perish", "the text"): 0.7})
-        assert consistency("agent", inst, ensemble) == pytest.approx(0.7)
+        assert consistency("agent", inst, type_similarities(inst, ensemble)) == pytest.approx(0.7)
 
     def test_restricted_to_candidates_with_slot(self):
         inst = instance("e", "the text", [("die", ["agent"]), ("perish", ["victim"])])
         ensemble = table_ensemble({("die", "the text"): 0.4, ("perish", "the text"): 0.9})
-        assert consistency("agent", inst, ensemble) == pytest.approx(0.4)
+        assert consistency("agent", inst, type_similarities(inst, ensemble)) == pytest.approx(0.4)
 
     def test_type_equal_to_text_gives_one(self):
         inst = instance("e", "die", [("die", ["agent"])])
-        assert consistency("agent", inst, table_ensemble({})) == 1.0
+        assert consistency("agent", inst, type_similarities(inst, table_ensemble({}))) == 1.0
 
     def test_absent_slot_rejected(self):
         inst = instance("e", "text", [("die", ["agent"])])
         with pytest.raises(ValueError):
-            consistency("ghost", inst, table_ensemble({}))
+            consistency("ghost", inst, type_similarities(inst, table_ensemble({})))
 
 
 class TestScore:
@@ -224,31 +262,33 @@ class TestScore:
 class TestSelectEventType:
     def test_single_candidate(self):
         inst = instance("e", "text", [("die", ["a"])])
-        assert select_event_type(inst, table_ensemble({}))[0] == "die"
+        assert select_event_type(inst, type_similarities(inst, table_ensemble({})))[0] == "die"
 
     def test_argmax_of_similarity(self):
         inst = instance("e", "text", [("die", ["a"]), ("go", ["b"])])
         ensemble = table_ensemble({("die", "text"): 0.9, ("go", "text"): 0.3})
-        event_type, sim = select_event_type(inst, ensemble)
+        event_type, sim = select_event_type(inst, type_similarities(inst, ensemble))
         assert event_type == "die"
         assert sim == pytest.approx(0.9)
 
     def test_frequency_tie_break(self):
         inst = instance("e", "text", [("a", []), ("a", []), ("b", [])])
-        assert select_event_type(inst, table_ensemble({}))[0] == "a"
+        assert select_event_type(inst, type_similarities(inst, table_ensemble({})))[0] == "a"
 
     def test_lexicographic_tie_break(self):
         inst = instance("e", "text", [("b", []), ("a", [])])
-        assert select_event_type(inst, table_ensemble({}))[0] == "a"
+        assert select_event_type(inst, type_similarities(inst, table_ensemble({})))[0] == "a"
 
     def test_invariant_under_candidate_order(self):
         rng = random.Random(5)
         candidates = [("t3", ["x"]), ("t1", ["y"]), ("t2", ["z"]), ("t1", ["w"])]
         ensemble = table_ensemble({("t1", "text"): 0.4, ("t2", "text"): 0.4, ("t3", "text"): 0.2})
-        baseline = select_event_type(instance("e", "text", candidates), ensemble)
+        inst = instance("e", "text", candidates)
+        baseline = select_event_type(inst, type_similarities(inst, ensemble))
         for _ in range(10):
             rng.shuffle(candidates)
-            assert select_event_type(instance("e", "text", candidates), ensemble) == baseline
+            inst = instance("e", "text", candidates)
+            assert select_event_type(inst, type_similarities(inst, ensemble)) == baseline
 
 
 def engineered_corpus():
@@ -297,17 +337,32 @@ class TestStructuralize:
                 for _ in range(rng.randint(1, 3))
             ]
             instances.append(instance(f"e{i}", f"text {i} die attack vote", candidates))
+        ensemble = default_ensemble()
         for low, high in [(0.0, 0.2), (0.2, 1 / 3), (1 / 3, 0.6)]:
             kept_low = [
                 set(s.slot_names)
-                for s in structuralize(instances, ScoringConfig(threshold=low))
+                for s in structuralize(instances, ScoringConfig(threshold=low), ensemble)
             ]
             kept_high = [
                 set(s.slot_names)
-                for s in structuralize(instances, ScoringConfig(threshold=high))
+                for s in structuralize(instances, ScoringConfig(threshold=high), ensemble)
             ]
             for narrow, wide in zip(kept_high, kept_low):
                 assert narrow <= wide
+
+    def test_one_lookup_per_distinct_candidate_type(self, monkeypatch):
+        instances, ensemble = engineered_corpus()
+        lookups = []
+        sim = SimilarityEnsemble.sim
+
+        def counted(self, a, b):
+            lookups.append((a, b))
+            return sim(self, a, b)
+
+        monkeypatch.setattr(SimilarityEnsemble, "sim", counted)
+        structuralize(instances, ScoringConfig(), ensemble)
+        distinct = [{c.event_type for c in inst.candidates} for inst in instances]
+        assert len(lookups) == sum(len(types) for types in distinct) == 5
 
     def test_deterministic(self):
         instances, ensemble = engineered_corpus()
