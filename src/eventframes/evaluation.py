@@ -7,6 +7,8 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -95,8 +97,8 @@ def nmi(gold: Sequence, pred: Sequence) -> float:
     joint = table / n
     p_gold = joint.sum(axis=1)
     p_pred = joint.sum(axis=0)
-    entropy_gold = -float(sum(p * math.log(p) for p in p_gold if p > 0))
-    entropy_pred = -float(sum(p * math.log(p) for p in p_pred if p > 0))
+    entropy_gold = -float(reduce(add, [p * math.log(p) for p in p_gold if p > 0], 0.0))
+    entropy_pred = -float(reduce(add, [p * math.log(p) for p in p_pred if p > 0], 0.0))
     if entropy_gold + entropy_pred == 0.0:
         return 1.0
     mutual = 0.0
@@ -176,12 +178,16 @@ def average_metrics(runs: Sequence[ClusteringMetrics]) -> ClusteringMetrics:
     if not runs:
         raise PartitionInputError("no runs to average")
     n = len(runs)
+
+    def mean(values: list[float]) -> float:
+        return reduce(add, values, 0.0) / n
+
     return ClusteringMetrics(
-        ari=sum(m.ari for m in runs) / n,
-        nmi=sum(m.nmi for m in runs) / n,
-        bcubed_p=sum(m.bcubed_p for m in runs) / n,
-        bcubed_r=sum(m.bcubed_r for m in runs) / n,
-        bcubed_f1=sum(m.bcubed_f1 for m in runs) / n,
+        ari=mean([m.ari for m in runs]),
+        nmi=mean([m.nmi for m in runs]),
+        bcubed_p=mean([m.bcubed_p for m in runs]),
+        bcubed_r=mean([m.bcubed_r for m in runs]),
+        bcubed_f1=mean([m.bcubed_f1 for m in runs]),
     )
 
 

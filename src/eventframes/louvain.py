@@ -12,16 +12,19 @@ every level: the input is permuted into key order once, and coarsening
 numbers each community by its smallest member, so every row lists its
 neighbours in key order.  The phases stay sequential and greedy; only the
 inner loops are numpy calls.  Each weighted sum adds its terms in a fixed
-walk order (np.bincount adds in input order), and the sums that the earlier
-dict-based implementation took with Python's sum() still are (from Python
-3.12 it compensates rounding), so labels and modularity floats are bitwise
-those of that implementation, which the tests keep as an oracle.
+walk order (np.bincount adds in input order), and the sums over Python
+floats add left to right, as the earlier dict-based implementation's sum()
+did before Python 3.12 compensated its rounding.  So labels and modularity
+floats are bitwise those of that implementation, which the tests keep as an
+oracle, on every Python version.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -77,9 +80,12 @@ def _first_seen(labels: np.ndarray) -> np.ndarray:
 
 
 def _strengths(graph: _Graph) -> list[float]:
-    """Self-loop plus row sum (Python's sum over Python floats), per node."""
+    """Self-loop plus row sum (added left to right over Python floats), per node."""
     data, bounds = graph.data.tolist(), graph.indptr.tolist()
-    return [loop + sum(data[a:b]) for loop, a, b in zip(graph.loops.tolist(), bounds, bounds[1:])]
+    return [
+        loop + reduce(add, data[a:b], 0.0)
+        for loop, a, b in zip(graph.loops.tolist(), bounds, bounds[1:])
+    ]
 
 
 def _local_move(
@@ -150,7 +156,7 @@ def _phase_modularity(
     coms = np.flatnonzero(np.bincount(node_com, minlength=len(strengths)))
     coms = coms[np.argsort(walk_rank[coms])]
     terms = zip(internal[coms].tolist(), total[coms].tolist())
-    return sum([w / two_m - (k / two_m) ** 2 for w, k in terms])
+    return reduce(add, [w / two_m - (k / two_m) ** 2 for w, k in terms], 0.0)
 
 
 def _coarsen(graph: _Graph, node_com: np.ndarray) -> tuple[np.ndarray, _Graph]:
@@ -214,7 +220,7 @@ def louvain(
     levels: list[float] = []
     while True:
         strengths = _strengths(graph)
-        two_m = sum(strengths)
+        two_m = reduce(add, strengths, 0.0)
         if two_m == 0.0:
             levels.append(0.0)
             break

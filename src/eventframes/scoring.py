@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 from typing import Mapping, Sequence
 
 from .conceptualize import ConceptualizedInstance
@@ -87,9 +89,9 @@ def collect_slot_set(instance: ConceptualizedInstance) -> SlotSet:
     freq: Counter = Counter()
     members: list[frozenset[str]] = []
     for candidate in instance.candidates:
-        slots = frozenset(candidate.slots)
-        members.append(slots)
-        freq.update(slots)
+        members.append(frozenset(candidate.slots))
+        # Counted in candidate order: a frozenset's order follows the hash seed.
+        freq.update(list(dict.fromkeys(candidate.slots)))
     return SlotSet(freq=freq, members=tuple(members))
 
 
@@ -163,13 +165,14 @@ def pagerank(
     Scores start at 1/N.  Each step distributes beta * R(s') / d(s') along
     edges, where d(s') is the (weighted) degree; nodes without partners keep
     only the teleport term.  Stops after max_iterations or once the max
-    per-slot change drops below tolerance.
+    per-slot change drops below tolerance.  Sums add left to right, as
+    Python's sum() did before Python 3.12 compensated its rounding.
     """
     nodes = sorted(adjacency)
     n = len(nodes)
     if n == 0:
         return {}, PageRankTrace((), ())
-    degree = {s: sum(adjacency[s].values()) for s in nodes}
+    degree = {s: reduce(add, adjacency[s].values(), 0.0) for s in nodes}
     neighbours = {s: sorted(adjacency[s].items()) for s in nodes}
     teleport = (1.0 - beta) / n
     scores = {s: 1.0 / n for s in nodes}
@@ -178,11 +181,11 @@ def pagerank(
     for _ in range(max_iterations):
         updated: dict[str, float] = {}
         for s in nodes:
-            inflow = sum(scores[o] * w / degree[o] for o, w in neighbours[s])
+            inflow = reduce(add, [scores[o] * w / degree[o] for o, w in neighbours[s]], 0.0)
             updated[s] = beta * inflow + teleport
         deltas = [abs(updated[s] - scores[s]) for s in nodes]
         max_changes.append(max(deltas))
-        l1_changes.append(sum(deltas))
+        l1_changes.append(reduce(add, deltas, 0.0))
         scores = updated
         if max_changes[-1] < tolerance:
             break
@@ -199,12 +202,28 @@ def reliability(slot_set: SlotSet, cfg: ScoringConfig = ScoringConfig()) -> dict
 
 
 def type_similarities(
-    instance: ConceptualizedInstance, ensemble: SimilarityEnsemble
-) -> dict[str, float]:
-    """sim(type, text) for each distinct candidate type, in first-seen order."""
-    text = instance.expression.text
-    types = dict.fromkeys(candidate.event_type for candidate in instance.candidates)
-    return {t: ensemble.sim(t, text) for t in types}
+    instances: Sequence[ConceptualizedInstance], ensemble: SimilarityEnsemble
+) -> list[dict[str, float]]:
+    """Per instance, each distinct candidate type's similarity to the
+    instance's text, in first-seen order.
+
+    Each distinct type is scored in one `ensemble.matrix` row over the
+    distinct texts that name it, so each (type, text) pair is scored once:
+    cheaper than a matrix per instance when types repeat across texts, and
+    linear, unlike a types × texts matrix, when types grow with the corpus.
+    """
+    texts_of: dict[str, dict[str, None]] = {}
+    for instance in instances:
+        for candidate in instance.candidates:
+            texts_of.setdefault(candidate.event_type, {})[instance.expression.text] = None
+    rows = {
+        t: dict(zip(texts, ensemble.matrix([t], list(texts))[0].tolist()))
+        for t, texts in texts_of.items()
+    }
+    return [
+        {c.event_type: rows[c.event_type][instance.expression.text] for c in instance.candidates}
+        for instance in instances
+    ]
 
 
 def consistency(
@@ -250,15 +269,16 @@ def structuralize(
 ) -> list[StructuredInstance]:
     """Score every instance against the corpus-wide slot frequencies.
 
-    Each instance's slot set and candidate-type similarities are computed
-    once.  Instances are retained even when every slot is filtered out
-    (type-only schema).
+    Each instance's slot set is collected once, and each distinct (candidate
+    type, text) pair is scored once.  Instances are retained even when every
+    slot is filtered out (type-only schema).
     """
     slot_sets = [collect_slot_set(instance) for instance in instances]
     totals, corpus_size = global_slot_frequencies(slot_sets)
     structured: list[StructuredInstance] = []
-    for instance, slot_set in zip(instances, slot_sets):
-        type_sims = type_similarities(instance, ensemble)
+    for instance, slot_set, type_sims in zip(
+        instances, slot_sets, type_similarities(instances, ensemble)
+    ):
         reliabilities = reliability(slot_set, cfg)
         records: list[SlotRecord] = []
         for slot in sorted(slot_set.freq):

@@ -4,21 +4,27 @@ Three backend kinds: token/bigram overlap (lexical), synonym-set lookup
 (lexicon), and vector cosine (embedding).  Every backend is symmetric, maps
 any string pair into [0, 1], and scores identical non-empty strings as 1.
 
-Each backend scores one pair (`score`) or every pair of two string lists at
-once (`matrix`); the matrix holds exactly the floats `score` returns.  The
+Each backend implements its similarity once, in `matrix`, which scores
+every pair of two string lists.  `score` (one backend) and
+`SimilarityEnsemble.sim` (the ensemble) are one-cell views of it; each
+backend class defines its own `score`, because perfbench's tracer counts
+the calls per class.  The
 lexicon and embedding backends fall back to the lexical score, so `matrix`
 takes the lexical matrix of the same lists when the caller already has it.
 The embedding matrix computes all cosines of the covered strings in one
-numpy call, with the same dot-product kernel as `score`.  An embedding
-service that fails to return vectors raises `EmbeddingServiceError`; it is
-never replaced by lexical scores.
+numpy call, one dot product per cell.  An embedding service that fails to
+return vectors raises `EmbeddingServiceError`; it is never replaced by
+lexical scores.  Every float sum adds its terms left to right without
+Python's sum(), which compensates rounding from Python 3.12 on, so the
+results are the same bits on every interpreter.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
 
@@ -32,15 +38,16 @@ EMBEDDING = "embedding"
 
 
 class SimilarityBackend(Protocol):
-    kind: str
+    """What the ensemble needs of a backend: its similarity of every pair of
+    two string lists, symmetric and in [0, 1]."""
 
-    def score(self, a: str, b: str) -> float: ...
+    kind: str
 
     def matrix(
         self, xs: Sequence[str], ys: Sequence[str], lexical: np.ndarray | None = None
     ) -> np.ndarray:
-        """[[score(x, y) for y in ys] for x in xs], bitwise.  `lexical`, if
-        given, is LexicalBackend().matrix(xs, ys) and is not modified."""
+        """The similarity of xs[i] and ys[j] at [i, j].  `lexical`, if given,
+        is LexicalBackend().matrix(xs, ys) and is not modified."""
         ...
 
 
@@ -54,14 +61,6 @@ def _bigrams(token: str) -> list[str]:
     return [token[i : i + 2] for i in range(len(token) - 1)]
 
 
-def _dice(a: Counter, b: Counter) -> float:
-    total = sum(a.values()) + sum(b.values())
-    if total == 0:
-        return 0.0
-    shared = sum((a & b).values())
-    return 2.0 * shared / total
-
-
 def _incidence(rows: list[list[int]], width: int) -> np.ndarray:
     """0/1 matrix with a 1 at (r, c) for every column c listed in rows[r]."""
     out = np.zeros((len(rows), width))
@@ -71,7 +70,7 @@ def _incidence(rows: list[list[int]], width: int) -> np.ndarray:
 
 
 def _dice_matrix(xs: list[list[str]], ys: list[list[str]]) -> np.ndarray:
-    """`_dice` of the multisets of every pair of item lists.
+    """Dice (2 * shared / total) of the multisets of every pair of item lists.
 
     The k-th occurrence of an item is a feature of its own, so the multiset
     intersection size is the dot product of 0/1 feature rows.  Numerators and
@@ -102,12 +101,7 @@ class LexicalBackend:
     kind = LEXICAL
 
     def score(self, a: str, b: str) -> float:
-        tokens_a, tokens_b = _tokens(a), _tokens(b)
-        if not tokens_a or not tokens_b:
-            return 0.0
-        if len(tokens_a) == 1 and len(tokens_b) == 1:
-            return _dice(Counter(_bigrams(tokens_a[0])), Counter(_bigrams(tokens_b[0])))
-        return _dice(Counter(tokens_a), Counter(tokens_b))
+        return float(self.matrix([a], [b])[0, 0])
 
     def matrix(
         self, xs: Sequence[str], ys: Sequence[str], lexical: np.ndarray | None = None
@@ -155,12 +149,7 @@ class LexiconBackend:
         return cls(groups)
 
     def score(self, a: str, b: str) -> float:
-        key_a, key_b = a.strip().lower(), b.strip().lower()
-        if key_a and key_a == key_b:
-            return 1.0
-        if self._set_ids.get(key_a, set()) & self._set_ids.get(key_b, set()):
-            return 1.0
-        return self._fallback.score(a, b)
+        return float(self.matrix([a], [b])[0, 0])
 
     def matrix(
         self, xs: Sequence[str], ys: Sequence[str], lexical: np.ndarray | None = None
@@ -226,19 +215,8 @@ class EmbeddingBackend:
             return None
         return pooled / norm
 
-    @staticmethod
-    def _unit(cosine: np.ndarray) -> np.ndarray:
-        """Cosines, clipped to [-1, 1], mapped onto [0, 1]: the one expression
-        that score and matrix share, elementwise in float64."""
-        return (1.0 + np.clip(cosine, -1.0, 1.0)) / 2.0
-
     def score(self, a: str, b: str) -> float:
-        vec_a, vec_b = self._pool(a), self._pool(b)
-        if vec_a is None or vec_b is None:
-            self.fallback_count += 1
-            log.debug("embedding miss for (%r, %r); lexical fallback", a[:40], b[:40])
-            return self._fallback.score(a, b)
-        return float(self._unit(np.dot(vec_a, vec_b)))
+        return float(self.matrix([a], [b])[0, 0])
 
     def matrix(
         self, xs: Sequence[str], ys: Sequence[str], lexical: np.ndarray | None = None
@@ -253,13 +231,13 @@ class EmbeddingBackend:
         out = self._fallback.matrix(xs, ys) if lexical is None else lexical.copy()
         if covered_x and covered_y:
             # A stack of 1×d @ d×1 products: numpy runs each through the same
-            # dot kernel as np.dot on two vectors, so every cell equals score
-            # bitwise.  A gemm (vec_x @ vec_y.T) or einsum sums in another
-            # order and can differ in the last bit.
+            # dot kernel as np.dot on two vectors, so a cell does not depend
+            # on the other strings in the lists.  A gemm (vec_x @ vec_y.T) or
+            # einsum sums in another order and can differ in the last bit.
             vec_x = np.stack([pooled[xs[i]] for i in covered_x])
             vec_y = np.stack([pooled[ys[j]] for j in covered_y])
             dots = np.matmul(vec_x[:, None, None, :], vec_y[None, :, :, None])[:, :, 0, 0]
-            out[np.ix_(covered_x, covered_y)] = self._unit(dots)
+            out[np.ix_(covered_x, covered_y)] = (1.0 + np.clip(dots, -1.0, 1.0)) / 2.0
         return out
 
 
@@ -305,9 +283,9 @@ class EmbeddingServiceBackend(EmbeddingBackend):
 class SimilarityEnsemble:
     """Convex combination of backend scores; the result stays in [0, 1].
 
-    Scores are cached under an order-independent key, which also makes
-    sim(a, b) == sim(b, a) bitwise.  `matrix` scores whole lists at once,
-    without the cache, and yields the same floats as `sim`.
+    `matrix` is the implementation.  `sim` is one cell of it, cached under an
+    order-independent key, and `sim_slotsets` reads one matrix of the two
+    slot sets.
     """
 
     backends: Sequence[SimilarityBackend]
@@ -323,7 +301,7 @@ class SimilarityEnsemble:
             raise ValueError("weights and backends must align")
         if any(w < 0 for w in self.weights):
             raise ValueError("weights must be non-negative")
-        total = sum(self.weights)
+        total = reduce(add, self.weights, 0.0)
         if abs(total - 1.0) > 1e-9:
             if total == 0:
                 raise ValueError("weights must not all be zero")
@@ -334,34 +312,33 @@ class SimilarityEnsemble:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        value = sum(w * backend.score(*key) for w, backend in zip(self.weights, self.backends))
-        value = min(max(value, 0.0), 1.0)
+        value = float(self.matrix([key[0]], [key[1]])[0, 0])
         self._cache[key] = value
         return value
 
     def matrix(self, xs: Sequence[str], ys: Sequence[str]) -> np.ndarray:
-        """[[sim(x, y) for y in ys] for x in xs], bitwise: the weighted
-        backend matrices are summed from 0 in backend order, then clipped.
-        The lexical matrix is built once and shared by every backend."""
+        """The ensemble similarity of xs[i] and ys[j] at [i, j]: the weighted
+        backend matrices added from 0 in backend order, then clipped.  The
+        lexical matrix is built once and shared by every backend."""
         lexical = LexicalBackend().matrix(xs, ys)
-        total = sum(
-            w * backend.matrix(xs, ys, lexical) for w, backend in zip(self.weights, self.backends)
-        )
-        return np.clip(total, 0.0, 1.0)
+        weighted = (w * b.matrix(xs, ys, lexical) for w, b in zip(self.weights, self.backends))
+        return np.clip(reduce(add, weighted, 0.0), 0.0, 1.0)
 
     def sim_slotsets(self, a: Iterable[str], b: Iterable[str]) -> float:
         """Soft best-match average between two slot sets.
 
         (sum over A of best match in B + sum over B of best match in A)
         divided by |A| + |B|; both sets empty scores 1, exactly one empty 0.
+        Each side's best matches are added in sorted member order.
         """
         set_a, set_b = sorted(set(a)), sorted(set(b))
         if not set_a and not set_b:
             return 1.0
         if not set_a or not set_b:
             return 0.0
-        forward = sum(max(self.sim(x, y) for y in set_b) for x in set_a)
-        backward = sum(max(self.sim(x, y) for x in set_a) for y in set_b)
+        sims = self.matrix(set_a, set_b)
+        forward = reduce(add, sims.max(axis=1).tolist(), 0.0)
+        backward = reduce(add, sims.max(axis=0).tolist(), 0.0)
         return (forward + backward) / (len(set_a) + len(set_b))
 
 

@@ -1,4 +1,55 @@
+import builtins
+import math
 import re
+
+import pytest
+
+
+def compensated_sum(iterable, /, start=0):
+    """sum() as Python 3.12 computes it: exact over ints, Neumaier-compensated
+    over floats, and `+` from the first item of any other type on."""
+    items, end = iter(iterable), object()
+    result = start
+    if type(result) is int:
+        for item in items:
+            result = result + item
+            if type(item) not in (int, bool):
+                break
+        else:
+            return result
+    if type(result) is float:
+        total, compensation, item = result, 0.0, end
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    compensation += (total - t) + item
+                else:
+                    compensation += (item - t) + total
+                total = t
+            elif isinstance(item, int):
+                total += float(item)
+            else:
+                break
+        else:
+            item = end
+        if compensation and math.isfinite(compensation):
+            total += compensation
+        if item is end:
+            return total
+        result = total + item
+    for item in items:
+        result = result + item
+    return result
+
+
+@pytest.fixture(scope="class")
+def python312_sum():
+    """builtins.sum swapped for Python 3.12's compensated summation, for the
+    tests of one class."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(builtins, "sum", compensated_sum)
+        yield
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from eventframes.conceptualize import ConceptualizedInstance
 from eventframes.corpus import EventExpression
 from eventframes.endpoint import GenerationRequest, GenerationResponse, TransportError
@@ -25,6 +27,11 @@ class TableBackend:
         if a == b:
             return 1.0
         return self.table.get(frozenset((a, b)), self.default)
+
+    def matrix(self, xs, ys, lexical=None) -> np.ndarray:
+        return np.array([[self.score(x, y) for y in ys] for x in xs], dtype=float).reshape(
+            len(xs), len(ys)
+        )
 
 
 def table_ensemble(table: dict[tuple[str, str], float], default: float = 0.0) -> SimilarityEnsemble:

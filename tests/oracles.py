@@ -2,10 +2,14 @@
 
 These deliberately avoid the library's code paths: naive pair enumeration for
 ARI, direct probability tables for NMI, per-element loops for BCubed, a
-direct double-sum modularity for partitions, and a per-pair schema graph.
-`reference_louvain` is the dict-based Louvain that the array-backed
-`eventframes.louvain.louvain` must match bitwise: same labels, same
-modularity floats.
+direct double-sum modularity for partitions, per-pair similarity formulas,
+and a per-pair schema graph.  `reference_louvain` is the dict-based Louvain
+that the array-backed `eventframes.louvain.louvain` must match bitwise: same
+labels, same modularity floats.
+
+Float sums add left to right (`ordered_sum`), never with sum(): from Python
+3.12 sum() compensates rounding, and the bitwise comparisons must hold on
+every interpreter.
 """
 
 from __future__ import annotations
@@ -13,13 +17,21 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from functools import reduce
 from itertools import combinations
-from typing import Sequence
+from operator import add
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from eventframes.aggregate import GraphConfig, prune_edges
 from eventframes.louvain import ClusterAssignment
+from eventframes.similarity import EMBEDDING, LEXICAL, LEXICON
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum: what sum() computes before Python 3.12."""
+    return reduce(add, values, 0.0)
 
 
 def _partition_sets(labels):
@@ -56,11 +68,11 @@ def probability_table_nmi(gold, pred) -> float:
     joint = Counter(zip(gold, pred))
     p_gold = Counter(gold)
     p_pred = Counter(pred)
-    h_gold = -sum((c / n) * math.log(c / n) for c in p_gold.values())
-    h_pred = -sum((c / n) * math.log(c / n) for c in p_pred.values())
+    h_gold = -ordered_sum((c / n) * math.log(c / n) for c in p_gold.values())
+    h_pred = -ordered_sum((c / n) * math.log(c / n) for c in p_pred.values())
     if h_gold + h_pred == 0.0:
         return 1.0
-    mutual = sum(
+    mutual = ordered_sum(
         (c / n) * math.log((c / n) / ((p_gold[g] / n) * (p_pred[p] / n)))
         for (g, p), c in joint.items()
     )
@@ -125,18 +137,103 @@ def random_partition_pair(rng, max_elements: int = 12, max_clusters: int = 5):
     return gold, pred
 
 
+# -- per-pair similarity ------------------------------------------------------
+
+
+def _tokens(text: str) -> list[str]:
+    return text.lower().split()
+
+
+def _bigrams(token: str) -> list[str]:
+    return [token] if len(token) < 2 else [token[i : i + 2] for i in range(len(token) - 1)]
+
+
+def _dice(a: Counter, b: Counter) -> float:
+    total = a.total() + b.total()
+    return 0.0 if total == 0 else 2.0 * (a & b).total() / total
+
+
+def reference_lexical(a: str, b: str) -> float:
+    """Dice over token multisets; over character bigrams when both sides are
+    single tokens; 0 when either side has no token."""
+    tokens_a, tokens_b = _tokens(a), _tokens(b)
+    if not tokens_a or not tokens_b:
+        return 0.0
+    if len(tokens_a) == 1 and len(tokens_b) == 1:
+        return _dice(Counter(_bigrams(tokens_a[0])), Counter(_bigrams(tokens_b[0])))
+    return _dice(Counter(tokens_a), Counter(tokens_b))
+
+
+class ReferenceScorer:
+    """One backend's similarity of one pair, from the scalar formulas: lexical
+    Dice, the lexicon's key and synonym-set lookup, and the embedding cosine
+    of np.dot on the backend's pooled vectors.  `fallbacks` counts the pairs
+    the embedding scores lexically, as the backend's fallback_count does.
+    Other backends (the tests' tables) score with their own `score`."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.fallbacks = 0
+
+    def __call__(self, a: str, b: str) -> float:
+        kind = self.backend.kind
+        if kind == LEXICAL:
+            return reference_lexical(a, b)
+        if kind == LEXICON:
+            key_a, key_b = a.strip().lower(), b.strip().lower()
+            set_ids = self.backend._set_ids
+            if key_a and key_a == key_b or set_ids.get(key_a, set()) & set_ids.get(key_b, set()):
+                return 1.0
+            return reference_lexical(a, b)
+        if kind == EMBEDDING:
+            vec_a, vec_b = self.backend._pool(a), self.backend._pool(b)
+            if vec_a is None or vec_b is None:
+                self.fallbacks += 1
+                return reference_lexical(a, b)
+            return float((1.0 + np.clip(np.dot(vec_a, vec_b), -1.0, 1.0)) / 2.0)
+        return self.backend.score(a, b)
+
+
+class ReferenceEnsemble:
+    """An ensemble's similarity of one pair: the weighted backend scores of
+    the pair in sorted order, added left to right from 0, then clipped; and
+    the best-match average of two slot sets."""
+
+    def __init__(self, ensemble):
+        self.weights = list(ensemble.weights)
+        self.scorers = [ReferenceScorer(backend) for backend in ensemble.backends]
+
+    def sim(self, a: str, b: str) -> float:
+        key = (a, b) if a <= b else (b, a)
+        value = ordered_sum(w * scorer(*key) for w, scorer in zip(self.weights, self.scorers))
+        return min(max(value, 0.0), 1.0)
+
+    def sim_slotsets(self, a, b) -> float:
+        set_a, set_b = sorted(set(a)), sorted(set(b))
+        if not set_a and not set_b:
+            return 1.0
+        if not set_a or not set_b:
+            return 0.0
+        forward = ordered_sum(max(self.sim(x, y) for y in set_b) for x in set_a)
+        backward = ordered_sum(max(self.sim(x, y) for x in set_a) for y in set_b)
+        return (forward + backward) / (len(set_a) + len(set_b))
+
+
 def pairwise_schema_graph(instances, ensemble, cfg: GraphConfig = GraphConfig()) -> np.ndarray:
-    """Schema-graph weights from one scalar sim / sim_slotsets call per
-    instance pair, mirrored across the diagonal, then pruned."""
+    """Schema-graph weights from one per-pair reference similarity of the
+    texts, types and slot sets of each instance pair, mirrored across the
+    diagonal, then pruned."""
+    reference = ReferenceEnsemble(ensemble)
     n = len(instances)
     slot_sets = [set(inst.slot_names) for inst in instances]
     weights = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             weight = (
-                cfg.lambda3 * ensemble.sim(instances[i].expression.text, instances[j].expression.text)
-                + cfg.lambda4 * ensemble.sim(instances[i].event_type, instances[j].event_type)
-                + cfg.lambda5 * ensemble.sim_slotsets(slot_sets[i], slot_sets[j])
+                cfg.lambda3
+                * reference.sim(instances[i].expression.text, instances[j].expression.text)
+                + cfg.lambda4 * reference.sim(instances[i].event_type, instances[j].event_type)
+                + cfg.lambda5 * reference.sim_slotsets(slot_sets[i], slot_sets[j])
             )
             weights[i, j] = weights[j, i] = weight
     return prune_edges(weights, cfg)
@@ -215,7 +312,7 @@ def _phase_modularity(
         for j, w in neighbors[i]:
             if node_com[j] == com:
                 internal[com] += w
-    return sum(
+    return ordered_sum(
         internal[com] / two_m - (total[com] / two_m) ** 2 for com in sorted(internal)
     )
 
@@ -294,9 +391,10 @@ def reference_louvain(
         neighbors = _sorted_neighbors(current_adj, current_keys)
         node_order = sorted(range(len(neighbors)), key=current_keys.__getitem__)
         strengths = [
-            current_loops[i] + sum(w for _, w in neighbors[i]) for i in range(len(neighbors))
+            current_loops[i] + ordered_sum(w for _, w in neighbors[i])
+            for i in range(len(neighbors))
         ]
-        two_m = sum(strengths[i] for i in node_order)
+        two_m = ordered_sum(strengths[i] for i in node_order)
         if two_m == 0.0:
             levels.append(0.0)
             break

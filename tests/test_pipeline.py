@@ -1,4 +1,5 @@
 import json
+import random
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -184,6 +185,29 @@ class TestStageChain:
         run_stage("all", cfg, tmp / "out2", input_path=paths["corpus"])
         for name in ("expressions.jsonl", "conceptualized.jsonl", "structured.jsonl", "schemas.jsonl"):
             assert (tmp / "out1" / name).read_bytes() == (tmp / "out2" / name).read_bytes()
+
+    def test_corpus_order_changes_only_record_order(self, workspace):
+        paths, cfg, tmp = workspace
+
+        def clusters(corpus: Path) -> dict:
+            out = tmp / corpus.stem
+            run_stage("all", cfg, out, input_path=corpus)
+            return {
+                frozenset(s["members"]): (
+                    s["type"],
+                    sorted(s["type_candidates"]),
+                    sorted((slot["name"], tuple(slot["synonyms"])) for slot in s["slots"]),
+                )
+                for s in read_stage_file(out / "schemas.jsonl", "aggregate")
+            }
+
+        expected = clusters(Path(paths["corpus"]))
+        lines = Path(paths["corpus"]).read_text(encoding="utf-8").splitlines(keepends=True)
+        for seed in range(3):
+            random.Random(seed).shuffle(lines)
+            shuffled = tmp / f"shuffled{seed}.jsonl"
+            shuffled.write_text("".join(lines), encoding="utf-8")
+            assert clusters(shuffled) == expected
 
     def test_missing_predecessor_names_stage(self, workspace):
         _, cfg, tmp = workspace

@@ -24,6 +24,7 @@ from eventframes.scoring import (
 from eventframes.similarity import SimilarityEnsemble, default_ensemble
 
 from helpers import instance, table_ensemble
+from oracles import ordered_sum
 
 
 class TestCollectSlotSet:
@@ -135,18 +136,19 @@ def is_connected(adjacency):
 def reference_pagerank(adjacency, beta, max_iterations, tolerance):
     """Power iteration that sorts each neighbour list on every step."""
     nodes = sorted(adjacency)
-    degree = {s: sum(adjacency[s].values()) for s in nodes}
+    degree = {s: ordered_sum(adjacency[s].values()) for s in nodes}
     scores = {s: 1.0 / len(nodes) for s in nodes}
     max_changes, l1_changes = [], []
     for _ in range(max_iterations):
         updated = {
-            s: beta * sum(scores[o] * w / degree[o] for o, w in sorted(adjacency[s].items()))
+            s: beta
+            * ordered_sum(scores[o] * w / degree[o] for o, w in sorted(adjacency[s].items()))
             + (1.0 - beta) / len(nodes)
             for s in nodes
         }
         deltas = [abs(updated[s] - scores[s]) for s in nodes]
         max_changes.append(max(deltas))
-        l1_changes.append(sum(deltas))
+        l1_changes.append(ordered_sum(deltas))
         scores = updated
         if max_changes[-1] < tolerance:
             break
@@ -223,26 +225,29 @@ class TestConsistency:
     def test_single_candidate(self):
         inst = instance("e", "the text", [("die", ["agent"])])
         ensemble = table_ensemble({("die", "the text"): 0.42})
-        assert consistency("agent", inst, type_similarities(inst, ensemble)) == pytest.approx(0.42)
+        type_sims = type_similarities([inst], ensemble)[0]
+        assert consistency("agent", inst, type_sims) == pytest.approx(0.42)
 
     def test_max_over_containing_candidates(self):
         inst = instance("e", "the text", [("die", ["agent"]), ("perish", ["agent"])])
         ensemble = table_ensemble({("die", "the text"): 0.4, ("perish", "the text"): 0.7})
-        assert consistency("agent", inst, type_similarities(inst, ensemble)) == pytest.approx(0.7)
+        type_sims = type_similarities([inst], ensemble)[0]
+        assert consistency("agent", inst, type_sims) == pytest.approx(0.7)
 
     def test_restricted_to_candidates_with_slot(self):
         inst = instance("e", "the text", [("die", ["agent"]), ("perish", ["victim"])])
         ensemble = table_ensemble({("die", "the text"): 0.4, ("perish", "the text"): 0.9})
-        assert consistency("agent", inst, type_similarities(inst, ensemble)) == pytest.approx(0.4)
+        type_sims = type_similarities([inst], ensemble)[0]
+        assert consistency("agent", inst, type_sims) == pytest.approx(0.4)
 
     def test_type_equal_to_text_gives_one(self):
         inst = instance("e", "die", [("die", ["agent"])])
-        assert consistency("agent", inst, type_similarities(inst, table_ensemble({}))) == 1.0
+        assert consistency("agent", inst, type_similarities([inst], table_ensemble({}))[0]) == 1.0
 
     def test_absent_slot_rejected(self):
         inst = instance("e", "text", [("die", ["agent"])])
         with pytest.raises(ValueError):
-            consistency("ghost", inst, type_similarities(inst, table_ensemble({})))
+            consistency("ghost", inst, type_similarities([inst], table_ensemble({}))[0])
 
 
 class TestScore:
@@ -262,33 +267,33 @@ class TestScore:
 class TestSelectEventType:
     def test_single_candidate(self):
         inst = instance("e", "text", [("die", ["a"])])
-        assert select_event_type(inst, type_similarities(inst, table_ensemble({})))[0] == "die"
+        assert select_event_type(inst, type_similarities([inst], table_ensemble({}))[0])[0] == "die"
 
     def test_argmax_of_similarity(self):
         inst = instance("e", "text", [("die", ["a"]), ("go", ["b"])])
         ensemble = table_ensemble({("die", "text"): 0.9, ("go", "text"): 0.3})
-        event_type, sim = select_event_type(inst, type_similarities(inst, ensemble))
+        event_type, sim = select_event_type(inst, type_similarities([inst], ensemble)[0])
         assert event_type == "die"
         assert sim == pytest.approx(0.9)
 
     def test_frequency_tie_break(self):
         inst = instance("e", "text", [("a", []), ("a", []), ("b", [])])
-        assert select_event_type(inst, type_similarities(inst, table_ensemble({})))[0] == "a"
+        assert select_event_type(inst, type_similarities([inst], table_ensemble({}))[0])[0] == "a"
 
     def test_lexicographic_tie_break(self):
         inst = instance("e", "text", [("b", []), ("a", [])])
-        assert select_event_type(inst, type_similarities(inst, table_ensemble({})))[0] == "a"
+        assert select_event_type(inst, type_similarities([inst], table_ensemble({}))[0])[0] == "a"
 
     def test_invariant_under_candidate_order(self):
         rng = random.Random(5)
         candidates = [("t3", ["x"]), ("t1", ["y"]), ("t2", ["z"]), ("t1", ["w"])]
         ensemble = table_ensemble({("t1", "text"): 0.4, ("t2", "text"): 0.4, ("t3", "text"): 0.2})
         inst = instance("e", "text", candidates)
-        baseline = select_event_type(inst, type_similarities(inst, ensemble))
+        baseline = select_event_type(inst, type_similarities([inst], ensemble)[0])
         for _ in range(10):
             rng.shuffle(candidates)
             inst = instance("e", "text", candidates)
-            assert select_event_type(inst, type_similarities(inst, ensemble)) == baseline
+            assert select_event_type(inst, type_similarities([inst], ensemble)[0]) == baseline
 
 
 def engineered_corpus():
@@ -351,18 +356,29 @@ class TestStructuralize:
                 assert narrow <= wide
 
     def test_one_lookup_per_distinct_candidate_type(self, monkeypatch):
+        # One matrix row per distinct candidate type, over the texts that
+        # name it: each distinct (type, text) pair is scored exactly once.
         instances, ensemble = engineered_corpus()
-        lookups = []
-        sim = SimilarityEnsemble.sim
+        rows, sims = [], []
+        matrix, sim = SimilarityEnsemble.matrix, SimilarityEnsemble.sim
 
-        def counted(self, a, b):
-            lookups.append((a, b))
+        def counted_matrix(self, xs, ys):
+            rows.append((list(xs), list(ys)))
+            return matrix(self, xs, ys)
+
+        def counted_sim(self, a, b):
+            sims.append((a, b))
             return sim(self, a, b)
 
-        monkeypatch.setattr(SimilarityEnsemble, "sim", counted)
+        monkeypatch.setattr(SimilarityEnsemble, "matrix", counted_matrix)
+        monkeypatch.setattr(SimilarityEnsemble, "sim", counted_sim)
         structuralize(instances, ScoringConfig(), ensemble)
-        distinct = [{c.event_type for c in inst.candidates} for inst in instances]
-        assert len(lookups) == sum(len(types) for types in distinct) == 5
+        candidates = [(c.event_type, inst.expression.text) for inst in instances
+                      for c in inst.candidates]
+        assert sorted(xs for xs, _ in rows) == [["f"], ["t1"], ["t2"]]
+        scored = sorted((x, y) for xs, ys in rows for x in xs for y in ys)
+        assert scored == sorted(set(candidates)) and len(scored) == 5
+        assert sims == []
 
     def test_deterministic(self):
         instances, ensemble = engineered_corpus()

@@ -14,6 +14,7 @@ from eventframes.similarity import (
 )
 
 from helpers import TableBackend, table_ensemble
+from oracles import ReferenceEnsemble, ReferenceScorer
 
 labels = st.text(
     alphabet=st.sampled_from("abcdefghij xyz"), min_size=1, max_size=12
@@ -242,18 +243,24 @@ def per_pair(score, xs, ys) -> np.ndarray:
 
 
 class TestMatrixEqualsPerPair:
+    """Each matrix against the per-pair scalar formulas of tests/oracles.py
+    (`score` and `sim` are cells of `matrix`, so they cannot be the
+    reference)."""
+
     @given(string_lists, string_lists)
     @settings(max_examples=300, deadline=None)
     def test_backend_matrix_is_score_bitwise(self, xs, ys):
         for backend in matrix_backends():
-            assert_bitwise(backend.matrix(xs, ys), per_pair(backend.score, xs, ys))
+            assert_bitwise(backend.matrix(xs, ys), per_pair(ReferenceScorer(backend), xs, ys))
 
     @given(string_lists, string_lists)
     @settings(max_examples=150, deadline=None)
     def test_ensemble_matrix_is_sim_bitwise(self, xs, ys):
         for weights in ([0.5, 0.3, 0.2], [1.0, 1.0, 1.0], [0.0, 0.7, 0.1]):
             ensemble = SimilarityEnsemble(backends=matrix_backends(), weights=weights)
-            assert_bitwise(ensemble.matrix(xs, ys), per_pair(ensemble.sim, xs, ys))
+            reference = ReferenceEnsemble(ensemble)
+            assert_bitwise(ensemble.matrix(xs, ys), per_pair(reference.sim, xs, ys))
+            assert_bitwise(per_pair(ensemble.sim, xs, ys), per_pair(reference.sim, xs, ys))
 
     @given(string_lists, string_lists)
     @settings(max_examples=100, deadline=None)
@@ -261,7 +268,15 @@ class TestMatrixEqualsPerPair:
         # The embedding backend first: it must not write into the lexical
         # matrix that the backends after it read.
         ensemble = SimilarityEnsemble(backends=matrix_backends()[::-1], weights=[0.2, 0.3, 0.5])
-        assert_bitwise(ensemble.matrix(xs, ys), per_pair(ensemble.sim, xs, ys))
+        reference = ReferenceEnsemble(ensemble)
+        assert_bitwise(ensemble.matrix(xs, ys), per_pair(reference.sim, xs, ys))
+
+    @given(st.lists(matrix_strings, max_size=9), st.lists(matrix_strings, max_size=9))
+    @settings(max_examples=150, deadline=None)
+    def test_slotsets_are_best_match_averages_bitwise(self, a, b):
+        ensemble = SimilarityEnsemble(backends=matrix_backends(), weights=[0.5, 0.3, 0.2])
+        expected = ReferenceEnsemble(ensemble).sim_slotsets(a, b)
+        assert ensemble.sim_slotsets(a, b).hex() == expected.hex()
 
     def test_ensemble_builds_the_lexical_matrix_once(self, monkeypatch):
         calls = []
@@ -281,10 +296,10 @@ class TestMatrixEqualsPerPair:
     @given(string_lists, string_lists)
     @settings(max_examples=100, deadline=None)
     def test_embedding_matrix_counts_each_uncovered_pair(self, xs, ys):
-        by_matrix, by_score = matrix_backends()[2], matrix_backends()[2]
-        by_matrix.matrix(xs, ys)
-        per_pair(by_score.score, xs, ys)
-        assert by_matrix.fallback_count == by_score.fallback_count
+        backend, reference = matrix_backends()[2], ReferenceScorer(matrix_backends()[2])
+        backend.matrix(xs, ys)
+        per_pair(reference, xs, ys)
+        assert backend.fallback_count == reference.fallbacks
 
     def test_matrix_leaves_the_pair_cache_alone(self):
         ensemble = SimilarityEnsemble(backends=[LexicalBackend()])
@@ -301,7 +316,8 @@ class TestMatrixEqualsPerPair:
         backend = EmbeddingServiceBackend("http://vectors", fetch=fake_fetch)
         out = backend.matrix(["alpha", "beta alpha"], ["alpha", "beta"])
         assert fetched == [["alpha"], ["beta"]]
-        assert_bitwise(out, per_pair(backend.score, ["alpha", "beta alpha"], ["alpha", "beta"]))
+        reference = ReferenceScorer(backend)
+        assert_bitwise(out, per_pair(reference, ["alpha", "beta alpha"], ["alpha", "beta"]))
 
 
 def random_vectors(dim: int, seed: int) -> dict[str, np.ndarray]:
@@ -326,12 +342,12 @@ class TestEmbeddingMatrixAtRealDimensions:
     )
     @settings(max_examples=150, deadline=None)
     def test_matrix_is_score_bitwise(self, dim, seed, xs, ys):
-        by_matrix = EmbeddingBackend(random_vectors(dim, seed))
-        by_score = EmbeddingBackend(random_vectors(dim, seed))
-        assert_bitwise(by_matrix.matrix(xs, ys), per_pair(by_score.score, xs, ys))
-        assert by_matrix.fallback_count == by_score.fallback_count
+        backend = EmbeddingBackend(random_vectors(dim, seed))
+        reference = ReferenceScorer(EmbeddingBackend(random_vectors(dim, seed)))
+        assert_bitwise(backend.matrix(xs, ys), per_pair(reference, xs, ys))
+        assert backend.fallback_count == reference.fallbacks
         ensemble = SimilarityEnsemble(
             backends=[*matrix_backends()[:2], EmbeddingBackend(random_vectors(dim, seed))],
             weights=[0.2, 0.3, 0.5],
         )
-        assert_bitwise(ensemble.matrix(xs, ys), per_pair(ensemble.sim, xs, ys))
+        assert_bitwise(ensemble.matrix(xs, ys), per_pair(ReferenceEnsemble(ensemble).sim, xs, ys))
