@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol, Sequence
 
-import requests
-
 from .fileio import atomic_write
 
 log = logging.getLogger(__name__)
@@ -79,27 +77,22 @@ class HttpGenerationClient:
 
     POSTs {prompt, n, max_new_tokens, temperature, stop} and expects
     {"completions": [...]} back.  Each call makes one attempt: a failed
-    request or an unreadable body raises RetryableError, and `generate_all`
-    decides whether and when to try again.  Credentials come only from the
+    request, a non-2xx status or an unreadable body raises RetryableError,
+    and `generate_all` decides whether and when to try again.  Each worker
+    reuses one persistent connection.  Credentials come only from the
     EVENTFRAMES_ENDPOINT_TOKEN environment variable, never from config files.
     """
 
-    def __init__(
-        self,
-        url: str,
-        timeout: float = 60.0,
-        session: requests.Session | None = None,
-    ):
+    def __init__(self, url: str, timeout: float = 60.0):
+        # Imported here, so a replay run loads no HTTP code.
+        from .httpjson import JsonPoster
+
         self.url = url
-        self.timeout = timeout
-        self._session = session or requests.Session()
+        self._poster = JsonPoster(url, timeout)
 
     def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
         token = os.environ.get(TOKEN_ENV_VAR)
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
-        return headers
+        return {"Authorization": f"Bearer {token}"} if token else {}
 
     def payload(self, request: GenerationRequest) -> dict:
         return {
@@ -118,16 +111,10 @@ class HttpGenerationClient:
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
         try:
-            response = self._session.post(
-                self.url,
-                json=self.payload(request),
-                headers=self._headers(),
-                timeout=self.timeout,
-            )
-            response.raise_for_status()
-            return self.parse_response(response.json())
-        except (requests.RequestException, ValueError) as exc:
+            body = self._poster.post(self.payload(request), self._headers())
+        except OSError as exc:  # httpjson.HttpError
             raise RetryableError(str(exc)) from exc
+        return self.parse_response(body)
 
 
 Outcome = GenerationResponse | TransportError

@@ -267,7 +267,10 @@ def build_client(cfg: PipelineConfig) -> GenerationClient:
         return _load(ReplayClient.from_file, gen.replay)
     if gen.endpoint:
         client_cls = OpenAICompletionsClient if gen.endpoint_style == "openai" else HttpGenerationClient
-        live: GenerationClient = client_cls(gen.endpoint)
+        try:
+            live: GenerationClient = client_cls(gen.endpoint)
+        except ValueError as exc:
+            raise ConfigError(f"generation.endpoint: {exc}") from exc
         if gen.record:
             if not gen.replay:
                 raise ConfigError("record mode requires a replay store path")

@@ -257,13 +257,15 @@ class EmbeddingServiceBackend(EmbeddingBackend):
         super().__init__({})
         self.url = url
         self._fetch = fetch or self._http_fetch
+        self._poster = None
 
     def _http_fetch(self, texts: list[str]) -> list[list[float]]:
-        import requests
+        if self._poster is None:
+            # Imported here, so a run without the service loads no HTTP code.
+            from .httpjson import JsonPoster
 
-        response = requests.post(self.url, json={"texts": texts}, timeout=60)
-        response.raise_for_status()
-        return response.json()["vectors"]
+            self._poster = JsonPoster(self.url, timeout=60.0)
+        return self._poster.post({"texts": texts})["vectors"]
 
     def _pool(self, text: str) -> np.ndarray | None:
         missing = [t for t in _tokens(text) if t not in self._vectors]

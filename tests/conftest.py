@@ -1,5 +1,6 @@
 import builtins
 import math
+import os
 import re
 
 import pytest
@@ -50,6 +51,15 @@ def python312_sum():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(builtins, "sum", compensated_sum)
         yield
+
+
+@pytest.fixture(autouse=True)
+def no_proxy_env(monkeypatch):
+    """Requests to the tests' loopback servers go straight to them, unless a
+    test sets a proxy itself."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

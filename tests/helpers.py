@@ -1,9 +1,15 @@
-"""Shared builders for tests: tiny instances, a table-backed similarity, and
-a client that serves canned completions."""
+"""Shared builders for tests: tiny instances, a table-backed similarity, a
+client that serves canned completions, and a loopback HTTP server."""
 
 from __future__ import annotations
 
+import json
+import socket
+import threading
 from dataclasses import dataclass
+from email.message import Message
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable
 
 import numpy as np
 
@@ -61,3 +67,96 @@ def instance(expr_id: str, text: str, candidates) -> ConceptualizedInstance:
         expression(expr_id, text),
         tuple(SchemaCandidate.create(t, list(slots)) for t, slots in candidates),
     )
+
+
+@dataclass(frozen=True)
+class Received:
+    """One request as the loopback server read it."""
+
+    method: str
+    target: str
+    headers: Message  # case-insensitive .get()
+    body: object  # the decoded JSON, or None without a body
+
+
+class LoopbackServer(ThreadingHTTPServer):
+    """HTTP/1.1 server on 127.0.0.1, serving from a thread inside `with`.
+
+    `reply(received)` returns (status, body): a dict is sent as JSON, bytes
+    as they are.  The server keeps every request it read in `received`, and
+    counts the connections it accepted.  With
+    `close_after_reply`, it closes each connection after one answer without
+    announcing it, as a server whose keep-alive timeout ran out does.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, reply: Callable[[Received], tuple[int, object]], close_after_reply=False):
+        super().__init__(("127.0.0.1", 0), _LoopbackHandler)
+        self.reply = reply
+        self.close_after_reply = close_after_reply
+        self.lock = threading.Lock()
+        self.received: list[Received] = []
+        self.accepted = 0
+        self._thread = threading.Thread(target=self.serve_forever, args=(0.05,), daemon=True)
+
+    @property
+    def port(self) -> int:
+        return self.server_address[1]
+
+    def url(self, path: str = "/generate") -> str:
+        return f"http://127.0.0.1:{self.port}{path}"
+
+    def __enter__(self) -> "LoopbackServer":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.shutdown()
+        self.server_close()
+        self._thread.join(timeout=10)
+        assert not self._thread.is_alive()
+
+
+class _LoopbackHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    server: LoopbackServer
+
+    def setup(self) -> None:
+        super().setup()
+        # One write for the headers and one for the body: without this, each
+        # keep-alive answer waits for the client's delayed ACK.
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with self.server.lock:
+            self.server.accepted += 1
+
+    def log_message(self, format: str, *args) -> None:
+        pass
+
+    def do_POST(self) -> None:
+        self._answer()
+
+    def do_CONNECT(self) -> None:
+        self._answer()
+
+    def _answer(self) -> None:
+        raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        received = Received(self.command, self.path, self.headers, json.loads(raw) if raw else None)
+        with self.server.lock:
+            self.server.received.append(received)
+        status, body = self.server.reply(received)
+        payload = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+        if self.server.close_after_reply:
+            self.close_connection = True
+
+
+def refused_port() -> int:
+    """A loopback port with nothing listening on it."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]

@@ -1,10 +1,10 @@
+import base64
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import pytest
-import requests
 
 from eventframes import endpoint
 from eventframes.conceptualize import SEPARATOR, conceptualize_corpus
@@ -17,13 +17,14 @@ from eventframes.endpoint import (
     ReplayClient,
     ReplayMissError,
     ReplayStore,
+    RetryableError,
     TransportError,
     generate_all,
     prompt_hash,
 )
 from eventframes.schemas import Demonstration, SchemaCandidate
 
-from helpers import StaticClient, expression
+from helpers import LoopbackServer, StaticClient, expression, refused_port
 
 DEMOS = [Demonstration("a demo text", SchemaCandidate.create("demo", ["slot"]))]
 
@@ -196,81 +197,59 @@ class TestRecordingClient:
         assert response.completions == ("a", "b")
 
 
-class FakeResponse:
-    def __init__(self, body, status=200):
-        self.body = body
-        self.status_code = status
-
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise requests.HTTPError(f"status {self.status_code}")
-
-    def json(self):
-        return self.body
+def asked(prompt):
+    """The text a conceptualize prompt asks about."""
+    return prompt.splitlines()[-1].split(SEPARATOR)[0].strip()
 
 
-class FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.requests = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append({"url": url, "json": json, "headers": headers})
-        result = self.responses.pop(0)
-        if isinstance(result, Exception):
-            raise result
-        return result
-
-
-class PromptSession:
+class PromptClient:
     """Answers by the text a prompt asks about, failing it `fails[text]` times
-    first (with `body` in place of completions when given); records each
+    first (retryably, or finally for a text in `final`); records each
     request's text and the clock time it was sent."""
 
-    def __init__(self, clock, fails=None, body=None):
+    def __init__(self, clock, fails=None, final=()):
         self.clock = clock
         self.fails = dict(fails or {})
-        self.body = body or {}
+        self.final = set(final)
         self.sent = []
         self._lock = threading.Lock()
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        text = json["prompt"].splitlines()[-1].split(SEPARATOR)[0].strip()
+    def generate(self, request):
+        text = asked(request.prompt)
         with self._lock:
             self.sent.append((text, self.clock.now))
             failing = self.fails.get(text, 0) > 0
             self.fails[text] = self.fails.get(text, 0) - 1
         if not failing:
-            return FakeResponse({"completions": [f"Type: {text}, Slots: agent"]})
-        if text in self.body:
-            return FakeResponse(self.body[text])
-        return FakeResponse({}, status=503)
+            return GenerationResponse((f"Type: {text}, Slots: agent",))
+        if text in self.final:
+            raise TransportError(f"no completions for {text}")
+        raise RetryableError(f"503 for {text}")
 
     def order(self):
         return [text for text, _ in self.sent]
 
 
-def run_corpus(session, texts, workers=1):
+def run_corpus(client, texts, workers=1):
     corpus = [expression(f"e{i}", text) for i, text in enumerate(texts)]
-    client = HttpGenerationClient("http://e", session=session)
     return conceptualize_corpus(client, DEMOS, corpus, n=1, workers=workers)
 
 
 class TestGenerateAll:
     def test_failed_prompt_waits_while_others_proceed(self, clock):
-        session = PromptSession(clock, fails={"A": 1})
-        instances, report = run_corpus(session, ["A", "B", "C"])
-        assert session.order() == ["A", "B", "C", "A"]
-        (_, failed), *_, (_, retried) = session.sent
+        client = PromptClient(clock, fails={"A": 1})
+        instances, report = run_corpus(client, ["A", "B", "C"])
+        assert client.order() == ["A", "B", "C", "A"]
+        (_, failed), *_, (_, retried) = client.sent
         assert retried - failed >= 1.0
         assert [inst.expression.id for inst in instances] == ["e0", "e1", "e2"]
         assert report.transport_failures == 0
 
     def test_always_failing_prompt_gets_three_attempts(self, clock):
-        session = PromptSession(clock, fails={"A": 99})
-        instances, report = run_corpus(session, ["A", "B"])
-        assert session.order() == ["A", "B", "A", "A"]
-        times = [t for text, t in session.sent if text == "A"]
+        client = PromptClient(clock, fails={"A": 99})
+        instances, report = run_corpus(client, ["A", "B"])
+        assert client.order() == ["A", "B", "A", "A"]
+        times = [t for text, t in client.sent if text == "A"]
         assert times[1] - times[0] >= 1.0
         assert times[2] - times[1] >= 2.0
         assert [inst.expression.id for inst in instances] == ["e1"]
@@ -278,28 +257,44 @@ class TestGenerateAll:
         assert report.transport_failures == 1
 
     def test_missing_completions_is_not_retried(self, clock):
-        session = PromptSession(clock, fails={"A": 1}, body={"A": {"text": "no"}})
-        instances, report = run_corpus(session, ["A", "B"])
-        assert session.order() == ["A", "B"]
+        client = PromptClient(clock, fails={"A": 1}, final={"A"})
+        instances, report = run_corpus(client, ["A", "B"])
+        assert client.order() == ["A", "B"]
         assert clock.sleeps == []
         assert report.transport_failures == 1
 
     def test_each_distinct_prompt_is_requested_once(self, clock):
         texts = ["x", "y", "x", "z", "y", "x", "x", "z"]
-        session = PromptSession(clock)
-        instances, _ = run_corpus(session, texts, workers=4)
-        assert sorted(session.order()) == ["x", "y", "z"]
+        client = PromptClient(clock)
+        instances, _ = run_corpus(client, texts, workers=4)
+        assert sorted(client.order()) == ["x", "y", "z"]
         assert [inst.candidates[0].event_type for inst in instances] == texts
+
+
+def answer_by_text(received):
+    return 200, {"completions": [f"Type: {asked(received.body['prompt'])}, Slots: agent"]}
+
+
+def in_order(*replies):
+    """A reply function that gives `replies` one after another."""
+    pending = iter(replies)
+    return lambda received: next(pending)
+
+
+def live(server, client_cls=HttpGenerationClient):
+    return client_cls(server.url(), timeout=5)
 
 
 class TestHttpClients:
     def test_native_payload_and_parse(self):
-        session = FakeSession([FakeResponse({"completions": ["one", "two"]})])
-        client = HttpGenerationClient("http://endpoint/generate", session=session)
-        response = client.generate(GenerationRequest(prompt="p", n=2, stop=("\n",)))
+        with LoopbackServer(in_order((200, {"completions": ["one", "two"]}))) as server:
+            response = live(server).generate(GenerationRequest(prompt="p", n=2, stop=("\n",)))
         assert response.completions == ("one", "two")
-        sent = session.requests[0]["json"]
-        assert sent == {
+        (sent,) = server.received
+        assert (sent.method, sent.target) == ("POST", "/generate")
+        assert sent.headers["Content-Type"] == "application/json"
+        assert sent.headers.get("Authorization") is None
+        assert sent.body == {
             "prompt": "p",
             "n": 2,
             "max_new_tokens": 64,
@@ -308,32 +303,115 @@ class TestHttpClients:
         }
 
     def test_retries_then_succeeds(self, clock):
-        session = FakeSession(
-            [requests.ConnectionError("down"), FakeResponse({"completions": ["ok"]})]
-        )
-        client = HttpGenerationClient("http://e", session=session)
+        replies = in_order((503, {}), (200, {"completions": ["ok"]}))
         request = GenerationRequest(prompt="p")
-        assert generate_all(client, [request])[request].completions == ("ok",)
+        with LoopbackServer(replies) as server:
+            assert generate_all(live(server), [request])[request].completions == ("ok",)
+        assert len(server.received) == 2
+        assert clock.sleeps == [1.0]
+
+    def test_unreadable_body_is_retried(self, clock):
+        replies = in_order((200, b"<html>busy</html>"), (200, {"completions": ["ok"]}))
+        request = GenerationRequest(prompt="p")
+        with LoopbackServer(replies) as server:
+            assert generate_all(live(server), [request])[request].completions == ("ok",)
+        assert len(server.received) == 2
+        assert clock.sleeps == [1.0]
+
+    def test_missing_completions_is_final(self, clock):
+        request = GenerationRequest(prompt="p")
+        with LoopbackServer(in_order((200, {"text": "no"}))) as server:
+            outcome = generate_all(live(server), [request])[request]
+        assert type(outcome) is TransportError
+        assert "missing 'completions'" in str(outcome)
+        assert len(server.received) == 1
+        assert clock.sleeps == []
 
     def test_transport_error_after_retries(self, clock):
-        session = FakeSession([requests.ConnectionError("down")] * 3)
-        client = HttpGenerationClient("http://e", session=session)
+        client = HttpGenerationClient(f"http://127.0.0.1:{refused_port()}/generate", timeout=5)
         request = GenerationRequest(prompt="p")
-        with pytest.raises(TransportError):
+        with pytest.raises(TransportError, match="after 3 attempts: .*refused"):
             raise generate_all(client, [request])[request]
+        assert clock.sleeps == [1.0, 2.0]
 
     def test_token_env_var_sets_bearer(self, monkeypatch):
         monkeypatch.setenv("EVENTFRAMES_ENDPOINT_TOKEN", "secret")
-        session = FakeSession([FakeResponse({"completions": []})])
-        HttpGenerationClient("http://e", session=session).generate(GenerationRequest(prompt="p"))
-        assert session.requests[0]["headers"]["Authorization"] == "Bearer secret"
+        with LoopbackServer(in_order((200, {"completions": []}))) as server:
+            live(server).generate(GenerationRequest(prompt="p"))
+        assert server.received[0].headers["Authorization"] == "Bearer secret"
+
+    def test_netrc_is_never_read(self, monkeypatch, tmp_path):
+        netrc = tmp_path / ".netrc"
+        netrc.write_text("machine 127.0.0.1 login user password pw\n", encoding="utf-8")
+        netrc.chmod(0o600)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv("NETRC", str(netrc))
+        monkeypatch.setenv("EVENTFRAMES_ENDPOINT_TOKEN", "secret")
+        with LoopbackServer(lambda received: (200, {"completions": []})) as server:
+            client = live(server)
+            client.generate(GenerationRequest(prompt="p"))
+            monkeypatch.delenv("EVENTFRAMES_ENDPOINT_TOKEN")
+            client.generate(GenerationRequest(prompt="p"))
+        with_token, without_token = server.received
+        assert with_token.headers.get_all("Authorization") == ["Bearer secret"]
+        assert without_token.headers.get("Authorization") is None
 
     def test_openai_adapter(self):
-        session = FakeSession(
-            [FakeResponse({"choices": [{"text": "one"}, {"text": "two"}]})]
-        )
-        client = OpenAICompletionsClient("http://api/v1/completions", session=session)
-        response = client.generate(GenerationRequest(prompt="p", n=2))
+        replies = in_order((200, {"choices": [{"text": "one"}, {"text": "two"}]}))
+        with LoopbackServer(replies) as server:
+            client = live(server, OpenAICompletionsClient)
+            response = client.generate(GenerationRequest(prompt="p", n=2))
         assert response.completions == ("one", "two")
-        assert session.requests[0]["json"]["max_tokens"] == 64
-        assert "max_new_tokens" not in session.requests[0]["json"]
+        (sent,) = server.received
+        assert sent.body["max_tokens"] == 64
+        assert "max_new_tokens" not in sent.body
+
+    def test_connection_closed_while_idle_is_reopened(self, clock):
+        with LoopbackServer(answer_by_text, close_after_reply=True) as server:
+            instances, report = run_corpus(live(server), ["a", "b", "c"])
+        assert clock.sleeps == []
+        assert [asked(r.body["prompt"]) for r in server.received] == ["a", "b", "c"]
+        assert server.accepted == 3
+        assert [inst.candidates[0].event_type for inst in instances] == ["a", "b", "c"]
+        assert report.transport_failures == 0
+
+    def test_workers_open_at_most_that_many_connections(self):
+        def slow(received):
+            time.sleep(0.01)
+            return answer_by_text(received)
+
+        texts = [f"t{i}" for i in range(24)]
+        with LoopbackServer(slow) as server:
+            instances, report = run_corpus(live(server), texts, workers=4)
+        assert [inst.candidates[0].event_type for inst in instances] == texts
+        assert len(server.received) == len(texts)
+        assert 1 <= server.accepted <= 4
+        assert report.transport_failures == 0
+
+    def test_http_proxy_gets_the_absolute_url(self, monkeypatch):
+        url = "http://endpoint.invalid:8080/v1/generate?model=m"
+        with LoopbackServer(in_order((200, {"completions": ["via proxy"]}))) as proxy:
+            monkeypatch.setenv("HTTP_PROXY", f"http://user:pw@127.0.0.1:{proxy.port}")
+            response = HttpGenerationClient(url, timeout=5).generate(GenerationRequest(prompt="p"))
+        assert response.completions == ("via proxy",)
+        (sent,) = proxy.received
+        assert sent.target == url
+        assert sent.headers["Host"] == "endpoint.invalid:8080"
+        assert sent.headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
+
+    def test_no_proxy_bypasses_the_proxy(self, monkeypatch):
+        with LoopbackServer(in_order()) as proxy, LoopbackServer(answer_by_text) as origin:
+            monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{proxy.port}")
+            monkeypatch.setenv("NO_PROXY", "localhost,127.0.0.1")
+            run_corpus(live(origin), ["A"])
+        assert proxy.received == []
+        assert [r.target for r in origin.received] == ["/generate"]
+
+    def test_https_proxy_is_tunnelled_with_connect(self, monkeypatch):
+        with LoopbackServer(in_order((403, b""))) as proxy:
+            monkeypatch.setenv("HTTPS_PROXY", f"127.0.0.1:{proxy.port}")  # no scheme: http
+            client = HttpGenerationClient("https://endpoint.invalid/generate", timeout=5)
+            with pytest.raises(RetryableError, match="403"):
+                client.generate(GenerationRequest(prompt="p"))
+        (sent,) = proxy.received
+        assert (sent.method, sent.target) == ("CONNECT", "endpoint.invalid:443")

@@ -1,7 +1,8 @@
 import json
+import os
 import random
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from eventframes.cli import main as cli_main
 from eventframes.endpoint import ReplayStore
 from eventframes.similarity import EmbeddingServiceBackend
 
+from helpers import LoopbackServer
 from synthetic import build_workspace, planted_mentions
 
 
@@ -140,6 +142,11 @@ class TestBuildHelpers:
             {"generation": {"endpoint": "http://e", "record": True}}
         )
         with pytest.raises(ConfigError):
+            build_client(cfg)
+
+    def test_client_rejects_a_non_http_endpoint(self):
+        cfg = PipelineConfig.from_dict({"generation": {"endpoint": "ftp://e/generate"}})
+        with pytest.raises(ConfigError, match="not an http"):
             build_client(cfg)
 
     def test_ensemble_unknown_backend(self):
@@ -502,38 +509,40 @@ class TestEmptyCorpus:
         assert not (tmp / "out" / "expressions.jsonl").exists()
 
 
-class PromptEchoHandler(BaseHTTPRequestHandler):
+def echo_prompt(received):
     """Completes any prompt by typing the target text's second token."""
-
-    calls = 0
-
-    def do_POST(self):
-        type(self).calls += 1
-        length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
-        target = body["prompt"].splitlines()[-1].split(" → ")[0]
-        word = target.split()[1]
-        completions = [f"Type: {word}, Slots: actor; object"] * body["n"]
-        payload = json.dumps({"completions": completions}).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
+    target = received.body["prompt"].splitlines()[-1].split(" → ")[0]
+    word = target.split()[1]
+    return 200, {"completions": [f"Type: {word}, Slots: actor; object"] * received.body["n"]}
 
 
 @pytest.fixture()
 def fake_endpoint():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), PromptEchoHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    PromptEchoHandler.calls = 0
-    yield f"http://127.0.0.1:{server.server_port}/generate"
-    server.shutdown()
-    thread.join(timeout=5)
+    with LoopbackServer(echo_prompt) as server:
+        yield server
+
+
+class TestColdStart:
+    def test_replay_run_loads_no_http_code(self, tmp_path):
+        """A replay run of every stage, in a fresh interpreter, imports none of
+        the HTTP client modules: they load only with a live client."""
+        paths = build_workspace(tmp_path / "ws")
+        script = (
+            "import sys\n"
+            "from eventframes.pipeline import PipelineConfig, run_stage\n"
+            "cfg = PipelineConfig.from_file(sys.argv[1])\n"
+            "run_stage('all', cfg, sys.argv[2], input_path=sys.argv[3])\n"
+            "print(sorted(m for m in ('requests', 'urllib3', 'http.client', 'ssl') if m in sys.modules))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(paths["config"]), str(tmp_path / "out"),
+             str(paths["corpus"])],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "out" / "metrics.json").exists()
 
 
 class TestRecordReplay:
@@ -548,23 +557,23 @@ class TestRecordReplay:
         paths, _, tmp = workspace
         store = tmp / "recorded.jsonl"
 
-        record_cfg = self.make_config(paths, store, endpoint=fake_endpoint, record=True)
+        record_cfg = self.make_config(paths, store, endpoint=fake_endpoint.url(), record=True)
         run_stage("ingest", record_cfg, tmp / "rec", input_path=paths["corpus"])
         run_stage("conceptualize", record_cfg, tmp / "rec")
         assert store.exists()
-        first_calls = PromptEchoHandler.calls
+        first_calls = len(fake_endpoint.received)
         assert first_calls == 30
 
         # same-config rerun is served entirely from the store
         run_stage("conceptualize", record_cfg, tmp / "rec", force=True)
-        assert PromptEchoHandler.calls == first_calls
+        assert len(fake_endpoint.received) == first_calls
         rerun_bytes = (tmp / "rec" / "conceptualized.jsonl").read_bytes()
 
         # replay-only config reproduces the same records (header differs by config hash)
         replay_cfg = self.make_config(paths, store)
         run_stage("ingest", replay_cfg, tmp / "rep", input_path=paths["corpus"])
         run_stage("conceptualize", replay_cfg, tmp / "rep")
-        assert PromptEchoHandler.calls == first_calls
+        assert len(fake_endpoint.received) == first_calls
         replay_lines = (tmp / "rep" / "conceptualized.jsonl").read_bytes().splitlines()[1:]
         assert rerun_bytes.splitlines()[1:] == replay_lines
 

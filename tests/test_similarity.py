@@ -13,7 +13,7 @@ from eventframes.similarity import (
     SimilarityEnsemble,
 )
 
-from helpers import TableBackend, table_ensemble
+from helpers import LoopbackServer, TableBackend, table_ensemble
 from oracles import ReferenceEnsemble, ReferenceScorer
 
 labels = st.text(
@@ -134,6 +134,34 @@ class TestEmbeddingBackend:
         backend = EmbeddingServiceBackend("http://vectors", fetch=lambda texts: [[1.0, 0.0]])
         with pytest.raises(EmbeddingServiceError, match="failed: 1 vectors for 2 texts"):
             backend.score("alpha beta", "alpha")
+
+
+class TestEmbeddingServiceWire:
+    VECTORS = {"alpha": [1.0, 0.0], "beta": [0.0, 1.0], "gamma": [1.0, 0.0]}
+
+    def test_served_vectors_are_used(self):
+        def serve(received):
+            return 200, {"vectors": [self.VECTORS[t] for t in received.body["texts"]]}
+
+        with LoopbackServer(serve) as server:
+            backend = EmbeddingServiceBackend(server.url("/embed"))
+            scores = backend.matrix(["alpha", "beta"], ["gamma"])
+        assert scores.tolist() == [[1.0], [0.5]]
+        assert [r.body for r in server.received] == [{"texts": ["alpha"]}, {"texts": ["beta"]},
+                                                    {"texts": ["gamma"]}]
+        assert server.accepted == 1
+        assert backend.fallback_count == 0
+
+    @pytest.mark.parametrize(
+        "reply, message",
+        [((500, {"error": "down"}), "500"), ((200, {"vectors": [[1.0, 0.0]]}), "1 vectors for 2 texts")],
+    )
+    def test_failed_fetch_raises(self, reply, message):
+        with LoopbackServer(lambda received: reply) as server:
+            backend = EmbeddingServiceBackend(server.url("/embed"))
+            with pytest.raises(EmbeddingServiceError, match=message):
+                backend.score("alpha beta", "alpha")
+        assert backend.fallback_count == 0
 
 
 class TestEnsemble:
