@@ -103,8 +103,8 @@ class HttpGenerationClient:
             "stop": list(request.stop),
         }
 
-    def parse_response(self, body: dict) -> GenerationResponse:
-        completions = body.get("completions")
+    def parse_response(self, body: object) -> GenerationResponse:
+        completions = body.get("completions") if isinstance(body, dict) else None
         if not isinstance(completions, list):
             raise TransportError(f"endpoint response missing 'completions': {body!r}")
         return GenerationResponse(completions=tuple(str(c) for c in completions))
@@ -190,10 +190,12 @@ class OpenAICompletionsClient(HttpGenerationClient):
             "stop": list(request.stop),
         }
 
-    def parse_response(self, body: dict) -> GenerationResponse:
-        choices = body.get("choices")
+    def parse_response(self, body: object) -> GenerationResponse:
+        choices = body.get("choices") if isinstance(body, dict) else None
         if not isinstance(choices, list):
             raise TransportError(f"endpoint response missing 'choices': {body!r}")
+        if not all(isinstance(c, dict) for c in choices):
+            raise TransportError(f"endpoint response has a choice that is not an object: {body!r}")
         return GenerationResponse(completions=tuple(str(c.get("text", "")) for c in choices))
 
 

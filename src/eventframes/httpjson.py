@@ -30,8 +30,11 @@ class JsonPoster:
     thread, so no more connections are open than posts ever ran at once.  A
     reused connection that the server closed while it sat idle is reopened
     once within the same post.  Sockets are opened with TCP_NODELAY, because
-    http.client writes the headers and the body in two sends.  `close()`
-    closes every connection; garbage collection of the poster does too.
+    http.client writes the headers and the body in two sends.  Where the
+    platform has TCP_QUICKACK (Linux), each request re-arms it, so a server
+    that writes the headers and the body separately is not held up by the
+    client's delayed ACK.  `close()` closes every connection; garbage
+    collection of the poster does too.
 
     The proxy comes from the environment as urllib reads it (`HTTP_PROXY`,
     `HTTPS_PROXY`, `NO_PROXY`), once, when the poster is made; https through
@@ -144,6 +147,13 @@ def _roundtrip(
     connection: http.client.HTTPConnection, target: str, data: bytes, headers: dict[str, str]
 ) -> tuple[int, str, bytes]:
     connection.request("POST", target, body=data, headers=headers)
+    quickack = getattr(socket, "TCP_QUICKACK", None)  # Linux only
+    if quickack is not None:
+        # The kernel leaves quick-ACK mode whenever the socket sends, so it is
+        # re-armed after each request: the reply's header segment is then
+        # acknowledged at once, and a server with Nagle on sends the body
+        # without waiting out the ~40 ms delayed-ACK timer.
+        connection.sock.setsockopt(socket.IPPROTO_TCP, quickack, 1)
     response = connection.getresponse()
     return response.status, response.reason, response.read()
 

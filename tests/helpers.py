@@ -82,19 +82,27 @@ class Received:
 class LoopbackServer(ThreadingHTTPServer):
     """HTTP/1.1 server on 127.0.0.1, serving from a thread inside `with`.
 
-    `reply(received)` returns (status, body): a dict is sent as JSON, bytes
-    as they are.  The server keeps every request it read in `received`, and
-    counts the connections it accepted.  With
+    `reply(received)` returns (status, body): bytes are sent as they are,
+    anything else as JSON.  The server keeps every request it read in
+    `received`, and counts the connections it accepted.  With
     `close_after_reply`, it closes each connection after one answer without
-    announcing it, as a server whose keep-alive timeout ran out does.
+    announcing it, as a server whose keep-alive timeout ran out does.  With
+    `nodelay=False`, its sockets keep Nagle's algorithm on, as a plain
+    `http.server` endpoint does.
     """
 
     daemon_threads = True
 
-    def __init__(self, reply: Callable[[Received], tuple[int, object]], close_after_reply=False):
+    def __init__(
+        self,
+        reply: Callable[[Received], tuple[int, object]],
+        close_after_reply=False,
+        nodelay=True,
+    ):
         super().__init__(("127.0.0.1", 0), _LoopbackHandler)
         self.reply = reply
         self.close_after_reply = close_after_reply
+        self.nodelay = nodelay
         self.lock = threading.Lock()
         self.received: list[Received] = []
         self.accepted = 0
@@ -124,9 +132,11 @@ class _LoopbackHandler(BaseHTTPRequestHandler):
 
     def setup(self) -> None:
         super().setup()
-        # One write for the headers and one for the body: without this, each
-        # keep-alive answer waits for the client's delayed ACK.
-        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        # The handler writes the headers and the body in two sends.  Without
+        # TCP_NODELAY the body waits until the client acknowledges the
+        # headers, which a client that delays its ACKs does ~40 ms later.
+        if self.server.nodelay:
+            self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         with self.server.lock:
             self.server.accepted += 1
 

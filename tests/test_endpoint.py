@@ -1,4 +1,5 @@
 import base64
+import socket
 import sys
 import threading
 import time
@@ -22,6 +23,7 @@ from eventframes.endpoint import (
     generate_all,
     prompt_hash,
 )
+from eventframes.httpjson import JsonPoster
 from eventframes.schemas import Demonstration, SchemaCandidate
 
 from helpers import LoopbackServer, StaticClient, expression, refused_port
@@ -327,6 +329,26 @@ class TestHttpClients:
         assert len(server.received) == 1
         assert clock.sleeps == []
 
+    @pytest.mark.parametrize(
+        "client_cls, body",
+        [
+            (HttpGenerationClient, ["a"]),
+            (HttpGenerationClient, "x"),
+            (OpenAICompletionsClient, {"choices": ["a"]}),
+        ],
+        ids=["native-array", "native-string", "openai-choice-string"],
+    )
+    def test_reply_that_is_not_an_object_is_final(self, clock, client_cls, body):
+        with LoopbackServer(lambda received: (200, body)) as server:
+            instances, report = run_corpus(live(server, client_cls), ["A"])
+            request = GenerationRequest(prompt="p")
+            outcome = generate_all(live(server, client_cls), [request])[request]
+        assert (instances, report.dropped, report.transport_failures) == ([], 1, 1)
+        assert type(outcome) is TransportError
+        assert repr(body) in str(outcome)
+        assert len(server.received) == 2
+        assert clock.sleeps == []
+
     def test_transport_error_after_retries(self, clock):
         client = HttpGenerationClient(f"http://127.0.0.1:{refused_port()}/generate", timeout=5)
         request = GenerationRequest(prompt="p")
@@ -415,3 +437,31 @@ class TestHttpClients:
                 client.generate(GenerationRequest(prompt="p"))
         (sent,) = proxy.received
         assert (sent.method, sent.target) == ("CONNECT", "endpoint.invalid:443")
+
+
+class TestJsonPoster:
+    @pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="no TCP_QUICKACK here")
+    def test_nagle_server_is_not_held_up_by_delayed_ack(self):
+        with LoopbackServer(lambda received: (200, received.body), nodelay=False) as server:
+            poster = JsonPoster(server.url(), timeout=5)
+            try:
+                start = time.perf_counter()
+                replies = [poster.post({"i": i}) for i in range(20)]
+                elapsed = time.perf_counter() - start
+            finally:
+                poster.close()
+        assert replies == [{"i": i} for i in range(20)]
+        assert server.accepted == 1
+        # Waiting out the ~40 ms delayed ACK on each keep-alive post would
+        # take 0.8 s or more.
+        assert elapsed < 0.3
+
+    def test_post_without_quickack(self, monkeypatch):
+        monkeypatch.delattr(socket, "TCP_QUICKACK", raising=False)
+        with LoopbackServer(in_order((200, {"completions": ["ok"]}))) as server:
+            poster = JsonPoster(server.url(), timeout=5)
+            try:
+                assert poster.post({"prompt": "p"}) == {"completions": ["ok"]}
+            finally:
+                poster.close()
+        assert len(server.received) == 1
