@@ -1,18 +1,18 @@
-"""Cluster individual schemas over a similarity graph and merge each cluster
-into one normalized schema with a representative type and slot names."""
+"""Cluster individual schemas over a similarity graph, whose slot-set term is
+`similarity.slotset_matrix`, and merge each cluster into one normalized
+schema with a representative type and slot names."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .louvain import ClusterAssignment, louvain
 from .scoring import StructuredInstance
-from .similarity import SimilarityEnsemble
+from .similarity import SimilarityEnsemble, SlotSimilarity, slotset_matrix
 
 PRUNE_NONE = "none"
 PRUNE_BELOW_MEAN = "below-mean"
@@ -39,39 +39,12 @@ class GraphConfig:
 
 
 @dataclass(frozen=True)
-class SlotSimilarity:
-    """Ensemble similarity between every two slots of a sorted vocabulary."""
-
-    vocabulary: tuple[str, ...]
-    matrix: np.ndarray
-
-    @classmethod
-    def of(cls, slots: Iterable[str], ensemble: SimilarityEnsemble) -> "SlotSimilarity":
-        vocabulary = sorted(set(slots))
-        return cls(tuple(vocabulary), ensemble.matrix(vocabulary, vocabulary))
-
-    @cached_property
-    def position(self) -> dict[str, int]:
-        return {slot: i for i, slot in enumerate(self.vocabulary)}
-
-    def among(self, names: Sequence[str]) -> np.ndarray:
-        """A new array of the similarities between `names`, which must all be
-        in the vocabulary; bitwise ensemble.matrix(names, names)."""
-        index = [self.position[name] for name in names]
-        return self.matrix[np.ix_(index, index)]
-
-
-@dataclass(frozen=True)
 class SchemaGraph:
     """Symmetric pairwise schema similarities with a zero diagonal, and the
     similarities over the instances' slot vocabulary."""
 
     weights: np.ndarray
     slots: SlotSimilarity
-
-    @property
-    def node_count(self) -> int:
-        return self.weights.shape[0]
 
 
 def prune_edges(weights: np.ndarray, cfg: GraphConfig) -> np.ndarray:
@@ -100,44 +73,6 @@ def _distinct(values: Sequence) -> tuple[list, np.ndarray]:
     return list(positions), np.array(index, dtype=np.intp)
 
 
-def _best_match_sums(sim: np.ndarray, members: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """sums[a, b]: over set a's members x in order, the running sum of the best
-    sim[x, y] over set b's members y.
-
-    `members` lists each set's vocabulary indices in sorted order, padded with
-    an index whose row and column of `sim` are -inf.  Summing one member
-    position at a time keeps sim_slotsets' sequential order (a padded
-    position adds 0.0, which changes no sum).
-    """
-    sums = np.zeros((len(sizes), len(sizes)))
-    for position in range(members.shape[1]):
-        best = sim[members[:, position]][:, members].max(axis=2)
-        sums += np.where((position < sizes)[:, None], best, 0.0)
-    return sums
-
-
-def _slotset_matrix(slot_sets: Sequence[frozenset[str]], slots: SlotSimilarity) -> np.ndarray:
-    """ensemble.sim_slotsets for every pair of slot sets, bitwise, from the
-    similarity matrix over a vocabulary holding every member."""
-    sizes = np.array([len(s) for s in slot_sets])
-    out = np.zeros((len(slot_sets), len(slot_sets)))
-    out[np.ix_(sizes == 0, sizes == 0)] = 1.0
-    full = np.flatnonzero(sizes)
-    if not full.size:
-        return out
-    size = len(slots.vocabulary)
-    sim = np.full((size + 1, size + 1), -np.inf)
-    sim[:-1, :-1] = slots.matrix
-    members = np.full((full.size, sizes.max()), size)
-    for row, a in enumerate(full):
-        members[row, : sizes[a]] = [slots.position[slot] for slot in sorted(slot_sets[a])]
-    sizes = sizes[full]
-    forward = _best_match_sums(sim, members, sizes)
-    backward = _best_match_sums(sim.T, members, sizes).T
-    out[np.ix_(full, full)] = (forward + backward) / np.add.outer(sizes, sizes)
-    return out
-
-
 def build_schema_graph(
     instances: Sequence[StructuredInstance],
     ensemble: SimilarityEnsemble,
@@ -158,7 +93,7 @@ def build_schema_graph(
     text_sim = ensemble.matrix(texts, texts)[np.ix_(text_index, text_index)]
     type_sim = ensemble.matrix(types, types)[np.ix_(type_index, type_index)]
     slots = SlotSimilarity.of(set().union(*slot_sets), ensemble)
-    slot_sim = _slotset_matrix(slot_sets, slots)[np.ix_(set_index, set_index)]
+    slot_sim = slotset_matrix(slot_sets, slots)[np.ix_(set_index, set_index)]
     weights = cfg.lambda3 * text_sim + cfg.lambda4 * type_sim + cfg.lambda5 * slot_sim
     np.fill_diagonal(weights, 0.0)
     return SchemaGraph(weights=prune_edges(weights, cfg), slots=slots)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .endpoint import ReplayMissError
 from .evaluation import ClusteringMetrics, metrics_table
-from .pipeline import STAGES, ConfigError, PipelineConfig, StageInputError, run_stage
+from .pipeline import STAGES, ConfigError, PipelineConfig, StageInputError, read_config, run_stage
 from .similarity import EmbeddingServiceError
 
 
@@ -37,9 +37,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def apply_overrides(data: dict, args: argparse.Namespace) -> dict:
-    """Every CLI flag overrides the corresponding config key."""
+    """Every CLI flag overrides the corresponding config key.  A config or
+    section that is not an object is left for PipelineConfig.from_dict to
+    report."""
+    if not isinstance(data, dict):
+        return data
+
     def section(name: str) -> dict:
-        return data.setdefault(name, {})
+        value = data.setdefault(name, {})
+        return value if isinstance(value, dict) else {}
 
     if args.seed is not None:
         data["seed"] = args.seed
@@ -79,14 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     try:
-        if args.config:
-            with open(args.config, encoding="utf-8") as handle:
-                try:
-                    data = json.load(handle)
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(f"config file {args.config} is not valid JSON: {exc}")
-        else:
-            data = {}
+        data = read_config(args.config) if args.config else {}
         cfg = PipelineConfig.from_dict(apply_overrides(data, args))
         report = run_stage(
             args.stage, cfg, Path(args.output), input_path=args.input, force=args.force

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .corpus import EventExpression
@@ -37,12 +37,7 @@ class ConceptualizeReport:
     parse_failures: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "instances": self.instances,
-            "dropped": self.dropped,
-            "transport_failures": self.transport_failures,
-            "parse_failures": self.parse_failures,
-        }
+        return asdict(self)
 
 
 class ConfigError(ValueError):

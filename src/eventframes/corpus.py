@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .fileio import read_text
+
 SPACE_DELIMITED = "space-delimited"
 CHARACTER = "character"
 
@@ -140,7 +142,7 @@ class LoadReport:
 
 def _iter_units(path: Path, format: str) -> Iterator[tuple[int, str | None, str | None]]:
     """Yield (line_number, explicit_id, text) per unit; text None marks a malformed record."""
-    with open(path, encoding="utf-8") as handle:
+    with read_text(path) as handle:
         for lineno, line in enumerate(handle, 1):
             if format == PLAIN_LINES:
                 yield lineno, None, line

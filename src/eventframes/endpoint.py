@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol, Sequence
 
-from .fileio import atomic_write
+from .fileio import atomic_write, read_text
 
 log = logging.getLogger(__name__)
 
@@ -227,7 +227,7 @@ class ReplayStore:
     @classmethod
     def load(cls, path: str | Path) -> "ReplayStore":
         store = cls()
-        with open(path, encoding="utf-8") as handle:
+        with read_text(path) as handle:
             for lineno, line in enumerate(handle, 1):
                 line = line.strip()
                 if not line:

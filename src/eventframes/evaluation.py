@@ -6,13 +6,15 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from functools import reduce
 from operator import add
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from .fileio import read_text
 
 
 class PartitionInputError(ValueError):
@@ -28,13 +30,7 @@ class ClusteringMetrics:
     bcubed_f1: float
 
     def as_dict(self) -> dict:
-        return {
-            "ari": self.ari,
-            "nmi": self.nmi,
-            "bcubed_p": self.bcubed_p,
-            "bcubed_r": self.bcubed_r,
-            "bcubed_f1": self.bcubed_f1,
-        }
+        return asdict(self)
 
 
 def _check_lengths(gold: Sequence, pred: Sequence) -> int:
@@ -56,23 +52,13 @@ def _contingency(gold: Sequence, pred: Sequence) -> np.ndarray:
     return table
 
 
-def _same_partition(gold: Sequence, pred: Sequence) -> bool:
-    groups_gold: dict = {}
-    groups_pred: dict = {}
-    for index, (g, p) in enumerate(zip(gold, pred)):
-        groups_gold.setdefault(g, set()).add(index)
-        groups_pred.setdefault(p, set()).add(index)
-    return {frozenset(s) for s in groups_gold.values()} == {
-        frozenset(s) for s in groups_pred.values()
-    }
-
-
 def ari(gold: Sequence, pred: Sequence) -> float:
     """Adjusted Rand index via the contingency-table closed form.
 
-    When the adjustment is degenerate (max index equals its expectation, e.g.
-    both partitions a single cluster), returns 1 for identical partitions and
-    0 otherwise.
+    Where the maximum index equals its expectation, both partitions are one
+    cluster or both are all singletons, so they are identical and score 1:
+    with pair counts G, P of N pairs, (G + P) / 2 >= sqrt(GP) >= GP / N,
+    equal only at G = P in {0, N}.
     """
     n = _check_lengths(gold, pred)
     table = _contingency(gold, pred)
@@ -80,10 +66,10 @@ def ari(gold: Sequence, pred: Sequence) -> float:
     sum_gold = sum(math.comb(int(v), 2) for v in table.sum(axis=1))
     sum_pred = sum(math.comb(int(v), 2) for v in table.sum(axis=0))
     pairs = math.comb(n, 2)
-    expected = sum_gold * sum_pred / pairs if pairs else 0.0
+    if (sum_gold + sum_pred) * pairs == 2 * sum_gold * sum_pred:
+        return 1.0
+    expected = sum_gold * sum_pred / pairs
     maximum = (sum_gold + sum_pred) / 2.0
-    if maximum == expected:
-        return 1.0 if _same_partition(gold, pred) else 0.0
     return (sum_cells - expected) / (maximum - expected)
 
 
@@ -177,24 +163,14 @@ def average_metrics(runs: Sequence[ClusteringMetrics]) -> ClusteringMetrics:
     """Mean of each metric over repeated runs."""
     if not runs:
         raise PartitionInputError("no runs to average")
-    n = len(runs)
-
-    def mean(values: list[float]) -> float:
-        return reduce(add, values, 0.0) / n
-
-    return ClusteringMetrics(
-        ari=mean([m.ari for m in runs]),
-        nmi=mean([m.nmi for m in runs]),
-        bcubed_p=mean([m.bcubed_p for m in runs]),
-        bcubed_r=mean([m.bcubed_r for m in runs]),
-        bcubed_f1=mean([m.bcubed_f1 for m in runs]),
-    )
+    columns = zip(*(astuple(m) for m in runs))
+    return ClusteringMetrics(*(reduce(add, column, 0.0) / len(runs) for column in columns))
 
 
 def load_gold_mentions(path: str | Path) -> list[tuple[str, str]]:
     """Read a gold file: one {"id", "type"} object per line."""
     mentions: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8") as handle:
+    with read_text(path) as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.strip()
             if not line:

@@ -1,4 +1,5 @@
-"""Crash-safe file writes: write a temp file beside the target, then rename."""
+"""File IO shared by the modules: UTF-8 reads whose decode errors name the
+file, and crash-safe writes (a temp file beside the target, then a rename)."""
 
 from __future__ import annotations
 
@@ -7,6 +8,17 @@ import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, TextIO
+
+
+@contextmanager
+def read_text(path: str | Path) -> Iterator[TextIO]:
+    """Open path for reading UTF-8 text.  Bytes that are not UTF-8, met while
+    the block reads, raise a ValueError that names the file."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 @contextmanager

@@ -51,7 +51,7 @@ from .evaluation import (
     load_gold_mentions,
     mention_harness,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, read_text
 from .schemas import SchemaCandidate, load_demonstrations
 from .scoring import (
     ScoringConfig,
@@ -192,6 +192,8 @@ class PipelineConfig:
     def from_dict(cls, data: Mapping) -> "PipelineConfig":
         """Each section is built by its own class, whose __post_init__ checks
         its values; an unknown key or a rejected value raises ConfigError."""
+        if not isinstance(data, Mapping):
+            raise ConfigError(f"the config must be a JSON object, got {type(data).__name__}")
         sections = {f.name: type(f.default) for f in fields(cls) if f.name != "seed"}
         unknown = set(data) - set(sections) - {"seed"}
         if unknown:
@@ -207,8 +209,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        return cls.from_dict(read_config(path))
 
     @cached_property
     def stage_keys(self) -> dict[str, str]:
@@ -224,14 +225,23 @@ class PipelineConfig:
         return keys
 
 
+def read_config(path: str | Path) -> Any:
+    """The JSON value in a config file; a file that is not UTF-8 JSON raises
+    ConfigError naming it."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except ValueError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+
+
 def _digest(value: Any) -> str:
-    canonical = json.dumps(value, sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_dumps(value).encode("utf-8")).hexdigest()
 
 
 def _load(loader: Callable, *args: Any) -> Any:
     """loader(*args), with a malformed input file (the loader's ValueError,
-    "<path>:<line>: ...") reported as a StageInputError."""
+    which names the file) reported as a StageInputError."""
     try:
         return loader(*args)
     except ValueError as exc:
@@ -284,8 +294,8 @@ def build_client(cfg: PipelineConfig) -> GenerationClient:
 # --------------------------------------------------------------------------
 
 
-def _dumps(record: Mapping) -> str:
-    return json.dumps(record, sort_keys=True, ensure_ascii=False)
+def _dumps(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, ensure_ascii=False)
 
 
 def write_stage_file(
@@ -322,10 +332,16 @@ def read_stage_file(
         raise StageInputError(
             f"missing {path.name}; run the {expected_stage!r} stage first"
         )
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
+    try:
+        with read_text(path) as handle:
+            text = handle.read()
+    except ValueError as exc:
+        raise StageInputError(str(exc)) from exc
+    if not text:
         raise StageInputError(f"{path} is empty; rerun the {expected_stage!r} stage")
+    # JSON escapes "\n" but writes U+0085, U+2028 and U+2029 raw, and
+    # str.splitlines() would break records at them too.
+    lines = text.split("\n")
     header = _json_object(path, 1, lines[0])
     if header.get("stage") != expected_stage:
         raise StageInputError(
@@ -447,7 +463,7 @@ def _stage_ingest(
 ) -> dict:
     if input_path is None:
         raise StageInputError("ingest needs an --input corpus file")
-    expressions, report = load_corpus(input_path, cfg.corpus)
+    expressions, report = _load(load_corpus, input_path, cfg.corpus)
     if not expressions:
         raise StageInputError(
             f"no line of {input_path} survived ingest: {report.total} read, "

@@ -8,6 +8,8 @@ import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
+from .fileio import read_text
+
 _WHITESPACE_RUN = re.compile(r"\s+")
 
 _TYPE_MARKER = re.compile(r"type\s*:", re.IGNORECASE)
@@ -103,7 +105,7 @@ class Demonstration:
 def load_demonstrations(path: str | Path) -> list[Demonstration]:
     """Read a demonstrations file: one {"text", "type", "slots"} object per line."""
     demos: list[Demonstration] = []
-    with open(path, encoding="utf-8") as handle:
+    with read_text(path) as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.strip()
             if not line:

@@ -133,12 +133,8 @@ def cooccurrence_graph(slot_set: SlotSet, weighted: bool = False) -> dict[str, d
         ordered = sorted(members)
         for i, a in enumerate(ordered):
             for b in ordered[i + 1 :]:
-                if weighted:
-                    adjacency[a][b] = adjacency[a].get(b, 0.0) + 1.0
-                    adjacency[b][a] = adjacency[b].get(a, 0.0) + 1.0
-                else:
-                    adjacency[a][b] = 1.0
-                    adjacency[b][a] = 1.0
+                weight = adjacency[a].get(b, 0.0) + 1.0 if weighted else 1.0
+                adjacency[a][b] = adjacency[b][a] = weight
     return adjacency
 
 

@@ -14,7 +14,9 @@ takes the lexical matrix of the same lists when the caller already has it.
 The embedding matrix computes all cosines of the covered strings in one
 numpy call, one dot product per cell.  An embedding service that fails to
 return vectors raises `EmbeddingServiceError`; it is never replaced by
-lexical scores.  Every float sum adds its terms left to right without
+lexical scores.  Slot-set similarity is stated once, in `slotset_matrix`:
+the schema graph calls it, and `SimilarityEnsemble.sim_slotsets` reads one
+cell of it.  Every float sum adds its terms left to right without
 Python's sum(), which compensates rounding from Python 3.12 on, so the
 results are the same bits on every interpreter.
 """
@@ -23,12 +25,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
+
+from .fileio import read_text
 
 log = logging.getLogger(__name__)
 
@@ -141,7 +145,7 @@ class LexiconBackend:
     def from_file(cls, path: str | Path) -> "LexiconBackend":
         """Load a synonym-set file: one group per line, members tab-separated."""
         groups: list[list[str]] = []
-        with open(path, encoding="utf-8") as handle:
+        with read_text(path) as handle:
             for line in handle:
                 members = [m for m in line.rstrip("\n").split("\t") if m.strip()]
                 if members:
@@ -189,7 +193,7 @@ class EmbeddingBackend:
         """Load a vector table: one "token v1 v2 ... vd" line per token."""
         vectors: dict[str, np.ndarray] = {}
         dim: int | None = None
-        with open(path, encoding="utf-8") as handle:
+        with read_text(path) as handle:
             for lineno, line in enumerate(handle, 1):
                 parts = line.split()
                 if not parts:
@@ -286,8 +290,7 @@ class SimilarityEnsemble:
     """Convex combination of backend scores; the result stays in [0, 1].
 
     `matrix` is the implementation.  `sim` is one cell of it, cached under an
-    order-independent key, and `sim_slotsets` reads one matrix of the two
-    slot sets.
+    order-independent key, and `sim_slotsets` is one cell of `slotset_matrix`.
     """
 
     backends: Sequence[SimilarityBackend]
@@ -327,21 +330,72 @@ class SimilarityEnsemble:
         return np.clip(reduce(add, weighted, 0.0), 0.0, 1.0)
 
     def sim_slotsets(self, a: Iterable[str], b: Iterable[str]) -> float:
-        """Soft best-match average between two slot sets.
+        """Soft best-match average of two slot sets: one cell of `slotset_matrix`."""
+        set_a, set_b = frozenset(a), frozenset(b)
+        return float(slotset_matrix([set_a, set_b], SlotSimilarity.of(set_a | set_b, self))[0, 1])
 
-        (sum over A of best match in B + sum over B of best match in A)
-        divided by |A| + |B|; both sets empty scores 1, exactly one empty 0.
-        Each side's best matches are added in sorted member order.
-        """
-        set_a, set_b = sorted(set(a)), sorted(set(b))
-        if not set_a and not set_b:
-            return 1.0
-        if not set_a or not set_b:
-            return 0.0
-        sims = self.matrix(set_a, set_b)
-        forward = reduce(add, sims.max(axis=1).tolist(), 0.0)
-        backward = reduce(add, sims.max(axis=0).tolist(), 0.0)
-        return (forward + backward) / (len(set_a) + len(set_b))
+
+@dataclass(frozen=True)
+class SlotSimilarity:
+    """Ensemble similarity between every two slots of a sorted vocabulary."""
+
+    vocabulary: tuple[str, ...]
+    matrix: np.ndarray
+
+    @classmethod
+    def of(cls, slots: Iterable[str], ensemble: SimilarityEnsemble) -> "SlotSimilarity":
+        vocabulary = sorted(set(slots))
+        return cls(tuple(vocabulary), ensemble.matrix(vocabulary, vocabulary))
+
+    @cached_property
+    def position(self) -> dict[str, int]:
+        return {slot: i for i, slot in enumerate(self.vocabulary)}
+
+    def among(self, names: Sequence[str]) -> np.ndarray:
+        """A new array of the similarities between `names`, which must all be
+        in the vocabulary; bitwise ensemble.matrix(names, names)."""
+        index = [self.position[name] for name in names]
+        return self.matrix[np.ix_(index, index)]
+
+
+def _best_match_sums(sim: np.ndarray, members: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """sums[a, b]: over set a's members x in order, the running sum of the best
+    sim[x, y] over set b's members y.
+
+    `members` lists each set's vocabulary indices in sorted order, padded with
+    an index whose row and column of `sim` are -inf.  Summing one member
+    position at a time adds each set's best matches left to right in sorted
+    member order (a padded position adds 0.0, which changes no sum).
+    """
+    sums = np.zeros((len(sizes), len(sizes)))
+    for position in range(members.shape[1]):
+        best = sim[members[:, position]][:, members].max(axis=2)
+        sums += np.where((position < sizes)[:, None], best, 0.0)
+    return sums
+
+
+def slotset_matrix(slot_sets: Sequence[frozenset[str]], slots: SlotSimilarity) -> np.ndarray:
+    """Soft best-match average of every two slot sets, from the similarity
+    matrix over a vocabulary holding every member: (sum over A of the best
+    match in B + sum over B of the best match in A) / (|A| + |B|), each sum in
+    sorted member order; both sets empty scores 1, exactly one empty 0."""
+    sizes = np.array([len(s) for s in slot_sets])
+    out = np.zeros((len(slot_sets), len(slot_sets)))
+    out[np.ix_(sizes == 0, sizes == 0)] = 1.0
+    full = np.flatnonzero(sizes)
+    if not full.size:
+        return out
+    size = len(slots.vocabulary)
+    sim = np.full((size + 1, size + 1), -np.inf)
+    sim[:-1, :-1] = slots.matrix
+    members = np.full((full.size, sizes.max()), size)
+    for row, a in enumerate(full):
+        members[row, : sizes[a]] = [slots.position[slot] for slot in sorted(slot_sets[a])]
+    sizes = sizes[full]
+    forward = _best_match_sums(sim, members, sizes)
+    backward = _best_match_sums(sim.T, members, sizes).T
+    out[np.ix_(full, full)] = (forward + backward) / np.add.outer(sizes, sizes)
+    return out
 
 
 def default_ensemble() -> SimilarityEnsemble:

@@ -112,6 +112,26 @@ class TestOracleEquivalence:
             for impl, oracle in zip(bcubed(gold, pred), per_element_bcubed(gold, pred)):
                 assert impl == pytest.approx(oracle, abs=1e-9)
 
+    def test_ari_matches_oracle_on_every_partition_pair_up_to_five(self):
+        # Every pair, so both degenerate kinds (both one cluster, both all
+        # singletons) at every n.
+        def partitions(n):
+            # Restricted growth strings: each label at most one above the
+            # largest before it, so each set partition appears once.
+            if n == 0:
+                yield []
+                return
+            for head in partitions(n - 1):
+                for label in range(max(head, default=-1) + 2):
+                    yield [*head, label]
+
+        for n in range(1, 6):
+            every = list(partitions(n))
+            for gold in every:
+                for pred in every:
+                    expected = pair_counting_ari(gold, pred)
+                    assert ari(gold, pred) == pytest.approx(expected, abs=1e-12), (gold, pred)
+
     def test_all_metrics_invariant_under_relabeling(self):
         rng = random.Random(6060)
         for _ in range(20):

@@ -22,7 +22,9 @@ from eventframes.pipeline import (
     write_stage_file,
 )
 from eventframes.cli import main as cli_main
-from eventframes.endpoint import ReplayStore
+from eventframes.conceptualize import build_prompt, sample_demonstrations
+from eventframes.endpoint import ReplayStore, prompt_hash
+from eventframes.schemas import load_demonstrations
 from eventframes.similarity import EmbeddingServiceBackend
 
 from helpers import LoopbackServer
@@ -121,6 +123,11 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict(data)
 
+    @pytest.mark.parametrize("data", [[], None, 5, "config"])
+    def test_config_that_is_not_an_object_rejected(self, data):
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            PipelineConfig.from_dict(data)
+
     def test_hash_changes_with_config(self):
         base = PipelineConfig()
         changed = PipelineConfig.from_dict({"seed": 4321})
@@ -185,6 +192,30 @@ class TestStageChain:
             for event_type in ("attack", "election", "marriage")
         }
         assert members == expected
+
+    def test_texts_with_unicode_line_separators_round_trip(self, workspace):
+        # U+0085, U+2028 and U+2029 are line breaks to str.splitlines() but
+        # not to JSON, which writes them raw inside strings.
+        paths, cfg, tmp = workspace
+        store = ReplayStore.load(paths["store"])
+        demos = sample_demonstrations(
+            load_demonstrations(paths["demos"]), cfg.demonstrations.m, cfg.seed
+        )
+        records = [json.loads(line) for line in paths["corpus"].read_text(encoding="utf-8").splitlines()]
+        for record, separator in zip(records, ["\x85", "\u2028", "\u2029"]):
+            completions = store.entries[prompt_hash(build_prompt(demos, record["text"]))]
+            record["text"] += separator + "today"
+            store.put(build_prompt(demos, record["text"]), completions)
+        store.save(paths["store"])
+        paths["corpus"].write_text(
+            "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8"
+        )
+        report = run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        assert report["aggregate"]["clusters"] == 3
+        texts = {r["id"]: r["text"] for r in records}
+        for stage in ("ingest", "conceptualize"):
+            written = read_stage_file(tmp / "out" / STAGE_TABLE[stage].file, stage)
+            assert {r["id"]: r["text"] for r in written} == texts
 
     def test_byte_identical_across_runs(self, workspace):
         paths, cfg, tmp = workspace
@@ -784,6 +815,86 @@ class TestCli:
         assert code == 2
         assert "Traceback" not in err
         assert err.startswith(f"error: {expressions}:{lines + 1}: not valid JSON")
+        assert len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize(
+        "content, expected",
+        [
+            (b"[]", "the config must be a JSON object, got list"),
+            (b"null", "the config must be a JSON object, got NoneType"),
+            (b"5", "the config must be a JSON object, got int"),
+            (
+                b'{"seed": 7, "corpus": {"language_mode": "caf\xe9"}}',
+                "config file {config} is not valid JSON: 'utf-8' codec",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("flags", [[], ["--seed", "3", "--workers", "2"]])
+    def test_unusable_config_file_is_one_error_before_any_stage(
+        self, workspace, capsys, content, expected, flags
+    ):
+        paths, _, tmp = workspace
+        config = tmp / "bad.json"
+        config.write_bytes(content)
+        out = tmp / "out"
+        code = cli_main(
+            ["all", "--config", str(config), "--input", str(paths["corpus"]),
+             "--output", str(out), *flags]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error: " + expected.format(config=config))
+        assert not out.exists()
+
+    def test_override_into_a_section_that_is_not_an_object(self, workspace, capsys):
+        paths, _, tmp = workspace
+        config = tmp / "section.json"
+        config.write_text(json.dumps({"generation": 5}), encoding="utf-8")
+        out = tmp / "out"
+        code = cli_main(["all", "--config", str(config), "--output", str(out), "--workers", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == ["error: config section 'generation' must be an object"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["corpus", "demos", "store", "gold", "lexicon"])
+    def test_input_file_that_is_not_utf8_is_one_error_naming_it(self, workspace, capsys, name):
+        paths, _, tmp = workspace
+        data = json.loads(paths["config"].read_text(encoding="utf-8"))
+        paths["lexicon"] = tmp / "lexicon.tsv"
+        paths["lexicon"].write_text("victim\tcasualty\n", encoding="utf-8")
+        data["similarity"] = {
+            "backends": [{"kind": "lexical"}, {"kind": "lexicon", "path": str(paths["lexicon"])}]
+        }
+        config = tmp / "tables.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        with open(paths[name], "ab") as handle:
+            handle.write('{"text": "caf\xe9"}\n'.encode("latin-1"))
+        code = cli_main(
+            ["all", "--config", str(config), "--input", str(paths["corpus"]),
+             "--output", str(tmp / "out")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: {paths[name]}: not UTF-8 text: 'utf-8' codec")
+
+    def test_stage_file_that_is_not_utf8_is_reported(self, workspace, capsys):
+        paths, _, tmp = workspace
+        common = ["--config", str(paths["config"]), "--output", str(tmp / "latin")]
+        assert cli_main(["ingest", "--input", str(paths["corpus"]), *common]) == 0
+        capsys.readouterr()
+        expressions = tmp / "latin" / "expressions.jsonl"
+        with open(expressions, "ab") as handle:
+            handle.write('{"id": "x", "text": "caf\xe9", "source": "s"}\n'.encode("latin-1"))
+        code = cli_main(["conceptualize", "--force", *common])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith(f"error: {expressions}: not UTF-8 text: 'utf-8' codec")
         assert len(err.splitlines()) == 1, err
 
     def test_embedding_service_outage_fails_the_stage(self, workspace, capsys, monkeypatch):
