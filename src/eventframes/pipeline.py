@@ -7,6 +7,12 @@ a header line carrying the producing stage, its stage key, and format version.
 A stage's key hashes the config sections it reads (`Stage.sections`) and its
 predecessor's key, so a config edit reruns only the stages downstream of the
 first stage that reads the edited section.
+
+A stage is skipped when its manifest records its key and the content hashes
+(sha256, not mtimes) of exactly its input and output files.  The stages of one
+`run_stage("all")` call share a digest table, emptied whenever a stage runs,
+so while stages are skipped each input, table and stage file is hashed at
+most once.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import importlib
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -182,7 +188,10 @@ class PipelineConfig:
     evaluation: EvaluationSettings = EvaluationSettings()
 
     def to_dict(self) -> dict:
-        data = asdict(self)
+        data: dict[str, Any] = {"seed": self.seed}
+        for name in (f.name for f in fields(self) if f.name != "seed"):
+            section = getattr(self, name)
+            data[name] = {f.name: getattr(section, f.name) for f in fields(section)}
         data["similarity"]["backends"] = [dict(b) for b in self.similarity.backends]
         if self.similarity.weights is not None:
             data["similarity"]["weights"] = list(self.similarity.weights)
@@ -264,9 +273,33 @@ def build_ensemble(settings: SimilaritySettings) -> SimilarityEnsemble:
     return SimilarityEnsemble(backends=backends, weights=weights)
 
 
-# A zero-argument callable that returns the ensemble of cfg.similarity; the
-# stages that read the similarity section call it when they need it.
+# Zero-argument callables that return the ensemble of cfg.similarity, and the
+# structured instances with their schema graph; a stage calls one when it
+# needs what it returns.
 EnsembleSource = Callable[[], SimilarityEnsemble]
+GraphSource = Callable[[], tuple[list[StructuredInstance], SchemaGraph]]
+
+
+@dataclass
+class RunContext:
+    """What the stages of one run_stage call share: the ensemble and schema
+    graph sources, and `digests`, path -> sha256 of each file hashed since
+    the last stage ran."""
+
+    ensemble: EnsembleSource
+    graph: GraphSource
+    digests: dict[str, str] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, cfg: PipelineConfig, out_dir: Path, hold_graph: bool) -> RunContext:
+        """Sources that build on first call.  The ensemble is kept for later
+        calls; the graph only with hold_graph, so that it is not held when no
+        later stage reads it.  build_ensemble and build_schema_graph are
+        looked up at call time, so a wrapper installed on their modules sees
+        the builds."""
+        ensemble = functools.cache(lambda: build_ensemble(cfg.similarity))
+        graph = functools.partial(_schema_graph, cfg, out_dir, ensemble)
+        return cls(ensemble, functools.cache(graph) if hold_graph else graph)
 
 
 def build_client(cfg: PipelineConfig) -> GenerationClient:
@@ -294,8 +327,9 @@ def build_client(cfg: PipelineConfig) -> GenerationClient:
 # --------------------------------------------------------------------------
 
 
-def _dumps(value: Any) -> str:
-    return json.dumps(value, sort_keys=True, ensure_ascii=False)
+# One encoder for every record: json.dumps with these options builds a new
+# encoder on each call.
+_dumps = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 
 def write_stage_file(
@@ -369,6 +403,14 @@ def _file_hash(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _hash_of(path: Path, digests: dict[str, str]) -> str:
+    """The sha256 of path's content, taken from digests or hashed into it."""
+    key = str(path)
+    if key not in digests:
+        digests[key] = _file_hash(path)
+    return digests[key]
+
+
 def _manifest_path(out_dir: Path, stage: str) -> Path:
     return out_dir / f"{stage}.manifest.json"
 
@@ -381,12 +423,14 @@ def _write_manifest(
     outputs: Sequence[Path],
     counts: Mapping,
     wall_time: float,
+    digests: dict[str, str] | None = None,
 ) -> dict:
+    digests = {} if digests is None else digests
     manifest = {
         "stage": stage,
         "config_hash": config_hash,
-        "inputs": {str(p): _file_hash(p) for p in inputs},
-        "outputs": {str(p): _file_hash(p) for p in outputs},
+        "inputs": {str(p): _hash_of(p, digests) for p in inputs},
+        "outputs": {str(p): _hash_of(p, digests) for p in outputs},
         "counts": dict(counts),
         "wall_time_s": round(wall_time, 6),
     }
@@ -396,7 +440,16 @@ def _write_manifest(
     return manifest
 
 
-def _up_to_date(out_dir: Path, stage: str, config_hash: str, inputs: Sequence[Path]) -> bool:
+def _up_to_date(
+    out_dir: Path,
+    stage: str,
+    config_hash: str,
+    inputs: Sequence[Path],
+    outputs: Sequence[Path],
+    digests: dict[str, str],
+) -> bool:
+    """Whether the stage's manifest records config_hash and the current
+    content of exactly these inputs and outputs."""
     manifest_path = _manifest_path(out_dir, stage)
     if not manifest_path.exists():
         return False
@@ -413,9 +466,11 @@ def _up_to_date(out_dir: Path, stage: str, config_hash: str, inputs: Sequence[Pa
         return False
     if set(recorded_inputs) != {str(p) for p in inputs}:
         return False
+    if set(recorded_outputs) != {str(p) for p in outputs}:
+        return False
     for path_str, digest in [*recorded_inputs.items(), *recorded_outputs.items()]:
         path = Path(path_str)
-        if not path.exists() or _file_hash(path) != digest:
+        if not path.exists() or _hash_of(path, digests) != digest:
             return False
     return True
 
@@ -459,7 +514,7 @@ def _load_conceptualized(out_dir: Path, cfg: PipelineConfig) -> list[Conceptuali
 
 
 def _stage_ingest(
-    cfg: PipelineConfig, out_dir: Path, input_path: Path | None, ensemble: EnsembleSource
+    cfg: PipelineConfig, out_dir: Path, input_path: Path | None, context: RunContext
 ) -> dict:
     if input_path is None:
         raise StageInputError("ingest needs an --input corpus file")
@@ -479,7 +534,7 @@ def _stage_ingest(
 
 
 def _stage_conceptualize(
-    cfg: PipelineConfig, out_dir: Path, input_path: Path | None, ensemble: EnsembleSource
+    cfg: PipelineConfig, out_dir: Path, input_path: Path | None, context: RunContext
 ) -> dict:
     if not cfg.demonstrations.path:
         raise ConfigError("conceptualize needs a demonstrations path in the config")
@@ -519,10 +574,10 @@ def _stage_conceptualize(
 
 
 def _stage_structuralize(
-    cfg: PipelineConfig, out_dir: Path, input_path: Path | None, ensemble: EnsembleSource
+    cfg: PipelineConfig, out_dir: Path, input_path: Path | None, context: RunContext
 ) -> dict:
     instances = _load_conceptualized(out_dir, cfg)
-    structured = structuralize(instances, cfg.scoring, ensemble())
+    structured = structuralize(instances, cfg.scoring, context.ensemble())
     _write_stage(cfg, out_dir, "structuralize", (structured_to_dict(s) for s in structured))
     return {
         "instances": len(structured),
@@ -542,9 +597,9 @@ def _schema_graph(
 
 
 def _stage_aggregate(
-    cfg: PipelineConfig, out_dir: Path, input_path: Path | None, ensemble: EnsembleSource
+    cfg: PipelineConfig, out_dir: Path, input_path: Path | None, context: RunContext
 ) -> dict:
-    structured, graph = _schema_graph(cfg, out_dir, ensemble)
+    structured, graph = context.graph()
     assignment = cluster_instances(structured, graph, cfg.seed)
     schemas = aggregate(structured, assignment, graph, cfg.graph, cfg.seed)
     _write_stage(cfg, out_dir, "aggregate", (aggregated_to_dict(s) for s in schemas))
@@ -555,7 +610,7 @@ def _stage_aggregate(
     }
 
 
-def _evaluate_metrics(cfg: PipelineConfig, out_dir: Path, ensemble: EnsembleSource) -> dict:
+def _evaluate_metrics(cfg: PipelineConfig, out_dir: Path, context: RunContext) -> dict:
     if not cfg.evaluation.gold:
         raise ConfigError("evaluate needs a gold mentions path in the config")
     gold = _load(load_gold_mentions, cfg.evaluation.gold)
@@ -570,7 +625,7 @@ def _evaluate_metrics(cfg: PipelineConfig, out_dir: Path, ensemble: EnsembleSour
 
     # Re-cluster with varied seeds and report the averaged result.  This reads
     # the graph, similarity and seed sections, all covered by aggregate's key.
-    structured, graph = _schema_graph(cfg, out_dir, ensemble)
+    structured, graph = context.graph()
     ids = [inst.expression.id for inst in structured]
     runs: list[ClusteringMetrics] = []
     for repeat in range(cfg.evaluation.repeats):
@@ -584,9 +639,9 @@ def _evaluate_metrics(cfg: PipelineConfig, out_dir: Path, ensemble: EnsembleSour
 
 
 def _stage_evaluate(
-    cfg: PipelineConfig, out_dir: Path, input_path: Path | None, ensemble: EnsembleSource
+    cfg: PipelineConfig, out_dir: Path, input_path: Path | None, context: RunContext
 ) -> dict:
-    report = _evaluate_metrics(cfg, out_dir, ensemble)
+    report = _evaluate_metrics(cfg, out_dir, context)
     payload = dict(report)
     payload["stage"] = "evaluate"
     payload["config_hash"] = cfg.stage_keys["evaluate"]
@@ -605,7 +660,7 @@ class Stage:
     file: str
     predecessor: str | None
     sections: tuple[str, ...]
-    run: Callable[[PipelineConfig, Path, Path | None, EnsembleSource], dict]
+    run: Callable[[PipelineConfig, Path, Path | None, RunContext], dict]
 
 
 STAGE_TABLE = {
@@ -677,29 +732,30 @@ def run_stage(
     out_dir: str | Path,
     input_path: str | Path | None = None,
     force: bool = False,
-    ensemble: EnsembleSource | None = None,
+    context: RunContext | None = None,
 ) -> dict:
     """Run one stage (or "all"), skipping work whose inputs are unchanged.
 
     Returns a report dict; for "all" the reports are keyed by stage name.
-    A stage that reads the similarity section takes its ensemble from
-    `ensemble`, or builds its own when none is given.  "all" passes its
-    stages one source, so a run builds the ensemble at most once, and only
-    when such a stage runs.
+    Without `context` the call makes out_dir and its own context.  "all"
+    passes its stages one context, so a run builds the ensemble at most once,
+    and only when a stage reads it; with `evaluation.repeats > 1` aggregate
+    and evaluate share one schema graph; and while stages are skipped each
+    file is hashed at most once.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     input_path = Path(input_path) if input_path is not None else None
+    if context is None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        hold_graph = stage == "all" and bool(cfg.evaluation.gold) and cfg.evaluation.repeats > 1
+        context = RunContext.of(cfg, out_dir, hold_graph)
 
     if stage == "all":
         stages = list(STAGES)
         if not cfg.evaluation.gold:
             stages.remove("evaluate")
-        # The lambda looks build_ensemble up when a stage first calls it, so
-        # a wrapper installed on this module sees the one build.
-        shared = functools.cache(lambda: build_ensemble(cfg.similarity))
         return {
-            s: run_stage(s, cfg, out_dir, input_path, force=force, ensemble=shared)
+            s: run_stage(s, cfg, out_dir, input_path, force=force, context=context)
             for s in stages
         }
 
@@ -719,16 +775,17 @@ def run_stage(
                 )
         raise StageInputError(f"missing input file for stage {stage!r}: {path}")
 
-    if not force and _up_to_date(out_dir, stage, key, inputs):
+    if not force and _up_to_date(out_dir, stage, key, inputs, outputs, context.digests):
         log.info("stage %s is up-to-date; skipping", stage)
         return {"status": "up-to-date", "stage": stage}
 
+    # The stage writes its output, and in record mode the replay store, so
+    # the digests taken so far may be stale.
+    context.digests.clear()
     started = time.monotonic()
-    report = spec.run(
-        cfg, out_dir, input_path, ensemble or (lambda: build_ensemble(cfg.similarity))
-    )
+    report = spec.run(cfg, out_dir, input_path, context)
     elapsed = time.monotonic() - started
     # record mode may have created the replay store; refresh input list
     inputs, outputs = _stage_io(spec, cfg, input_path, out_dir)
-    _write_manifest(out_dir, stage, key, inputs, outputs, report, elapsed)
+    _write_manifest(out_dir, stage, key, inputs, outputs, report, elapsed, context.digests)
     return report

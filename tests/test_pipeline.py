@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -24,11 +25,12 @@ from eventframes.pipeline import (
 from eventframes.cli import main as cli_main
 from eventframes.conceptualize import build_prompt, sample_demonstrations
 from eventframes.endpoint import ReplayStore, prompt_hash
-from eventframes.schemas import load_demonstrations
+from eventframes.schemas import SchemaCandidate, load_demonstrations, render_schema
 from eventframes.similarity import EmbeddingServiceBackend
 
 from helpers import LoopbackServer
-from synthetic import build_workspace, planted_mentions
+from synthetic import DEMO_POOL, build_workspace, planted_mentions
+from test_golden import write_tables
 
 
 @pytest.fixture()
@@ -317,6 +319,84 @@ class TestStageChain:
         )
 
 
+# Configs and their stage keys: the synthetic workspace's config with relative
+# paths, and one that sets every key of every section.
+PINNED_KEYS = {
+    "synthetic": (
+        {
+            "seed": 1234,
+            "corpus": {"format": "structured-records"},
+            "demonstrations": {"path": "demos.jsonl", "m": 8},
+            "generation": {"n": 3, "replay": "replay.jsonl"},
+            "evaluation": {"gold": "gold.jsonl", "top_k": 15},
+        },
+        {
+            "ingest": "20a6c2e059bb3a97945485efc77f219f95e130d4b7a17b5d04626d285a5312ca",
+            "conceptualize": "fe8b1e0d1bdcdf1aad44a94caa74cd2f59618023a7a495826ac2fd6f7f7e3af1",
+            "structuralize": "d3efb3e22c55623227914f561ea8ecad4b26454a8fb568db54fdd1fd797bc0fd",
+            "aggregate": "a3c89143fcba349be6a185c33adf1c905c9e936c21fdd7d64ae82ee022d1a610",
+            "evaluate": "e0825131d481d59520543f47ce0b15b94fa08e525400c7675c5b908ace31fb3f",
+        },
+    ),
+    "every-section": (
+        {
+            "seed": 99,
+            "corpus": {
+                "format": "plain-lines",
+                "max_tokens": 40,
+                "max_numeric_ratio": 0.5,
+                "language_mode": "character",
+            },
+            "demonstrations": {"path": "demos.jsonl", "m": 4},
+            "generation": {
+                "n": 2,
+                "max_new_tokens": 32,
+                "temperature": 0.7,
+                "endpoint": "http://127.0.0.1:9/generate",
+                "endpoint_style": "openai",
+                "replay": "replay.jsonl",
+                "record": True,
+                "workers": 4,
+            },
+            "scoring": {
+                "lambda1": 0.5,
+                "lambda2": 2.0,
+                "beta": 0.6,
+                "max_iterations": 50,
+                "tolerance": 1e-8,
+                "threshold": 0.25,
+                "weighted_cooccurrence": True,
+                "tf_variant": "log-of-square",
+                "log_base": 2.0,
+            },
+            "graph": {
+                "lambda3": 2.0,
+                "lambda4": 0.5,
+                "lambda5": 1.5,
+                "edge_prune": "absolute",
+                "prune_tau": 0.3,
+            },
+            "similarity": {
+                "backends": [
+                    {"kind": "lexical"},
+                    {"kind": "lexicon", "path": "lexicon.json"},
+                    {"kind": "embedding", "path": "vectors.json"},
+                ],
+                "weights": [0.5, 0.25, 0.25],
+            },
+            "evaluation": {"gold": "gold.jsonl", "top_k": 10, "repeats": 3},
+        },
+        {
+            "ingest": "ce6423cf8517785fb234d4778e7563a5dd005d27c449a18e2f5aae9b18671c93",
+            "conceptualize": "4244852bf3bded9a727829e0a194b491953a35d9616faa3b98b42411a9fb60a4",
+            "structuralize": "75320e667e5cf1663a465e90299e5147ab9974ff869dcc48dfdc024fd757063b",
+            "aggregate": "c8b1ffe94570019860779abd1c382c1102045ffb257bb74091ead5330c57514e",
+            "evaluate": "758a7cad02d6cfa650d3da9eaa51bc69f438898750bc031156fc3e663a41814f",
+        },
+    ),
+}
+
+
 class TestScopedStageKeys:
     def test_each_edit_reruns_only_the_stages_that_read_it(self, workspace):
         paths, cfg, tmp = workspace
@@ -368,6 +448,12 @@ class TestScopedStageKeys:
         for stage_file in ("structured.jsonl", "schemas.jsonl", "metrics.json"):
             fresh = (tmp / "fresh" / stage_file).read_bytes()
             assert (tmp / "out" / stage_file).read_bytes() == fresh, stage_file
+
+    @pytest.mark.parametrize("name", sorted(PINNED_KEYS))
+    def test_keys_are_pinned(self, name):
+        """A changed key reruns every stage of every existing workspace once."""
+        data, keys = PINNED_KEYS[name]
+        assert PipelineConfig.from_dict(data).stage_keys == keys
 
     def test_keys_chain_through_predecessors(self):
         base = PipelineConfig()
@@ -448,6 +534,128 @@ class TestOneEnsemblePerRun:
         assert len(builds) - before == 2
 
 
+class TestOneGraphPerRun:
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        calls = []
+        original = pipeline._aggregate_module.build_schema_graph
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline._aggregate_module, "build_schema_graph", counted)
+        return calls
+
+    def test_aggregate_and_evaluate_share_the_graph(self, workspace, builds):
+        paths, cfg, tmp = workspace
+        cfg = edited(cfg, "evaluation", "repeats", 3)
+        run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        assert len(builds) == 1
+        run_stage("evaluate", cfg, tmp / "out", force=True)
+        assert len(builds) == 2
+
+    def test_evaluate_alone_in_a_run_builds_it(self, workspace, builds):
+        paths, cfg, tmp = workspace
+        cfg = edited(cfg, "evaluation", "repeats", 3)
+        run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        cfg = edited(cfg, "evaluation", "top_k", 10)
+        report = run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        assert [s for s, r in report.items() if r.get("status") != "up-to-date"] == ["evaluate"]
+        assert len(builds) == 2
+
+
+class TestDigestTable:
+    @pytest.fixture()
+    def hashed(self, monkeypatch):
+        calls = []
+        original = pipeline._file_hash
+
+        def counted(path):
+            calls.append(str(path))
+            return original(path)
+
+        monkeypatch.setattr(pipeline, "_file_hash", counted)
+        return calls
+
+    @staticmethod
+    def statuses(report):
+        return {s: r.get("status") for s, r in report.items()}
+
+    @pytest.mark.parametrize("tables", [False, True])
+    def test_a_no_op_rerun_hashes_each_file_once(self, workspace, hashed, tables):
+        paths, cfg, tmp = workspace
+        if tables:
+            data = cfg.to_dict()
+            data["similarity"] = write_tables(tmp)
+            cfg = PipelineConfig.from_dict(data)
+        run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        hashed.clear()
+        report = run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        assert set(self.statuses(report).values()) == {"up-to-date"}
+        assert len(hashed) == len(set(hashed)) == (11 if tables else 9)
+        if tables:
+            assert {str(tmp / "lexicon.tsv"), str(tmp / "vectors.txt")} <= set(hashed)
+
+    def test_an_edit_between_calls_is_rehashed(self, workspace, hashed):
+        paths, cfg, tmp = workspace
+        # Cover the prompts of the edited demonstrations with completions of
+        # other types, so that the edit changes every later stage's input.
+        edited_pool = [{**d, "text": d["text"] + " again"} for d in DEMO_POOL]
+        edited_demos = tmp / "edited-demos.jsonl"
+        edited_demos.write_text(
+            "".join(json.dumps(d, sort_keys=True) + "\n" for d in edited_pool), encoding="utf-8"
+        )
+        demos = sample_demonstrations(load_demonstrations(edited_demos), m=8, seed=cfg.seed)
+        store = ReplayStore.load(paths["store"])
+        for line in paths["corpus"].read_text(encoding="utf-8").splitlines():
+            text = json.loads(line)["text"]
+            completion = render_schema(SchemaCandidate.create(text.split()[0], ["actor", "place"]))
+            store.put(build_prompt(demos, text), (completion,) * 3)
+        store.save(paths["store"])
+
+        run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        paths["demos"].write_bytes(edited_demos.read_bytes())
+        hashed.clear()
+        report = run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        assert self.statuses(report) == {
+            "ingest": "up-to-date", **dict.fromkeys(STAGES[1:])
+        }
+        assert str(paths["demos"]) in hashed
+        manifest = json.loads((tmp / "out" / "conceptualize.manifest.json").read_text("utf-8"))
+        digest = hashlib.sha256(paths["demos"].read_bytes()).hexdigest()
+        assert manifest["inputs"][str(paths["demos"])] == digest
+
+    def test_a_rewritten_stage_file_is_rehashed(self, workspace):
+        """Aggregate's check hashes the hand-edited schemas.jsonl; the rerun
+        rewrites it, and evaluate and the manifest see the new bytes."""
+        paths, cfg, tmp = workspace
+        run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        schemas = tmp / "out" / "schemas.jsonl"
+        written = schemas.read_bytes()
+        schemas.write_bytes(written + b"\n")
+        report = run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        assert self.statuses(report) == {**dict.fromkeys(STAGES, "up-to-date"), "aggregate": None}
+        assert schemas.read_bytes() == written
+        manifest = json.loads((tmp / "out" / "aggregate.manifest.json").read_text("utf-8"))
+        assert manifest["outputs"] == {str(schemas): hashlib.sha256(written).hexdigest()}
+        report = run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        assert set(self.statuses(report).values()) == {"up-to-date"}
+
+    def test_record_mode_manifest_holds_the_saved_store(self, workspace, fake_endpoint):
+        paths, cfg, tmp = workspace
+        store = tmp / "recorded.jsonl"
+        data = cfg.to_dict()
+        data["generation"] = {"n": 2, "replay": str(store), "record": True,
+                              "endpoint": fake_endpoint.url()}
+        record_cfg = PipelineConfig.from_dict(data)
+        run_stage("all", record_cfg, tmp / "out", input_path=paths["corpus"])
+        manifest = json.loads((tmp / "out" / "conceptualize.manifest.json").read_text("utf-8"))
+        assert manifest["inputs"][str(store)] == hashlib.sha256(store.read_bytes()).hexdigest()
+        report = run_stage("all", record_cfg, tmp / "out", input_path=paths["corpus"])
+        assert set(self.statuses(report).values()) == {"up-to-date"}
+
+
 class TestCrashSafeWrites:
     def test_failed_stage_write_keeps_the_previous_file(self, tmp_path):
         path = tmp_path / "structured.jsonl"
@@ -490,6 +698,10 @@ MALFORMED_MANIFESTS = {
     "string": lambda manifest: b'"x"',
     "inputs-list": _as_list("inputs"),
     "outputs-list": _as_list("outputs"),
+    "outputs-empty": lambda manifest: json.dumps({**manifest, "outputs": {}}).encode("utf-8"),
+    "outputs-missing": lambda manifest: json.dumps(
+        {k: v for k, v in manifest.items() if k != "outputs"}
+    ).encode("utf-8"),
     "not-utf8": lambda manifest: b"\xff" + json.dumps(manifest).encode("utf-8"),
 }
 
