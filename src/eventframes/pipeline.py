@@ -8,11 +8,13 @@ A stage's key hashes the config sections it reads (`Stage.sections`) and its
 predecessor's key, so a config edit reruns only the stages downstream of the
 first stage that reads the edited section.
 
-A stage is skipped when its manifest records its key and the content hashes
-(sha256, not mtimes) of exactly its input and output files.  The stages of one
-`run_stage("all")` call share a digest table, emptied whenever a stage runs,
-so while stages are skipped each input, table and stage file is hashed at
-most once.
+A stage is up to date when its manifest's `config_hash`, `inputs` and
+`outputs` equal what a run would record now: its key and the content hashes
+(sha256, not mtimes) of exactly its input and output files, none of them
+missing.  Without an input path, ingest's inputs are the corpus files its
+manifest records.  The stages of one `run_stage("all")` call share a digest
+table, emptied whenever a stage runs, so while stages are skipped each input,
+table and stage file is hashed at most once.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .endpoint import (
     ReplayClient,
 )
 from .evaluation import (
-    ClusteringMetrics,
     average_metrics,
     load_gold_mentions,
     mention_harness,
@@ -283,23 +284,21 @@ GraphSource = Callable[[], tuple[list[StructuredInstance], SchemaGraph]]
 @dataclass
 class RunContext:
     """What the stages of one run_stage call share: the ensemble and schema
-    graph sources, and `digests`, path -> sha256 of each file hashed since
-    the last stage ran."""
+    graph sources, and `digests`, path -> sha256 (None for a missing file) of
+    each file hashed since the last stage ran."""
 
     ensemble: EnsembleSource
     graph: GraphSource
-    digests: dict[str, str] = field(default_factory=dict)
+    digests: dict[str, str | None] = field(default_factory=dict)
 
     @classmethod
-    def of(cls, cfg: PipelineConfig, out_dir: Path, hold_graph: bool) -> RunContext:
-        """Sources that build on first call.  The ensemble is kept for later
-        calls; the graph only with hold_graph, so that it is not held when no
-        later stage reads it.  build_ensemble and build_schema_graph are
-        looked up at call time, so a wrapper installed on their modules sees
-        the builds."""
+    def of(cls, cfg: PipelineConfig, out_dir: Path) -> RunContext:
+        """Sources that build on first call and keep what they built for
+        later calls.  build_ensemble and build_schema_graph are looked up at
+        call time, so a wrapper installed on their modules sees the builds."""
         ensemble = functools.cache(lambda: build_ensemble(cfg.similarity))
         graph = functools.partial(_schema_graph, cfg, out_dir, ensemble)
-        return cls(ensemble, functools.cache(graph) if hold_graph else graph)
+        return cls(ensemble, functools.cache(graph))
 
 
 def build_client(cfg: PipelineConfig) -> GenerationClient:
@@ -362,13 +361,12 @@ def read_stage_file(
     key differs: it was written under other config sections than the current
     config gives that stage or an earlier one.  A line that is not a JSON
     object is reported as "<path>:<line>: ..."."""
-    if not path.exists():
-        raise StageInputError(
-            f"missing {path.name}; run the {expected_stage!r} stage first"
-        )
     try:
         with read_text(path) as handle:
             text = handle.read()
+    except FileNotFoundError:
+        message = f"missing {path.name}; run the {expected_stage!r} stage first"
+        raise StageInputError(message) from None
     except ValueError as exc:
         raise StageInputError(str(exc)) from exc
     if not text:
@@ -395,24 +393,52 @@ def read_stage_file(
     ]
 
 
-def _file_hash(path: Path) -> str:
+def _file_hash(path: Path) -> str | None:
+    """The sha256 of path's content; None if there is no such file."""
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
+    try:
+        with open(path, "rb") as handle:
+            for chunk in iter(lambda: handle.read(65536), b""):
+                digest.update(chunk)
+    except (FileNotFoundError, NotADirectoryError):
+        return None
     return digest.hexdigest()
 
 
-def _hash_of(path: Path, digests: dict[str, str]) -> str:
-    """The sha256 of path's content, taken from digests or hashed into it."""
-    key = str(path)
-    if key not in digests:
-        digests[key] = _file_hash(path)
-    return digests[key]
+def _record(
+    config_hash: str, inputs: Sequence[Path], outputs: Sequence[Path], digests: dict
+) -> dict:
+    """The manifest fields that decide whether a stage is up to date: its key
+    and the sha256 of each input and output file, taken from digests or
+    hashed into it."""
+    for path in (*inputs, *outputs):
+        if str(path) not in digests:
+            digests[str(path)] = _file_hash(path)
+    return {
+        "config_hash": config_hash,
+        "inputs": {str(p): digests[str(p)] for p in inputs},
+        "outputs": {str(p): digests[str(p)] for p in outputs},
+    }
 
 
 def _manifest_path(out_dir: Path, stage: str) -> Path:
     return out_dir / f"{stage}.manifest.json"
+
+
+def _read_manifest(out_dir: Path, stage: str) -> dict:
+    """The stage's manifest; {} if it is missing, not UTF-8 JSON or not an
+    object."""
+    try:
+        with open(_manifest_path(out_dir, stage), encoding="utf-8") as handle:
+            manifest = json.load(handle)
+    except (FileNotFoundError, ValueError):
+        return {}
+    return manifest if isinstance(manifest, dict) else {}
+
+
+def _recorded_inputs(manifest: Mapping) -> list[str]:
+    recorded = manifest.get("inputs")
+    return list(recorded) if isinstance(recorded, dict) else []
 
 
 def _write_manifest(
@@ -423,14 +449,11 @@ def _write_manifest(
     outputs: Sequence[Path],
     counts: Mapping,
     wall_time: float,
-    digests: dict[str, str] | None = None,
+    digests: dict[str, str | None] | None = None,
 ) -> dict:
-    digests = {} if digests is None else digests
     manifest = {
         "stage": stage,
-        "config_hash": config_hash,
-        "inputs": {str(p): _hash_of(p, digests) for p in inputs},
-        "outputs": {str(p): _hash_of(p, digests) for p in outputs},
+        **_record(config_hash, inputs, outputs, {} if digests is None else digests),
         "counts": dict(counts),
         "wall_time_s": round(wall_time, 6),
     }
@@ -438,41 +461,6 @@ def _write_manifest(
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return manifest
-
-
-def _up_to_date(
-    out_dir: Path,
-    stage: str,
-    config_hash: str,
-    inputs: Sequence[Path],
-    outputs: Sequence[Path],
-    digests: dict[str, str],
-) -> bool:
-    """Whether the stage's manifest records config_hash and the current
-    content of exactly these inputs and outputs."""
-    manifest_path = _manifest_path(out_dir, stage)
-    if not manifest_path.exists():
-        return False
-    try:
-        with open(manifest_path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        return False
-    if not isinstance(manifest, dict) or manifest.get("config_hash") != config_hash:
-        return False
-    recorded_inputs = manifest.get("inputs", {})
-    recorded_outputs = manifest.get("outputs", {})
-    if not isinstance(recorded_inputs, dict) or not isinstance(recorded_outputs, dict):
-        return False
-    if set(recorded_inputs) != {str(p) for p in inputs}:
-        return False
-    if set(recorded_outputs) != {str(p) for p in outputs}:
-        return False
-    for path_str, digest in [*recorded_inputs.items(), *recorded_outputs.items()]:
-        path = Path(path_str)
-        if not path.exists() or _hash_of(path, digests) != digest:
-            return False
-    return True
 
 
 # --------------------------------------------------------------------------
@@ -517,7 +505,10 @@ def _stage_ingest(
     cfg: PipelineConfig, out_dir: Path, input_path: Path | None, context: RunContext
 ) -> dict:
     if input_path is None:
-        raise StageInputError("ingest needs an --input corpus file")
+        message = "ingest needs an --input corpus file"
+        for path in _recorded_inputs(_read_manifest(out_dir, "ingest")):
+            message += f"; {path}, which it last read, has changed or is missing"
+        raise StageInputError(message)
     expressions, report = _load(load_corpus, input_path, cfg.corpus)
     if not expressions:
         raise StageInputError(
@@ -610,7 +601,9 @@ def _stage_aggregate(
     }
 
 
-def _evaluate_metrics(cfg: PipelineConfig, out_dir: Path, context: RunContext) -> dict:
+def _stage_evaluate(
+    cfg: PipelineConfig, out_dir: Path, input_path: Path | None, context: RunContext
+) -> dict:
     if not cfg.evaluation.gold:
         raise ConfigError("evaluate needs a gold mentions path in the config")
     gold = _load(load_gold_mentions, cfg.evaluation.gold)
@@ -618,30 +611,20 @@ def _evaluate_metrics(cfg: PipelineConfig, out_dir: Path, context: RunContext) -
     predicted = {
         member: label for label, schema in enumerate(schemas) for member in schema.member_ids
     }
-
-    if cfg.evaluation.repeats <= 1:
-        metrics = mention_harness(gold, predicted, cfg.evaluation.top_k)
-        return {"repeats": 1, "metrics": metrics.as_dict()}
-
-    # Re-cluster with varied seeds and report the averaged result.  This reads
-    # the graph, similarity and seed sections, all covered by aggregate's key.
-    structured, graph = context.graph()
-    ids = [inst.expression.id for inst in structured]
-    runs: list[ClusteringMetrics] = []
-    for repeat in range(cfg.evaluation.repeats):
-        labels = cluster_instances(structured, graph, cfg.seed + repeat).labels
-        runs.append(mention_harness(gold, dict(zip(ids, labels)), cfg.evaluation.top_k))
-    return {
-        "repeats": cfg.evaluation.repeats,
-        "metrics": average_metrics(runs).as_dict(),
-        "runs": [m.as_dict() for m in runs],
-    }
-
-
-def _stage_evaluate(
-    cfg: PipelineConfig, out_dir: Path, input_path: Path | None, context: RunContext
-) -> dict:
-    report = _evaluate_metrics(cfg, out_dir, context)
+    runs = [mention_harness(gold, predicted, cfg.evaluation.top_k)]
+    if cfg.evaluation.repeats > 1:
+        # Aggregate's partition is the first run; re-cluster with the next
+        # seeds and report the averaged result.  This reads the graph,
+        # similarity and seed sections, all covered by aggregate's key.
+        structured, graph = context.graph()
+        ids = [inst.expression.id for inst in structured]
+        for seed in range(cfg.seed + 1, cfg.seed + cfg.evaluation.repeats):
+            labels = cluster_instances(structured, graph, seed).labels
+            runs.append(mention_harness(gold, dict(zip(ids, labels)), cfg.evaluation.top_k))
+    # The mean of one run is that run: 0.0 + x == x for every x but -0.0, which no metric is.
+    report = {"repeats": len(runs), "metrics": average_metrics(runs).as_dict()}
+    if len(runs) > 1:
+        report["runs"] = [m.as_dict() for m in runs]
     payload = dict(report)
     payload["stage"] = "evaluate"
     payload["config_hash"] = cfg.stage_keys["evaluate"]
@@ -701,29 +684,34 @@ TRANSPORT_FIELDS = ("endpoint", "endpoint_style", "replay", "record", "workers")
 
 
 def _stage_io(
-    stage: Stage, cfg: PipelineConfig, input_path: Path | None, out_dir: Path
-) -> tuple[list[Path], list[Path]]:
-    """Input and output files of one stage, for manifests and staleness checks."""
+    stage: Stage, cfg: PipelineConfig, input_path: Path | None, out_dir: Path, manifest: Mapping
+) -> tuple[list[Path], list[Path], list[Path]]:
+    """Input and output files of one stage, and the inputs that the config or
+    the command line names, which must exist before the stage runs.  The
+    other inputs are the stage files it reads, which read_stage_file reports
+    missing, and without an input path the corpus files ingest last read."""
     inputs: list[Path] = []
-    if stage.predecessor is None:
-        if input_path is not None:
-            inputs.append(input_path)
-    else:
+    named: list[Path] = []
+    if stage.predecessor is not None:
         inputs.append(_stage_path(out_dir, stage.predecessor))
+    elif input_path is not None:
+        named.append(input_path)
+    else:
+        inputs.extend(map(Path, _recorded_inputs(manifest)))
     if stage.name == "conceptualize":
         if cfg.demonstrations.path:
-            inputs.append(Path(cfg.demonstrations.path))
+            named.append(Path(cfg.demonstrations.path))
         if cfg.generation.replay and Path(cfg.generation.replay).exists():
-            inputs.append(Path(cfg.generation.replay))
+            named.append(Path(cfg.generation.replay))
     if "similarity" in stage.sections:
-        inputs.extend(cfg.similarity.tables)
+        named.extend(cfg.similarity.tables)
     if stage.name == "evaluate":
         if cfg.evaluation.gold:
-            inputs.append(Path(cfg.evaluation.gold))
+            named.append(Path(cfg.evaluation.gold))
         if cfg.evaluation.repeats > 1:
             inputs.append(_stage_path(out_dir, "structuralize"))
-            inputs.extend(cfg.similarity.tables)
-    return inputs, [_stage_path(out_dir, stage.name)]
+            named.extend(cfg.similarity.tables)
+    return [*inputs, *named], [_stage_path(out_dir, stage.name)], named
 
 
 def run_stage(
@@ -734,21 +722,19 @@ def run_stage(
     force: bool = False,
     context: RunContext | None = None,
 ) -> dict:
-    """Run one stage (or "all"), skipping work whose inputs are unchanged.
+    """Run one stage (or "all"), skipping a stage that is up to date.
 
     Returns a report dict; for "all" the reports are keyed by stage name.
     Without `context` the call makes out_dir and its own context.  "all"
     passes its stages one context, so a run builds the ensemble at most once,
-    and only when a stage reads it; with `evaluation.repeats > 1` aggregate
-    and evaluate share one schema graph; and while stages are skipped each
-    file is hashed at most once.
+    and only when a stage reads it; aggregate and evaluate share one schema
+    graph; and while stages are skipped each file is hashed at most once.
     """
     out_dir = Path(out_dir)
     input_path = Path(input_path) if input_path is not None else None
     if context is None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        hold_graph = stage == "all" and bool(cfg.evaluation.gold) and cfg.evaluation.repeats > 1
-        context = RunContext.of(cfg, out_dir, hold_graph)
+        context = RunContext.of(cfg, out_dir)
 
     if stage == "all":
         stages = list(STAGES)
@@ -764,21 +750,19 @@ def run_stage(
     spec = STAGE_TABLE[stage]
 
     key = cfg.stage_keys[stage]
-    inputs, outputs = _stage_io(spec, cfg, input_path, out_dir)
-    for path in inputs:
-        if path.exists():
-            continue
-        for producing in STAGE_TABLE.values():
-            if path == out_dir / producing.file:
-                raise StageInputError(
-                    f"missing {path.name}; run the {producing.name!r} stage first"
-                )
-        raise StageInputError(f"missing input file for stage {stage!r}: {path}")
+    manifest = _read_manifest(out_dir, stage)
+    inputs, outputs, named = _stage_io(spec, cfg, input_path, out_dir, manifest)
+    if not force:
+        now = _record(key, inputs, outputs, context.digests)
+        # A missing file never matches, not even a manifest that records null for it.
+        found = None not in (*now["inputs"].values(), *now["outputs"].values())
+        if found and all(manifest.get(name) == value for name, value in now.items()):
+            log.info("stage %s is up-to-date; skipping", stage)
+            return {"status": "up-to-date", "stage": stage}
 
-    if not force and _up_to_date(out_dir, stage, key, inputs, outputs, context.digests):
-        log.info("stage %s is up-to-date; skipping", stage)
-        return {"status": "up-to-date", "stage": stage}
-
+    for path in named:
+        if not path.exists():
+            raise StageInputError(f"missing input file for stage {stage!r}: {path}")
     # The stage writes its output, and in record mode the replay store, so
     # the digests taken so far may be stale.
     context.digests.clear()
@@ -786,6 +770,6 @@ def run_stage(
     report = spec.run(cfg, out_dir, input_path, context)
     elapsed = time.monotonic() - started
     # record mode may have created the replay store; refresh input list
-    inputs, outputs = _stage_io(spec, cfg, input_path, out_dir)
+    inputs, outputs, _ = _stage_io(spec, cfg, input_path, out_dir, manifest)
     _write_manifest(out_dir, stage, key, inputs, outputs, report, elapsed, context.digests)
     return report

@@ -318,6 +318,22 @@ class TestStageChain:
             sum(r["ari"] for r in evaluation["runs"]) / 3
         )
 
+    def test_aggregates_partition_is_the_first_run(self, workspace, monkeypatch):
+        paths, cfg, tmp = workspace
+        seeds = []
+        original = pipeline.cluster_instances
+
+        def counted(structured, graph, seed):
+            seeds.append(seed)
+            return original(structured, graph, seed)
+
+        monkeypatch.setattr(pipeline, "cluster_instances", counted)
+        cfg = edited(cfg, "evaluation", "repeats", 3)
+        report = run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        assert seeds == [cfg.seed, cfg.seed + 1, cfg.seed + 2]
+        single = run_stage("evaluate", edited(cfg, "evaluation", "repeats", 1), tmp / "out")
+        assert report["evaluate"]["runs"][0] == single["metrics"]
+
 
 # Configs and their stage keys: the synthetic workspace's config with relative
 # paths, and one that sets every key of every section.
@@ -565,6 +581,41 @@ class TestOneGraphPerRun:
         assert len(builds) == 2
 
 
+class TestAllWithoutInput:
+    """Without an input path, ingest's inputs are the corpus files its
+    manifest records."""
+
+    def test_an_up_to_date_workspace_needs_no_input(self, workspace):
+        paths, cfg, tmp = workspace
+        run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        report = run_stage("all", cfg, tmp / "out")
+        assert report == {s: {"status": "up-to-date", "stage": s} for s in STAGES}
+
+    def test_cli_all_without_input_exits_0(self, workspace, capsys):
+        paths, _, tmp = workspace
+        common = ["all", "--config", str(paths["config"]), "--output", str(tmp / "out")]
+        assert cli_main([*common, "--input", str(paths["corpus"])]) == 0
+        capsys.readouterr()
+        assert cli_main(common) == 0
+        statuses = {s: r["status"] for s, r in json.loads(capsys.readouterr().out).items()}
+        assert statuses == dict.fromkeys(STAGES, "up-to-date")
+
+    @pytest.mark.parametrize("change", ["edit", "delete"])
+    def test_a_changed_corpus_is_named(self, workspace, change):
+        paths, cfg, tmp = workspace
+        run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        if change == "edit":
+            with open(paths["corpus"], "a", encoding="utf-8") as handle:
+                handle.write(json.dumps({"id": "m99", "text": "crews repair engines"}) + "\n")
+        else:
+            paths["corpus"].unlink()
+        with pytest.raises(StageInputError) as excinfo:
+            run_stage("all", cfg, tmp / "out")
+        message = str(excinfo.value)
+        assert message.startswith("ingest needs an --input corpus file")
+        assert str(paths["corpus"]) in message
+
+
 class TestDigestTable:
     @pytest.fixture()
     def hashed(self, monkeypatch):
@@ -596,6 +647,21 @@ class TestDigestTable:
         assert len(hashed) == len(set(hashed)) == (11 if tables else 9)
         if tables:
             assert {str(tmp / "lexicon.tsv"), str(tmp / "vectors.txt")} <= set(hashed)
+
+    def test_a_no_op_rerun_probes_only_the_replay_store(self, workspace, monkeypatch):
+        paths, cfg, tmp = workspace
+        run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        probed = []
+        original = Path.exists
+
+        def counted(path, *args, **kwargs):
+            probed.append(str(path))
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "exists", counted)
+        report = run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        assert set(self.statuses(report).values()) == {"up-to-date"}
+        assert probed == [str(paths["store"])]
 
     def test_an_edit_between_calls_is_rehashed(self, workspace, hashed):
         paths, cfg, tmp = workspace
@@ -693,6 +759,14 @@ def _as_list(field):
     return corrupt
 
 
+def _null_and_deleted(manifest):
+    """The manifest with its output's digest recorded as null, and the output
+    deleted: a missing file never matches, not even a recorded null."""
+    for path in manifest["outputs"]:
+        Path(path).unlink()
+    return json.dumps({**manifest, "outputs": dict.fromkeys(manifest["outputs"])}).encode("utf-8")
+
+
 MALFORMED_MANIFESTS = {
     "list": lambda manifest: b"[]",
     "string": lambda manifest: b'"x"',
@@ -703,6 +777,7 @@ MALFORMED_MANIFESTS = {
         {k: v for k, v in manifest.items() if k != "outputs"}
     ).encode("utf-8"),
     "not-utf8": lambda manifest: b"\xff" + json.dumps(manifest).encode("utf-8"),
+    "output-null-and-missing": _null_and_deleted,
 }
 
 
