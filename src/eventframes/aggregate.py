@@ -12,7 +12,7 @@ import numpy as np
 
 from .louvain import ClusterAssignment, louvain
 from .scoring import StructuredInstance
-from .similarity import SimilarityEnsemble, SlotSimilarity, slotset_matrix
+from .similarity import SimilarityEnsemble, SlotSimilarity, row_blocks, slotset_matrix
 
 PRUNE_NONE = "none"
 PRUNE_BELOW_MEAN = "below-mean"
@@ -59,7 +59,9 @@ def prune_edges(weights: np.ndarray, cfg: GraphConfig) -> np.ndarray:
     if cfg.edge_prune == PRUNE_ABSOLUTE:
         cutoff = float(cfg.prune_tau)  # type: ignore[arg-type]
     else:
-        cutoff = float(np.mean(weights[np.triu_indices_from(weights, k=1)]))
+        # The strict upper triangle in row-major order, as np.triu_indices
+        # lists it, through a mask rather than two index arrays.
+        cutoff = float(np.mean(weights[~np.tri(*weights.shape, dtype=bool)]))
     pruned = weights.copy()
     pruned[pruned < cutoff] = 0.0
     np.fill_diagonal(pruned, 0.0)
@@ -83,18 +85,26 @@ def build_schema_graph(
 
     Similarities are computed once per distinct text, type and slot set
     (bitwise equal to ensemble.sim and sim_slotsets); only filling in the
-    n x n weights is quadratic in the instances.
+    n x n weights is quadratic in the instances.  Each term is scaled on its
+    distinct-value matrix (a gather copies cells, so the bits are the same)
+    and the type and slot-set terms are added a block of rows at a time, so
+    the weights are the only n x n array until pruning copies them.
     """
     if not instances:
         raise ValueError("need at least one instance")
     texts, text_index = _distinct([inst.expression.text for inst in instances])
     types, type_index = _distinct([inst.event_type for inst in instances])
     slot_sets, set_index = _distinct([frozenset(inst.slot_names) for inst in instances])
-    text_sim = ensemble.matrix(texts, texts)[np.ix_(text_index, text_index)]
-    type_sim = ensemble.matrix(types, types)[np.ix_(type_index, type_index)]
+    weights = ensemble.matrix(texts, texts)
+    weights *= cfg.lambda3
+    if len(texts) < len(instances):  # else text_index is the identity
+        weights = weights[np.ix_(text_index, text_index)]
+    type_term = cfg.lambda4 * ensemble.matrix(types, types)
     slots = SlotSimilarity.of(set().union(*slot_sets), ensemble)
-    slot_sim = slotset_matrix(slot_sets, slots)[np.ix_(set_index, set_index)]
-    weights = cfg.lambda3 * text_sim + cfg.lambda4 * type_sim + cfg.lambda5 * slot_sim
+    slot_term = cfg.lambda5 * slotset_matrix(slot_sets, slots)
+    for rows in row_blocks(len(instances)):
+        weights[rows] += type_term[np.ix_(type_index[rows], type_index)]
+        weights[rows] += slot_term[np.ix_(set_index[rows], set_index)]
     np.fill_diagonal(weights, 0.0)
     return SchemaGraph(weights=prune_edges(weights, cfg), slots=slots)
 

@@ -8,9 +8,9 @@ per-node keys, so permuting the input rows while keeping keys attached yields
 the same partition.
 
 The graph is held in CSR arrays whose nodes are numbered in key order at
-every level: the input is permuted into key order once, and coarsening
-numbers each community by its smallest member, so every row lists its
-neighbours in key order.  The phases stay sequential and greedy; only the
+every level: the dense input is read in key order, a block of rows at a
+time (`similarity.row_blocks`), and coarsening numbers each community by
+its smallest member, so every row lists its neighbours in key order.  The phases stay sequential and greedy; only the
 inner loops are numpy calls.  Each weighted sum adds its terms in a fixed
 walk order (np.bincount adds in input order), and the sums over Python
 floats add left to right, as the earlier dict-based implementation's sum()
@@ -28,6 +28,8 @@ from operator import add
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from .similarity import row_blocks
 
 
 @dataclass(frozen=True)
@@ -79,11 +81,48 @@ def _first_seen(labels: np.ndarray) -> np.ndarray:
     return number[inverse]
 
 
+def _dense_graph(weights: np.ndarray, position: np.ndarray) -> _Graph:
+    """The graph of a square matrix whose node r is input node position[r].
+
+    Read a block of rows at a time: the stored pairs are those nonzero in
+    either triangle, which must agree within np.allclose and be
+    non-negative (an asymmetry anywhere is reported first), and each edge
+    weighs what the input's upper triangle says.
+    """
+    identity = (position == np.arange(len(position))).all()
+    rows, cols, data = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
+    negative = False
+    for block in row_blocks(len(position)):
+        if identity:
+            forward, backward = weights[block], weights[:, block].T
+        else:
+            forward = weights[np.ix_(position[block], position)]
+            backward = weights[np.ix_(position, position[block])].T
+        r, c = np.nonzero((forward != 0) | (backward != 0))
+        forward, backward = forward[r, c], backward[r, c]
+        if not np.allclose(forward, backward):
+            raise ValueError("weights must be symmetric")
+        negative = negative or bool((forward < 0).any())
+        r += block.start
+        upper = np.where(position[r] < position[c], forward, backward)
+        edge = (upper != 0) & (r != c)
+        rows.append(r[edge])
+        cols.append(c[edge])
+        data.append(upper[edge])
+    if negative:
+        raise ValueError("weights must be non-negative")
+    # One array at a time, so each list of pieces goes as its array is made.
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    data = np.concatenate(data)
+    return _Graph.from_edges(rows, cols, data, np.zeros(len(position)))
+
+
 def _strengths(graph: _Graph) -> list[float]:
     """Self-loop plus row sum (added left to right over Python floats), per node."""
-    data, bounds = graph.data.tolist(), graph.indptr.tolist()
+    bounds = graph.indptr.tolist()
     return [
-        loop + reduce(add, data[a:b], 0.0)
+        loop + reduce(add, graph.data[a:b].tolist(), 0.0)
         for loop, a, b in zip(graph.loops.tolist(), bounds, bounds[1:])
     ]
 
@@ -165,11 +204,15 @@ def _coarsen(graph: _Graph, node_com: np.ndarray) -> tuple[np.ndarray, _Graph]:
     coarse = _first_seen(node_com)
     size = int(coarse.max()) + 1
     loops = _internal_sums(graph, coarse, np.arange(len(coarse)))[:size]
-    ci, cj = coarse.take(graph.rows), coarse.take(graph.indices)
-    across = ci != cj
+    # Each edge's community pair code ci * size + cj, built in place over ci.
+    codes, cj = coarse.take(graph.rows), coarse.take(graph.indices)
+    across = codes != cj
+    codes *= size
+    codes += cj
+    del cj
     # Edge weights are positive, so a community pair is joined exactly when
     # its summed weight is nonzero.
-    summed = np.bincount(ci[across] * size + cj[across], graph.data[across], size * size)
+    summed = np.bincount(codes[across], graph.data[across], size * size)
     codes = np.flatnonzero(summed)
     return coarse, _Graph.from_edges(codes // size, codes % size, summed[codes], loops)
 
@@ -200,18 +243,9 @@ def louvain(
         if len(set(keys_list)) != n:
             raise ValueError("keys must be unique")
 
-    # Node r of the permuted matrix is input node position[r], the r-th in key order.
+    # Node r of the graph is input node position[r], the r-th in key order.
     position = np.array(sorted(range(n), key=keys_list.__getitem__), dtype=np.intp)
-    ordered = weights if (position == np.arange(n)).all() else weights[np.ix_(position, position)]
-    rows, cols = np.nonzero((ordered != 0) | (ordered.T != 0))
-    forward, backward = ordered[rows, cols], ordered[cols, rows]
-    if not np.allclose(forward, backward):
-        raise ValueError("weights must be symmetric")
-    if (forward < 0).any():
-        raise ValueError("weights must be non-negative")
-    upper = np.where(position[rows] < position[cols], forward, backward)
-    edge = (upper != 0) & (rows != cols)
-    graph = _Graph.from_edges(rows[edge], cols[edge], upper[edge], np.zeros(n))
+    graph = _dense_graph(weights, position)
 
     # Level 0's modularity walks the nodes in input order; coarser levels are
     # numbered in key order, which is the order they walk.

@@ -18,7 +18,9 @@ lexical scores.  Slot-set similarity is stated once, in `slotset_matrix`:
 the schema graph calls it, and `SimilarityEnsemble.sim_slotsets` reads one
 cell of it.  Every float sum adds its terms left to right without
 Python's sum(), which compensates rounding from Python 3.12 on, so the
-results are the same bits on every interpreter.
+results are the same bits on every interpreter.  Work on a matrix of
+every pair runs `BLOCK_ROWS` rows at a time where it can, so that its
+temporaries grow with a block of rows, not with the matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import add
 from pathlib import Path
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -39,6 +41,15 @@ log = logging.getLogger(__name__)
 LEXICAL = "lexical"
 LEXICON = "lexicon"
 EMBEDDING = "embedding"
+
+# Rows per block wherever an array of every pair (similarity matrices, the
+# schema graph, Louvain's dense input) is filled or read a block at a time.
+BLOCK_ROWS = 64
+
+
+def row_blocks(n: int) -> Iterator[slice]:
+    """Slices of at most BLOCK_ROWS consecutive rows that cover range(n)."""
+    return (slice(start, start + BLOCK_ROWS) for start in range(0, n, BLOCK_ROWS))
 
 
 class SimilarityBackend(Protocol):
@@ -94,8 +105,14 @@ def _dice_matrix(xs: list[list[str]], ys: list[list[str]]) -> np.ndarray:
     ids_x = [feature_ids(items) for items in xs]
     ids_y = [feature_ids(items) for items in ys]
     shared = _incidence(ids_x, len(features)) @ _incidence(ids_y, len(features)).T
-    total = np.add.outer([float(len(i)) for i in xs], [float(len(i)) for i in ys])
-    return np.divide(2.0 * shared, total, out=np.zeros_like(shared), where=total > 0)
+    shared *= 2.0
+    sizes_x = np.array([float(len(i)) for i in xs])
+    sizes_y = np.array([float(len(i)) for i in ys])
+    for rows in row_blocks(len(xs)):
+        # A zero total has nothing shared, so its cell stays 0.0.
+        total = np.add.outer(sizes_x[rows], sizes_y)
+        np.divide(shared[rows], total, out=shared[rows], where=total > 0)
+    return shared
 
 
 class LexicalBackend:
@@ -190,8 +207,11 @@ class EmbeddingBackend:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EmbeddingBackend":
-        """Load a vector table: one "token v1 v2 ... vd" line per token."""
-        vectors: dict[str, np.ndarray] = {}
+        """Load a vector table: one "token v1 v2 ... vd" line per token, d >= 1,
+        every component finite."""
+        tokens: list[str] = []
+        linenos: list[int] = []
+        rows: list[np.ndarray] = []
         dim: int | None = None
         with read_text(path) as handle:
             for lineno, line in enumerate(handle, 1):
@@ -202,12 +222,22 @@ class EmbeddingBackend:
                 if dim is None:
                     dim = len(values)
                 try:
+                    if not values:
+                        raise ValueError(f"token {token!r} has no vector components")
                     if len(values) != dim:
                         raise ValueError(f"expected {dim} components, got {len(values)}")
-                    vectors[token] = np.array([float(v) for v in values])
+                    rows.append(np.array([float(v) for v in values]))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        return cls(vectors)
+                tokens.append(token)
+                linenos.append(lineno)
+        # One nan or inf makes every similarity of its token nan.  One check
+        # over the whole table costs a fraction of one check per line.
+        finite = np.isfinite(np.array(rows, ndmin=2)).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"{path}:{linenos[bad]}: {_non_finite(tokens[bad])}")
+        return cls(dict(zip(tokens, rows)))
 
     def _pool(self, text: str) -> np.ndarray | None:
         found = [self._vectors[t] for t in _tokens(text) if t in self._vectors]
@@ -245,6 +275,10 @@ class EmbeddingBackend:
         return out
 
 
+def _non_finite(token: str) -> str:
+    return f"vector of {token!r} has a non-finite component"
+
+
 class EmbeddingServiceError(RuntimeError):
     """The embedding service did not return the vectors asked for."""
 
@@ -278,10 +312,13 @@ class EmbeddingServiceBackend(EmbeddingBackend):
                 vectors = self._fetch(missing)
                 if len(vectors) != len(missing):
                     raise ValueError(f"{len(vectors)} vectors for {len(missing)} texts")
+                fetched = [np.asarray(vector, dtype=float) for vector in vectors]
+                for token, vector in zip(missing, fetched):
+                    if not np.isfinite(vector).all():
+                        raise ValueError(_non_finite(token))
             except Exception as exc:
                 raise EmbeddingServiceError(f"embedding service {self.url} failed: {exc}") from exc
-            for token, vector in zip(missing, vectors):
-                self._vectors[token] = np.asarray(vector, dtype=float)
+            self._vectors.update(zip(missing, fetched))
         return super()._pool(text)
 
 
@@ -326,8 +363,12 @@ class SimilarityEnsemble:
         backend matrices added from 0 in backend order, then clipped.  The
         lexical matrix is built once and shared by every backend."""
         lexical = LexicalBackend().matrix(xs, ys)
-        weighted = (w * b.matrix(xs, ys, lexical) for w, b in zip(self.weights, self.backends))
-        return np.clip(reduce(add, weighted, 0.0), 0.0, 1.0)
+        out = np.zeros((len(xs), len(ys)))
+        for weight, backend in zip(self.weights, self.backends):
+            term = backend.matrix(xs, ys, lexical)
+            for rows in row_blocks(len(xs)):
+                out[rows] += weight * term[rows]
+        return np.clip(out, 0.0, 1.0, out=out)
 
     def sim_slotsets(self, a: Iterable[str], b: Iterable[str]) -> float:
         """Soft best-match average of two slot sets: one cell of `slotset_matrix`."""

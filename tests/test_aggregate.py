@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from eventframes import similarity
 from eventframes.aggregate import (
     GraphConfig,
     aggregate,
@@ -406,6 +407,58 @@ class TestGraphMatchesPairwiseOracle:
         for cfg in GRAPH_CONFIGS:
             for ensemble_name in ensembles():
                 assert_graph_matches_oracle(instances, ensemble_name, cfg)
+
+
+def with_texts(instances, texts):
+    return [
+        structured(f"e{i}", text, inst.event_type, inst.slot_names)
+        for i, (inst, text) in enumerate(zip(instances, texts))
+    ]
+
+
+def distinct_texts(instances):
+    """Each text made unique by a trailing token."""
+    return [f"{inst.expression.text} w{i}" for i, inst in enumerate(instances)]
+
+
+def repeated_texts(instances):
+    """The texts of the even instances, each used twice."""
+    return [instances[i - i % 2].expression.text for i in range(len(instances))]
+
+
+class TestGraphInRowBlocks:
+    """The type and slot-set terms are added a block of rows at a time; the
+    text term is gathered only when texts repeat."""
+
+    @pytest.fixture(params=[1, 2, 3])
+    def block_rows(self, request, monkeypatch):
+        monkeypatch.setattr(similarity, "BLOCK_ROWS", request.param)
+        return request.param
+
+    @given(
+        instance_lists,
+        st.sampled_from(GRAPH_CONFIGS),
+        st.sampled_from(list(ensembles())),
+        st.sampled_from([None, distinct_texts, repeated_texts]),
+    )
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_generated_instances(self, block_rows, instances, cfg, ensemble_name, texts):
+        if texts is None:
+            texts = [inst.expression.text for inst in instances]
+        else:
+            texts = texts(instances)
+        assert_graph_matches_oracle(with_texts(instances, texts), ensemble_name, cfg)
+
+    @pytest.mark.parametrize("texts", [distinct_texts, repeated_texts], ids=["distinct", "repeated"])
+    def test_synthetic_fixture(self, synthetic_instances, block_rows, texts):
+        instances = with_texts(synthetic_instances, texts(synthetic_instances))
+        distinct = {inst.expression.text for inst in instances}
+        assert len(distinct) == (30 if texts is distinct_texts else 15)
+        for ensemble_name in ensembles():
+            assert_graph_matches_oracle(instances, ensemble_name, GraphConfig())
 
 
 # -- slot similarities kept on the graph against per-cluster ones -------------

@@ -2,9 +2,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from eventframes import similarity
 from eventframes.aggregate import GraphConfig, build_schema_graph, prune_edges
 from eventframes.louvain import ClusterAssignment, louvain
 from eventframes.similarity import default_ensemble
@@ -300,3 +301,47 @@ class TestMatchesReference:
         assert_matches_reference(weights, seed, ids)
         shuffled = random.Random(seed).sample(ids, len(ids))
         assert_matches_reference(weights, seed, shuffled)
+
+
+class TestInputInRowBlocks:
+    """The dense input is read a block of rows at a time: partitions,
+    modularity floats and errors do not depend on the block size."""
+
+    @pytest.fixture(params=[1, 2, 3])
+    def block_rows(self, request, monkeypatch):
+        monkeypatch.setattr(similarity, "BLOCK_ROWS", request.param)
+        return request.param
+
+    @given(weighted_graphs())
+    @settings(
+        max_examples=100, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_generated_graphs(self, block_rows, case):
+        weights, keys, seed = case
+        assert_matches_reference(weights, seed, keys)
+
+    def test_nearly_symmetric_input_reads_the_upper_triangle(self, block_rows):
+        TestMatchesReference().test_nearly_symmetric_input_reads_the_upper_triangle()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_sizes_around_a_block_boundary(self, offset):
+        n = 2 * similarity.BLOCK_ROWS + offset
+        rng = np.random.default_rng(n)
+        weights = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.3), 1)
+        weights = weights + weights.T
+        keys = [f"k{k}" for k in rng.permutation(n)]
+        assert_matches_reference(weights, 7, keys)
+
+    @pytest.mark.parametrize("keys", [None, list(range(7))[::-1]])
+    def test_asymmetry_is_reported_before_negativity(self, block_rows, keys):
+        # A negative pair in rows 0-1, an asymmetric pair in rows 5-6: in
+        # different blocks, whichever comes first in key order.
+        weights = np.zeros((7, 7))
+        weights[0, 1] = weights[1, 0] = -1.0
+        weights[5, 6], weights[6, 5] = 0.5, 1.0
+        with pytest.raises(ValueError, match="weights must be symmetric"):
+            louvain(weights, keys=keys)
+        weights[5, 6] = 1.0
+        with pytest.raises(ValueError, match="weights must be non-negative"):
+            louvain(weights, keys=keys)

@@ -926,10 +926,13 @@ def _similarity(**section):
     return edit
 
 
-def _malformed_vectors(data, paths):
-    paths["vectors"] = paths["config"].parent / "vectors.txt"
-    paths["vectors"].write_text("a 1 2\nb 1 x\n", encoding="utf-8")
-    data["similarity"] = {"backends": [{"kind": "embedding", "path": str(paths["vectors"])}]}
+def _vector_table(text):
+    def edit(data, paths):
+        paths["vectors"] = paths["config"].parent / "vectors.txt"
+        paths["vectors"].write_text(text, encoding="utf-8")
+        data["similarity"] = {"backends": [{"kind": "embedding", "path": str(paths["vectors"])}]}
+
+    return edit
 
 
 CLI_ERRORS = {
@@ -970,7 +973,18 @@ CLI_ERRORS = {
     "malformed-store": (_overwrite("store", "{}\n"), "{store}:1: bad replay entry", False),
     "malformed-demos": (_overwrite("demos", "[]\n"), "{demos}:1: bad demonstration", False),
     "malformed-gold": (_overwrite("gold", "{}\n"), "{gold}:1: bad gold record", False),
-    "malformed-vectors": (_malformed_vectors, "{vectors}:2: could not convert", False),
+    "malformed-vectors": (_vector_table("a 1 2\nb 1 x\n"), "{vectors}:2: could not convert", False),
+    # Loaded, these tables would score every pair nan, or every pair lexically.
+    "non-finite-vectors": (
+        _vector_table("fire 1.0 0.5\nattack nan 0.2\nbomb inf 1.0\n"),
+        "{vectors}:2: vector of 'attack' has a non-finite component",
+        False,
+    ),
+    "dimensionless-vectors": (
+        _vector_table("fire\nattack\n"),
+        "{vectors}:1: token 'fire' has no vector components",
+        False,
+    ),
     "weights-misaligned": (
         _similarity(backends=[{"kind": "lexical"}], weights=[0.5, 0.5]),
         "bad config section 'similarity': weights and backends must align",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eventframes import similarity
@@ -14,7 +14,7 @@ from eventframes.similarity import (
 )
 
 from helpers import LoopbackServer, TableBackend, table_ensemble
-from oracles import ReferenceEnsemble, ReferenceScorer
+from oracles import ReferenceEnsemble, ReferenceScorer, reference_lexical
 
 labels = st.text(
     alphabet=st.sampled_from("abcdefghij xyz"), min_size=1, max_size=12
@@ -107,6 +107,28 @@ class TestEmbeddingBackend:
         with pytest.raises(ValueError, match="vectors.txt:2"):
             EmbeddingBackend.from_file(path)
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ("fire 1.0 0.5\nattack nan 0.2\nbomb inf 1.0\n", ":2: vector of 'attack' has a non"),
+            ("fire 1.0 0.5\nbomb 1.0 inf\n", ":2: vector of 'bomb' has a non-finite"),
+            ("fire -inf 0.5\n", ":1: vector of 'fire' has a non-finite component"),
+        ],
+    )
+    def test_from_file_rejects_non_finite_components(self, tmp_path, table, message):
+        # Loaded, one such vector makes every similarity of its token nan.
+        path = tmp_path / "vectors.txt"
+        path.write_text(table, encoding="utf-8")
+        with pytest.raises(ValueError, match="vectors.txt" + message):
+            EmbeddingBackend.from_file(path)
+
+    def test_from_file_rejects_a_table_without_components(self, tmp_path):
+        # Loaded, its 0-dimensional vectors would score every pair lexically.
+        path = tmp_path / "vectors.txt"
+        path.write_text("fire\nattack\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="vectors.txt:1: token 'fire' has no vector comp"):
+            EmbeddingBackend.from_file(path)
+
     def test_service_backend_fetches_and_caches(self):
         fetched = []
 
@@ -134,6 +156,14 @@ class TestEmbeddingBackend:
         backend = EmbeddingServiceBackend("http://vectors", fetch=lambda texts: [[1.0, 0.0]])
         with pytest.raises(EmbeddingServiceError, match="failed: 1 vectors for 2 texts"):
             backend.score("alpha beta", "alpha")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_service_non_finite_component_raises(self, value):
+        backend = EmbeddingServiceBackend(
+            "http://vectors", fetch=lambda texts: [[1.0, 0.0], [value, 1.0]]
+        )
+        with pytest.raises(EmbeddingServiceError, match="vector of 'beta' has a non-finite"):
+            backend.matrix(["alpha beta"], ["alpha"])
 
 
 class TestEmbeddingServiceWire:
@@ -346,6 +376,45 @@ class TestMatrixEqualsPerPair:
         assert fetched == [["alpha"], ["beta"]]
         reference = ReferenceScorer(backend)
         assert_bitwise(out, per_pair(reference, ["alpha", "beta alpha"], ["alpha", "beta"]))
+
+
+@pytest.fixture(params=[1, 2, 3])
+def block_rows(request, monkeypatch):
+    """A block size small enough that the drawn matrices span several blocks,
+    the last one often partial."""
+    monkeypatch.setattr(similarity, "BLOCK_ROWS", request.param)
+    return request.param
+
+
+# The block size stays fixed across one test's examples.
+blocked = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+long_string_lists = st.lists(matrix_strings, max_size=9)
+
+
+class TestMatrixInRowBlocks:
+    """Matrices filled a block of rows at a time equal the per-pair formulas
+    bitwise, whatever the block size."""
+
+    @given(long_string_lists, long_string_lists)
+    @blocked
+    def test_lexical_matrix(self, block_rows, xs, ys):
+        assert_bitwise(LexicalBackend().matrix(xs, ys), per_pair(reference_lexical, xs, ys))
+
+    def test_lexical_matrix_with_empty_texts(self, block_rows):
+        # An empty text against an empty text has a zero Dice denominator.
+        xs = ["", "a b", "  ", "ab", "", "b a a", "\t", "x"]
+        ys = ["", "ab", "a", " ", "a a b"]
+        assert_bitwise(LexicalBackend().matrix(xs, ys), per_pair(reference_lexical, xs, ys))
+        assert_bitwise(LexicalBackend().matrix(xs, xs), per_pair(reference_lexical, xs, xs))
+
+    @given(long_string_lists, long_string_lists)
+    @blocked
+    def test_three_backend_ensemble_matrix(self, block_rows, xs, ys):
+        ensemble = SimilarityEnsemble(backends=matrix_backends(), weights=[0.5, 0.3, 0.2])
+        reference = ReferenceEnsemble(ensemble)
+        assert_bitwise(ensemble.matrix(xs, ys), per_pair(reference.sim, xs, ys))
 
 
 def random_vectors(dim: int, seed: int) -> dict[str, np.ndarray]:
