@@ -90,9 +90,7 @@ def main(argv: list[str] | None = None) -> int:
         report = run_stage(
             args.stage, cfg, Path(args.output), input_path=args.input, force=args.force
         )
-    except (
-        ConfigError, StageInputError, ReplayMissError, EmbeddingServiceError, FileNotFoundError
-    ) as exc:
+    except (ConfigError, StageInputError, ReplayMissError, EmbeddingServiceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

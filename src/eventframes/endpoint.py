@@ -234,11 +234,12 @@ class ReplayStore:
                     continue
                 try:
                     record = json.loads(line)
-                    key = record["hash"]
-                    completions = tuple(str(c) for c in record["completions"])
+                    key, completions = record["hash"], record["completions"]
+                    if not isinstance(key, str) or not isinstance(completions, list):
+                        raise TypeError("hash must be a string, completions a list")
                 except (json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise ValueError(f"{path}:{lineno}: bad replay entry: {exc}") from exc
-                store.entries.setdefault(key, completions)
+                store.entries.setdefault(key, tuple(str(c) for c in completions))
         return store
 
     def put(self, prompt: str, completions: tuple[str, ...]) -> str:

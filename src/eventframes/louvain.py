@@ -49,9 +49,6 @@ class ClusterAssignment:
             members[label].append(index)
         return [tuple(group) for group in members]
 
-    def as_partition(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(group) for group in self.groups())
-
 
 class _Graph(NamedTuple):
     """Adjacency without the diagonal, as CSR (`indptr`, `indices`, `data`)

@@ -19,7 +19,6 @@ table and stage file is hashed at most once.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import importlib
 import json
@@ -53,11 +52,7 @@ from .endpoint import (
     RecordingClient,
     ReplayClient,
 )
-from .evaluation import (
-    average_metrics,
-    load_gold_mentions,
-    mention_harness,
-)
+from .evaluation import PartitionInputError, average_metrics, load_gold_mentions, mention_harness
 from .fileio import atomic_write, read_text
 from .schemas import SchemaCandidate, load_demonstrations
 from .scoring import (
@@ -274,33 +269,6 @@ def build_ensemble(settings: SimilaritySettings) -> SimilarityEnsemble:
     return SimilarityEnsemble(backends=backends, weights=weights)
 
 
-# Zero-argument callables that return the ensemble of cfg.similarity, and the
-# structured instances with their schema graph; a stage calls one when it
-# needs what it returns.
-EnsembleSource = Callable[[], SimilarityEnsemble]
-GraphSource = Callable[[], tuple[list[StructuredInstance], SchemaGraph]]
-
-
-@dataclass
-class RunContext:
-    """What the stages of one run_stage call share: the ensemble and schema
-    graph sources, and `digests`, path -> sha256 (None for a missing file) of
-    each file hashed since the last stage ran."""
-
-    ensemble: EnsembleSource
-    graph: GraphSource
-    digests: dict[str, str | None] = field(default_factory=dict)
-
-    @classmethod
-    def of(cls, cfg: PipelineConfig, out_dir: Path) -> RunContext:
-        """Sources that build on first call and keep what they built for
-        later calls.  build_ensemble and build_schema_graph are looked up at
-        call time, so a wrapper installed on their modules sees the builds."""
-        ensemble = functools.cache(lambda: build_ensemble(cfg.similarity))
-        graph = functools.partial(_schema_graph, cfg, out_dir, ensemble)
-        return cls(ensemble, functools.cache(graph))
-
-
 def build_client(cfg: PipelineConfig) -> GenerationClient:
     gen = cfg.generation
     if gen.replay and not gen.record:
@@ -468,70 +436,72 @@ def _write_manifest(
 # --------------------------------------------------------------------------
 
 
-def _stage_path(out_dir: Path, stage: str) -> Path:
-    return out_dir / STAGE_TABLE[stage].file
+@dataclass
+class RunContext:
+    """What the stages of one run_stage call share: the config, the output
+    directory, the corpus path (None when not given), and `digests`, path ->
+    sha256 (None for a missing file) of each file hashed since the last stage
+    ran.  The ensemble and the schema graph are built on first use and kept
+    for the later stages.  build_ensemble, build_schema_graph and the stage
+    file functions are looked up at call time, so a wrapper installed on
+    their modules sees the calls."""
+
+    cfg: PipelineConfig
+    out_dir: Path
+    input_path: Path | None = None
+    digests: dict[str, str | None] = field(default_factory=dict)
+
+    def path(self, stage: str) -> Path:
+        return self.out_dir / STAGE_TABLE[stage].file
+
+    def read(self, stage: str) -> list[dict]:
+        """The records of an earlier stage's file, refused if stale for cfg."""
+        return read_stage_file(self.path(stage), stage, self.cfg.stage_keys[stage])
+
+    def write(self, stage: str, records: Iterable[Mapping]) -> int:
+        return write_stage_file(self.path(stage), stage, self.cfg.stage_keys[stage], records)
+
+    @cached_property
+    def ensemble(self) -> SimilarityEnsemble:
+        return build_ensemble(self.cfg.similarity)
+
+    @cached_property
+    def graph(self) -> tuple[list[StructuredInstance], SchemaGraph]:
+        """The structured instances and their schema graph."""
+        structured = [structured_from_dict(r) for r in self.read("structuralize")]
+        if not structured:
+            raise StageInputError("no structured instances to aggregate")
+        build = _aggregate_module.build_schema_graph
+        return structured, build(structured, self.ensemble, self.cfg.graph)
 
 
-def _read_stage(cfg: PipelineConfig, out_dir: Path, stage: str) -> list[dict]:
-    """The records of an earlier stage's file, refused if stale for cfg."""
-    return read_stage_file(_stage_path(out_dir, stage), stage, cfg.stage_keys[stage])
+def _expression(record: Mapping) -> EventExpression:
+    return EventExpression.from_text(record["id"], record["text"], record["source"])
 
 
-def _write_stage(cfg: PipelineConfig, out_dir: Path, stage: str, records: Iterable[Mapping]) -> int:
-    return write_stage_file(_stage_path(out_dir, stage), stage, cfg.stage_keys[stage], records)
-
-
-def _load_expressions(out_dir: Path, cfg: PipelineConfig) -> list[EventExpression]:
-    records = _read_stage(cfg, out_dir, "ingest")
-    return [EventExpression.from_text(r["id"], r["text"], r["source"]) for r in records]
-
-
-def _load_conceptualized(out_dir: Path, cfg: PipelineConfig) -> list[ConceptualizedInstance]:
-    records = _read_stage(cfg, out_dir, "conceptualize")
-    instances = []
-    for r in records:
-        expression = EventExpression.from_text(r["id"], r["text"], r["source"])
-        candidates = tuple(
-            SchemaCandidate(event_type=c["type"], slots=tuple(c["slots"]))
-            for c in r["candidates"]
-        )
-        instances.append(
-            ConceptualizedInstance(expression, candidates, parse_failures=r["parse_failures"])
-        )
-    return instances
-
-
-def _stage_ingest(
-    cfg: PipelineConfig, out_dir: Path, input_path: Path | None, context: RunContext
-) -> dict:
-    if input_path is None:
+def _stage_ingest(ctx: RunContext) -> dict:
+    if ctx.input_path is None:
         message = "ingest needs an --input corpus file"
-        for path in _recorded_inputs(_read_manifest(out_dir, "ingest")):
+        for path in _recorded_inputs(_read_manifest(ctx.out_dir, "ingest")):
             message += f"; {path}, which it last read, has changed or is missing"
         raise StageInputError(message)
-    expressions, report = _load(load_corpus, input_path, cfg.corpus)
+    expressions, report = _load(load_corpus, ctx.input_path, ctx.cfg.corpus)
     if not expressions:
         raise StageInputError(
-            f"no line of {input_path} survived ingest: {report.total} read, "
+            f"no line of {ctx.input_path} survived ingest: {report.total} read, "
             f"discarded by reason {report.discarded}"
         )
-    _write_stage(
-        cfg,
-        out_dir,
-        "ingest",
-        ({"id": e.id, "text": e.text, "source": e.source} for e in expressions),
-    )
+    ctx.write("ingest", ({"id": e.id, "text": e.text, "source": e.source} for e in expressions))
     return report.as_dict()
 
 
-def _stage_conceptualize(
-    cfg: PipelineConfig, out_dir: Path, input_path: Path | None, context: RunContext
-) -> dict:
+def _stage_conceptualize(ctx: RunContext) -> dict:
+    cfg = ctx.cfg
     if not cfg.demonstrations.path:
         raise ConfigError("conceptualize needs a demonstrations path in the config")
     pool = _load(load_demonstrations, cfg.demonstrations.path)
     demos = sample_demonstrations(pool, cfg.demonstrations.m, cfg.seed)
-    expressions = _load_expressions(out_dir, cfg)
+    expressions = [_expression(r) for r in ctx.read("ingest")]
     client = build_client(cfg)
     instances, report = conceptualize_corpus(
         client,
@@ -544,9 +514,7 @@ def _stage_conceptualize(
     )
     if isinstance(client, RecordingClient):
         client.save()
-    _write_stage(
-        cfg,
-        out_dir,
+    ctx.write(
         "conceptualize",
         (
             {
@@ -564,12 +532,17 @@ def _stage_conceptualize(
     return report.as_dict()
 
 
-def _stage_structuralize(
-    cfg: PipelineConfig, out_dir: Path, input_path: Path | None, context: RunContext
-) -> dict:
-    instances = _load_conceptualized(out_dir, cfg)
-    structured = structuralize(instances, cfg.scoring, context.ensemble())
-    _write_stage(cfg, out_dir, "structuralize", (structured_to_dict(s) for s in structured))
+def _stage_structuralize(ctx: RunContext) -> dict:
+    instances = [
+        ConceptualizedInstance(
+            _expression(r),
+            tuple(SchemaCandidate(c["type"], tuple(c["slots"])) for c in r["candidates"]),
+            parse_failures=r["parse_failures"],
+        )
+        for r in ctx.read("conceptualize")
+    ]
+    structured = structuralize(instances, ctx.cfg.scoring, ctx.ensemble)
+    ctx.write("structuralize", (structured_to_dict(s) for s in structured))
     return {
         "instances": len(structured),
         "slots_kept": sum(len(s.slots) for s in structured),
@@ -577,23 +550,11 @@ def _stage_structuralize(
     }
 
 
-def _schema_graph(
-    cfg: PipelineConfig, out_dir: Path, ensemble: EnsembleSource
-) -> tuple[list[StructuredInstance], SchemaGraph]:
-    """The structured instances and their schema graph."""
-    structured = [structured_from_dict(r) for r in _read_stage(cfg, out_dir, "structuralize")]
-    if not structured:
-        raise StageInputError("no structured instances to aggregate")
-    return structured, _aggregate_module.build_schema_graph(structured, ensemble(), cfg.graph)
-
-
-def _stage_aggregate(
-    cfg: PipelineConfig, out_dir: Path, input_path: Path | None, context: RunContext
-) -> dict:
-    structured, graph = context.graph()
-    assignment = cluster_instances(structured, graph, cfg.seed)
-    schemas = aggregate(structured, assignment, graph, cfg.graph, cfg.seed)
-    _write_stage(cfg, out_dir, "aggregate", (aggregated_to_dict(s) for s in schemas))
+def _stage_aggregate(ctx: RunContext) -> dict:
+    structured, graph = ctx.graph
+    assignment = cluster_instances(structured, graph, ctx.cfg.seed)
+    schemas = aggregate(structured, assignment, graph, ctx.cfg.graph, ctx.cfg.seed)
+    ctx.write("aggregate", (aggregated_to_dict(s) for s in schemas))
     return {
         "instances": len(structured),
         "clusters": len(schemas),
@@ -601,22 +562,24 @@ def _stage_aggregate(
     }
 
 
-def _stage_evaluate(
-    cfg: PipelineConfig, out_dir: Path, input_path: Path | None, context: RunContext
-) -> dict:
+def _stage_evaluate(ctx: RunContext) -> dict:
+    cfg = ctx.cfg
     if not cfg.evaluation.gold:
         raise ConfigError("evaluate needs a gold mentions path in the config")
     gold = _load(load_gold_mentions, cfg.evaluation.gold)
-    schemas = [aggregated_from_dict(r) for r in _read_stage(cfg, out_dir, "aggregate")]
+    schemas = [aggregated_from_dict(r) for r in ctx.read("aggregate")]
     predicted = {
         member: label for label, schema in enumerate(schemas) for member in schema.member_ids
     }
-    runs = [mention_harness(gold, predicted, cfg.evaluation.top_k)]
+    try:
+        runs = [mention_harness(gold, predicted, cfg.evaluation.top_k)]
+    except PartitionInputError as exc:
+        raise StageInputError(f"gold file {cfg.evaluation.gold}: {exc}") from exc
     if cfg.evaluation.repeats > 1:
         # Aggregate's partition is the first run; re-cluster with the next
         # seeds and report the averaged result.  This reads the graph,
         # similarity and seed sections, all covered by aggregate's key.
-        structured, graph = context.graph()
+        structured, graph = ctx.graph
         ids = [inst.expression.id for inst in structured]
         for seed in range(cfg.seed + 1, cfg.seed + cfg.evaluation.repeats):
             labels = cluster_instances(structured, graph, seed).labels
@@ -629,7 +592,7 @@ def _stage_evaluate(
     payload["stage"] = "evaluate"
     payload["config_hash"] = cfg.stage_keys["evaluate"]
     payload["format_version"] = FORMAT_VERSION
-    with atomic_write(_stage_path(out_dir, "evaluate")) as handle:
+    with atomic_write(ctx.path("evaluate")) as handle:
         handle.write(_dumps(payload) + "\n")
     return report
 
@@ -643,7 +606,7 @@ class Stage:
     file: str
     predecessor: str | None
     sections: tuple[str, ...]
-    run: Callable[[PipelineConfig, Path, Path | None, RunContext], dict]
+    run: Callable[[RunContext], dict]
 
 
 STAGE_TABLE = {
@@ -684,18 +647,19 @@ TRANSPORT_FIELDS = ("endpoint", "endpoint_style", "replay", "record", "workers")
 
 
 def _stage_io(
-    stage: Stage, cfg: PipelineConfig, input_path: Path | None, out_dir: Path, manifest: Mapping
+    stage: Stage, ctx: RunContext, manifest: Mapping
 ) -> tuple[list[Path], list[Path], list[Path]]:
     """Input and output files of one stage, and the inputs that the config or
     the command line names, which must exist before the stage runs.  The
     other inputs are the stage files it reads, which read_stage_file reports
     missing, and without an input path the corpus files ingest last read."""
+    cfg = ctx.cfg
     inputs: list[Path] = []
     named: list[Path] = []
     if stage.predecessor is not None:
-        inputs.append(_stage_path(out_dir, stage.predecessor))
-    elif input_path is not None:
-        named.append(input_path)
+        inputs.append(ctx.path(stage.predecessor))
+    elif ctx.input_path is not None:
+        named.append(ctx.input_path)
     else:
         inputs.extend(map(Path, _recorded_inputs(manifest)))
     if stage.name == "conceptualize":
@@ -709,9 +673,9 @@ def _stage_io(
         if cfg.evaluation.gold:
             named.append(Path(cfg.evaluation.gold))
         if cfg.evaluation.repeats > 1:
-            inputs.append(_stage_path(out_dir, "structuralize"))
+            inputs.append(ctx.path("structuralize"))
             named.extend(cfg.similarity.tables)
-    return [*inputs, *named], [_stage_path(out_dir, stage.name)], named
+    return [*inputs, *named], [ctx.path(stage.name)], named
 
 
 def run_stage(
@@ -725,23 +689,24 @@ def run_stage(
     """Run one stage (or "all"), skipping a stage that is up to date.
 
     Returns a report dict; for "all" the reports are keyed by stage name.
-    Without `context` the call makes out_dir and its own context.  "all"
-    passes its stages one context, so a run builds the ensemble at most once,
-    and only when a stage reads it; aggregate and evaluate share one schema
-    graph; and while stages are skipped each file is hashed at most once.
+    Without `context` the call makes out_dir and its own context; with one,
+    the context's config and paths are the ones used.  "all" passes its
+    stages one context, so a run builds the ensemble at most once, and only
+    when a stage reads it; aggregate and evaluate share one schema graph;
+    and while stages are skipped each file is hashed at most once.
     """
-    out_dir = Path(out_dir)
-    input_path = Path(input_path) if input_path is not None else None
     if context is None:
+        out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        context = RunContext.of(cfg, out_dir)
+        context = RunContext(cfg, out_dir, Path(input_path) if input_path is not None else None)
+    ctx = context
 
     if stage == "all":
         stages = list(STAGES)
-        if not cfg.evaluation.gold:
+        if not ctx.cfg.evaluation.gold:
             stages.remove("evaluate")
         return {
-            s: run_stage(s, cfg, out_dir, input_path, force=force, context=context)
+            s: run_stage(s, ctx.cfg, ctx.out_dir, ctx.input_path, force=force, context=ctx)
             for s in stages
         }
 
@@ -749,11 +714,11 @@ def run_stage(
         raise ConfigError(f"unknown stage: {stage!r}")
     spec = STAGE_TABLE[stage]
 
-    key = cfg.stage_keys[stage]
-    manifest = _read_manifest(out_dir, stage)
-    inputs, outputs, named = _stage_io(spec, cfg, input_path, out_dir, manifest)
+    key = ctx.cfg.stage_keys[stage]
+    manifest = _read_manifest(ctx.out_dir, stage)
+    inputs, outputs, named = _stage_io(spec, ctx, manifest)
     if not force:
-        now = _record(key, inputs, outputs, context.digests)
+        now = _record(key, inputs, outputs, ctx.digests)
         # A missing file never matches, not even a manifest that records null for it.
         found = None not in (*now["inputs"].values(), *now["outputs"].values())
         if found and all(manifest.get(name) == value for name, value in now.items()):
@@ -765,11 +730,11 @@ def run_stage(
             raise StageInputError(f"missing input file for stage {stage!r}: {path}")
     # The stage writes its output, and in record mode the replay store, so
     # the digests taken so far may be stale.
-    context.digests.clear()
+    ctx.digests.clear()
     started = time.monotonic()
-    report = spec.run(cfg, out_dir, input_path, context)
+    report = spec.run(ctx)
     elapsed = time.monotonic() - started
     # record mode may have created the replay store; refresh input list
-    inputs, outputs, _ = _stage_io(spec, cfg, input_path, out_dir, manifest)
-    _write_manifest(out_dir, stage, key, inputs, outputs, report, elapsed, context.digests)
+    inputs, outputs, _ = _stage_io(spec, ctx, manifest)
+    _write_manifest(ctx.out_dir, stage, key, inputs, outputs, report, elapsed, ctx.digests)
     return report

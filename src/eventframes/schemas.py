@@ -112,10 +112,12 @@ def load_demonstrations(path: str | Path) -> list[Demonstration]:
                 continue
             try:
                 record = json.loads(line)
-                demo = Demonstration(
-                    text=record["text"],
-                    schema=SchemaCandidate.create(record["type"], record.get("slots", [])),
-                )
+                text, event_type, slots = record["text"], record["type"], record.get("slots", [])
+                if not isinstance(slots, list) or not all(
+                    isinstance(s, str) for s in (text, event_type, *slots)
+                ):
+                    raise TypeError("text and type must be strings, slots a list of strings")
+                demo = Demonstration(text=text, schema=SchemaCandidate.create(event_type, slots))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad demonstration record: {exc}") from exc
             demos.append(demo)

@@ -160,13 +160,16 @@ class LexiconBackend:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "LexiconBackend":
-        """Load a synonym-set file: one group per line, members tab-separated."""
+        """Load a synonym-set file: one group per line, members tab-separated,
+        at least one group."""
         groups: list[list[str]] = []
         with read_text(path) as handle:
             for line in handle:
                 members = [m for m in line.rstrip("\n").split("\t") if m.strip()]
                 if members:
                     groups.append(members)
+        if not groups:
+            raise ValueError(f"{path}: no synonym sets")
         return cls(groups)
 
     def score(self, a: str, b: str) -> float:
@@ -175,22 +178,18 @@ class LexiconBackend:
     def matrix(
         self, xs: Sequence[str], ys: Sequence[str], lexical: np.ndarray | None = None
     ) -> np.ndarray:
-        keys_x = [x.strip().lower() for x in xs]
-        keys_y = [y.strip().lower() for y in ys]
-        key_ids: dict[str, int] = {"": -1}  # an empty key equals nothing
-        ids_x = np.array([key_ids.setdefault(k, len(key_ids)) for k in keys_x], dtype=int)
-        ids_y = np.array([key_ids.setdefault(k, len(key_ids)) for k in keys_y], dtype=int)
-        same_key = np.equal.outer(ids_x, ids_y) & (ids_x >= 0)[:, None]
-        # Synonym-set incidence over the sets these strings belong to.
+        # Synonym-set incidence over the sets these strings belong to.  Two
+        # equal non-empty keys have equal tokens, so the lexical score
+        # already gives them 1.
         columns: dict[int, int] = {}
 
         def set_columns(key: str) -> list[int]:
             return [columns.setdefault(s, len(columns)) for s in self._set_ids.get(key, ())]
 
-        sets_x = [set_columns(k) for k in keys_x]
-        sets_y = [set_columns(k) for k in keys_y]
+        sets_x = [set_columns(x.strip().lower()) for x in xs]
+        sets_y = [set_columns(y.strip().lower()) for y in ys]
         shared_set = _incidence(sets_x, len(columns)) @ _incidence(sets_y, len(columns)).T > 0
-        return np.where(same_key | shared_set, 1.0, self._fallback.matrix(xs, ys, lexical))
+        return np.where(shared_set, 1.0, self._fallback.matrix(xs, ys, lexical))
 
 
 class EmbeddingBackend:
@@ -208,7 +207,7 @@ class EmbeddingBackend:
     @classmethod
     def from_file(cls, path: str | Path) -> "EmbeddingBackend":
         """Load a vector table: one "token v1 v2 ... vd" line per token, d >= 1,
-        every component finite."""
+        every component finite, at least one token."""
         tokens: list[str] = []
         linenos: list[int] = []
         rows: list[np.ndarray] = []
@@ -231,6 +230,8 @@ class EmbeddingBackend:
                     raise ValueError(f"{path}:{lineno}: {exc}") from exc
                 tokens.append(token)
                 linenos.append(lineno)
+        if not rows:
+            raise ValueError(f"{path}: no vectors")
         # One nan or inf makes every similarity of its token nan.  One check
         # over the whole table costs a fraction of one check per line.
         finite = np.isfinite(np.array(rows, ndmin=2)).all(axis=1)

@@ -170,3 +170,8 @@ def refused_port() -> int:
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         return probe.getsockname()[1]
+
+
+def as_partition(assignment) -> frozenset[frozenset[int]]:
+    """A ClusterAssignment's clusters as a set of sets of node indices."""
+    return frozenset(frozenset(group) for group in assignment.groups())

@@ -26,7 +26,7 @@ import numpy as np
 
 from eventframes.aggregate import GraphConfig, prune_edges
 from eventframes.louvain import ClusterAssignment
-from eventframes.similarity import EMBEDDING, LEXICAL, LEXICON
+from eventframes.similarity import EMBEDDING, LEXICAL, LEXICON, LexicalBackend
 
 
 def ordered_sum(values: Iterable[float]) -> float:
@@ -162,6 +162,24 @@ def reference_lexical(a: str, b: str) -> float:
     if len(tokens_a) == 1 and len(tokens_b) == 1:
         return _dice(Counter(_bigrams(tokens_a[0])), Counter(_bigrams(tokens_b[0])))
     return _dice(Counter(tokens_a), Counter(tokens_b))
+
+
+def keyed_lexicon_matrix(backend, xs: Sequence[str], ys: Sequence[str]) -> np.ndarray:
+    """A LexiconBackend's matrix with an explicit equal-key test: 1 where the
+    stripped, lowercased keys are equal and non-empty or share a synonym set,
+    else the lexical score."""
+    keys_x = [x.strip().lower() for x in xs]
+    keys_y = [y.strip().lower() for y in ys]
+    key_ids: dict[str, int] = {"": -1}  # an empty key equals nothing
+    ids_x = np.array([key_ids.setdefault(k, len(key_ids)) for k in keys_x], dtype=int)
+    ids_y = np.array([key_ids.setdefault(k, len(key_ids)) for k in keys_y], dtype=int)
+    same_key = np.equal.outer(ids_x, ids_y) & (ids_x >= 0)[:, None]
+    set_ids = backend._set_ids
+    shared_set = np.array(
+        [[bool(set_ids.get(a, set()) & set_ids.get(b, set())) for b in keys_y] for a in keys_x],
+        dtype=bool,
+    ).reshape(len(xs), len(ys))
+    return np.where(same_key | shared_set, 1.0, LexicalBackend().matrix(xs, ys))
 
 
 class ReferenceScorer:

@@ -96,6 +96,23 @@ class TestReplayStore:
         shuffled.write_text("\n".join(reversed(lines)) + "\n", encoding="utf-8")
         assert ReplayStore.load(shuffled).entries == store.entries
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            # A string is not a completion list: it would load as one
+            # completion per character.
+            '{"hash": "h1", "completions": "Type: attack"}',
+            # A hash that is not a string would load, then break save().
+            '{"hash": 7, "completions": ["Type: attack"]}',
+            '{"hash": null, "completions": []}',
+        ],
+    )
+    def test_mistyped_entry_raises_with_location(self, tmp_path, line):
+        path = tmp_path / "store.jsonl"
+        path.write_text('{"hash": "h0", "completions": []}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="store.jsonl:2: bad replay entry"):
+            ReplayStore.load(path)
+
     def test_failed_save_keeps_the_previous_store(self, tmp_path):
         store = ReplayStore()
         store.put("prompt one", ("c1",))

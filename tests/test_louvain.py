@@ -10,6 +10,7 @@ from eventframes.aggregate import GraphConfig, build_schema_graph, prune_edges
 from eventframes.louvain import ClusterAssignment, louvain
 from eventframes.similarity import default_ensemble
 
+from helpers import as_partition
 from oracles import best_bipartition, direct_modularity, reference_louvain
 from test_aggregate import synthetic_instances  # noqa: F401 (a fixture)
 
@@ -28,7 +29,7 @@ class TestLouvainBasics:
     def test_two_disconnected_triangles(self):
         weights = clique_matrix([[0, 1, 2], [3, 4, 5]], 6)
         result = louvain(weights, seed=1234)
-        assert result.as_partition() == {frozenset({0, 1, 2}), frozenset({3, 4, 5})}
+        assert as_partition(result) == {frozenset({0, 1, 2}), frozenset({3, 4, 5})}
 
     def test_single_node(self):
         result = louvain(np.zeros((1, 1)), seed=0)
@@ -43,7 +44,7 @@ class TestLouvainBasics:
     def test_isolated_nodes_are_singletons(self):
         weights = clique_matrix([[0, 1, 2]], 5)
         result = louvain(weights, seed=3)
-        assert result.as_partition() == {frozenset({0, 1, 2}), frozenset({3}), frozenset({4})}
+        assert as_partition(result) == {frozenset({0, 1, 2}), frozenset({3}), frozenset({4})}
 
     def test_labels_contiguous_first_occurrence(self):
         weights = clique_matrix([[3, 4], [0, 1]], 5)
@@ -78,12 +79,12 @@ class TestBarbell:
         weights = self.barbell()
         oracle_q, oracle_parts = best_bipartition(weights)
         result = louvain(weights, seed=1234)
-        assert result.as_partition() == oracle_parts
+        assert as_partition(result) == oracle_parts
         assert direct_modularity(weights, result.labels) == pytest.approx(oracle_q, abs=1e-12)
 
     def test_recovers_cliques(self):
         result = louvain(self.barbell(), seed=1234)
-        assert result.as_partition() == {frozenset(range(5)), frozenset(range(5, 10))}
+        assert as_partition(result) == {frozenset(range(5)), frozenset(range(5, 10))}
 
 
 class TestCliqueUnionRecovery:
@@ -97,7 +98,7 @@ class TestCliqueUnionRecovery:
                 start += size
             weights = clique_matrix(groups, start)
             result = louvain(weights, seed=trial)
-            assert result.as_partition() == {frozenset(g) for g in groups}, (trial, sizes)
+            assert as_partition(result) == {frozenset(g) for g in groups}, (trial, sizes)
 
     def test_modularity_non_decreasing_across_passes(self):
         rng = random.Random(7)

@@ -919,9 +919,33 @@ def _delete_corpus(data, paths):
     paths["corpus"].unlink()
 
 
+def _add_unknown_gold_mention(data, paths):
+    with open(paths["gold"], "a", encoding="utf-8") as handle:
+        handle.write(json.dumps({"id": "nope", "type": "attack"}) + "\n")
+
+
+def _corpus_directory(data, paths):
+    paths["corpus"].unlink()
+    paths["corpus"].mkdir()
+
+
+def _output_file(data, paths):
+    paths["out"] = paths["config"].parent.parent / "out"
+    paths["out"].write_text("", encoding="utf-8")
+
+
 def _similarity(**section):
     def edit(data, paths):
         data["similarity"] = section
+
+    return edit
+
+
+def _lexicon_table(text):
+    def edit(data, paths):
+        paths["lexicon"] = paths["config"].parent / "synsets.tsv"
+        paths["lexicon"].write_text(text, encoding="utf-8")
+        data["similarity"] = {"backends": [{"kind": "lexicon", "path": str(paths["lexicon"])}]}
 
     return edit
 
@@ -985,6 +1009,16 @@ CLI_ERRORS = {
         "{vectors}:1: token 'fire' has no vector components",
         False,
     ),
+    "empty-vectors": (_vector_table("\n"), "{vectors}: no vectors", False),
+    "empty-lexicon": (_lexicon_table(" \n"), "{lexicon}: no synonym sets", False),
+    "gold-unknown-id": (
+        _add_unknown_gold_mention,
+        "gold file {gold}: assignment does not cover mention 'nope'",
+        False,
+    ),
+    "empty-gold": (_overwrite("gold", ""), "gold file {gold}: no mentions retained", False),
+    "input-directory": (_corpus_directory, "[Errno 21] Is a directory: '{corpus}'", False),
+    "output-file": (_output_file, "[Errno 17] File exists: '{out}'", False),
     "weights-misaligned": (
         _similarity(backends=[{"kind": "lexical"}], weights=[0.5, 0.5]),
         "bad config section 'similarity': weights and backends must align",
@@ -1023,6 +1057,17 @@ class TestCli:
         assert len(errors) == 1, err
         assert errors[0].startswith("error: " + expected.format(**paths))
         assert out.exists() is not before_work
+
+    def test_config_directory_is_one_error_line(self, workspace, capsys):
+        paths, _, tmp = workspace
+        out = tmp / "out"
+        code = cli_main(
+            ["all", "--config", str(tmp), "--input", str(paths["corpus"]), "--output", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: [Errno 21] Is a directory: '{tmp}'\n"
+        assert not out.exists()
 
     def test_all_stage_end_to_end(self, workspace, capsys):
         paths, _, tmp = workspace

@@ -1,3 +1,4 @@
+import json
 import random
 import string
 
@@ -119,6 +120,22 @@ class TestDemonstrations:
         path = tmp_path / "demos.jsonl"
         path.write_text('{"text": "x"}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="demos.jsonl:1"):
+            load_demonstrations(path)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"text": 7, "type": "attack", "slots": []},
+            {"text": "Bombs went off", "type": ["attack"], "slots": []},
+            {"text": "Bombs went off", "type": "attack", "slots": ["target", None]},
+            # A string is not a slot list: it would load as one slot per character.
+            {"text": "Bombs went off", "type": "attack", "slots": "abc"},
+        ],
+    )
+    def test_mistyped_field_raises_with_location(self, tmp_path, record):
+        path = tmp_path / "demos.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="demos.jsonl:1: bad demonstration record"):
             load_demonstrations(path)
 
     def test_empty_text_rejected(self):

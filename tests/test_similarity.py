@@ -14,11 +14,23 @@ from eventframes.similarity import (
 )
 
 from helpers import LoopbackServer, TableBackend, table_ensemble
-from oracles import ReferenceEnsemble, ReferenceScorer, reference_lexical
+from oracles import ReferenceEnsemble, ReferenceScorer, keyed_lexicon_matrix, reference_lexical
 
 labels = st.text(
     alphabet=st.sampled_from("abcdefghij xyz"), min_size=1, max_size=12
 ).filter(lambda s: s.strip())
+
+
+# Keys that the lexicon strips and lowercases: the synonym-set members of
+# the tests below in other case and with surrounding or inner whitespace,
+# empty strings, and "İ", whose lowercase is two characters.
+LEXICON_WORDS = ["a", "A", "b", "B", "İ", "i\u0307", "İ b", "i\u0307 B", "x y", "X  Y", "x\ty", ""]
+_padding = st.sampled_from(["", " ", "\t", "  "])
+lexicon_strings = st.one_of(
+    st.text(alphabet="aAbBxyİi\u0307 \t", max_size=6),
+    st.tuples(_padding, st.sampled_from(LEXICON_WORDS), _padding).map("".join),
+)
+lexicon_string_lists = st.lists(lexicon_strings, max_size=8)
 
 
 class TestLexicalBackend:
@@ -66,6 +78,21 @@ class TestLexiconBackend:
         backend = LexiconBackend.from_file(path)
         assert backend.score("victim", "casualty") == 1.0
         assert backend.score("die", "victim") < 1.0
+
+    @pytest.mark.parametrize("text", ["", "\n\n", " \t \n"])
+    def test_from_file_rejects_a_table_without_sets(self, tmp_path, text):
+        # Loaded, it would score every pair lexically.
+        path = tmp_path / "synsets.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="synsets.tsv: no synonym sets"):
+            LexiconBackend.from_file(path)
+
+    @given(lexicon_string_lists, lexicon_string_lists)
+    @settings(max_examples=300, deadline=None)
+    def test_matrix_is_the_keyed_formula_bitwise(self, xs, ys):
+        # Equal non-empty keys score 1 through the lexical fallback.
+        backend = LexiconBackend([["a", "İ b"], ["B", "x y"], ["İ"]])
+        assert_bitwise(backend.matrix(xs, ys), keyed_lexicon_matrix(backend, xs, ys))
 
 
 class TestEmbeddingBackend:
@@ -127,6 +154,14 @@ class TestEmbeddingBackend:
         path = tmp_path / "vectors.txt"
         path.write_text("fire\nattack\n", encoding="utf-8")
         with pytest.raises(ValueError, match="vectors.txt:1: token 'fire' has no vector comp"):
+            EmbeddingBackend.from_file(path)
+
+    @pytest.mark.parametrize("text", ["", "\n", "  \n\t\n"])
+    def test_from_file_rejects_a_table_without_vectors(self, tmp_path, text):
+        # Loaded, it would score every pair lexically.
+        path = tmp_path / "vectors.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="vectors.txt: no vectors"):
             EmbeddingBackend.from_file(path)
 
     def test_service_backend_fetches_and_caches(self):
