@@ -237,9 +237,11 @@ class ReplayStore:
                     key, completions = record["hash"], record["completions"]
                     if not isinstance(key, str) or not isinstance(completions, list):
                         raise TypeError("hash must be a string, completions a list")
+                    if not all(isinstance(c, str) for c in completions):
+                        raise TypeError("each completion must be a string")
                 except (json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise ValueError(f"{path}:{lineno}: bad replay entry: {exc}") from exc
-                store.entries.setdefault(key, tuple(str(c) for c in completions))
+                store.entries.setdefault(key, tuple(completions))
         return store
 
     def put(self, prompt: str, completions: tuple[str, ...]) -> str:

@@ -168,7 +168,8 @@ def average_metrics(runs: Sequence[ClusteringMetrics]) -> ClusteringMetrics:
 
 
 def load_gold_mentions(path: str | Path) -> list[tuple[str, str]]:
-    """Read a gold file: one {"id", "type"} object per line."""
+    """Read a gold file: one {"id", "type"} object per line, the type a
+    string and the id a string or, as the corpus allows, an integer."""
     mentions: list[tuple[str, str]] = []
     with read_text(path) as handle:
         for lineno, line in enumerate(handle, 1):
@@ -177,7 +178,12 @@ def load_gold_mentions(path: str | Path) -> list[tuple[str, str]]:
                 continue
             try:
                 record = json.loads(line)
-                mentions.append((str(record["id"]), str(record["type"])))
+                expr_id, event_type = record["id"], record["type"]
+                if not isinstance(expr_id, (str, int)) or isinstance(expr_id, bool):
+                    raise TypeError("id must be a string or an integer")
+                if not isinstance(event_type, str):
+                    raise TypeError("type must be a string")
+                mentions.append((str(expr_id), event_type))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad gold record: {exc}") from exc
     return mentions

@@ -12,7 +12,9 @@ the calls per class.  The
 lexicon and embedding backends fall back to the lexical score, so `matrix`
 takes the lexical matrix of the same lists when the caller already has it.
 The embedding matrix computes all cosines of the covered strings in one
-numpy call, one dot product per cell.  An embedding service that fails to
+numpy call, one dot product per cell.  A vector table is read by numpy's
+loadtxt in one pass; a table that loadtxt rejects or that holds nan or inf
+is parsed again line by line, which names the bad line.  An embedding service that fails to
 return vectors raises `EmbeddingServiceError`; it is never replaced by
 lexical scores.  Slot-set similarity is stated once, in `slotset_matrix`:
 the schema graph calls it, and `SimilarityEnsemble.sim_slotsets` reads one
@@ -26,6 +28,7 @@ temporaries grow with a block of rows, not with the matrix.
 from __future__ import annotations
 
 import logging
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import add
@@ -200,55 +203,28 @@ class EmbeddingBackend:
     kind = EMBEDDING
 
     def __init__(self, vectors: dict[str, np.ndarray]):
-        self._vectors = {k.lower(): np.asarray(v, dtype=float) for k, v in vectors.items()}
+        self._index(list(vectors), np.array(list(vectors.values()), dtype=float))
         self._fallback = LexicalBackend()
         self.fallback_count = 0
+
+    def _index(self, tokens: Sequence[str], table: np.ndarray) -> None:
+        # Row r of the table is the vector of tokens[r].  Tokens are looked up
+        # lowercased; where two rows lowercase to one token, the later wins.
+        # One dict of row numbers, not one array view per token.
+        self._rows = {token.lower(): row for row, token in enumerate(tokens)}
+        self._table = table
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EmbeddingBackend":
         """Load a vector table: one "token v1 v2 ... vd" line per token, d >= 1,
-        every component finite, at least one token."""
-        tokens: list[str] = []
-        linenos: list[int] = []
-        rows: list[np.ndarray] = []
-        dim: int | None = None
-        with read_text(path) as handle:
-            for lineno, line in enumerate(handle, 1):
-                parts = line.split()
-                if not parts:
-                    continue
-                token, values = parts[0], parts[1:]
-                if dim is None:
-                    dim = len(values)
-                try:
-                    if not values:
-                        raise ValueError(f"token {token!r} has no vector components")
-                    if len(values) != dim:
-                        raise ValueError(f"expected {dim} components, got {len(values)}")
-                    rows.append(np.array([float(v) for v in values]))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
-                tokens.append(token)
-                linenos.append(lineno)
-        if not rows:
-            raise ValueError(f"{path}: no vectors")
-        # One nan or inf makes every similarity of its token nan.  One check
-        # over the whole table costs a fraction of one check per line.
-        finite = np.isfinite(np.array(rows, ndmin=2)).all(axis=1)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise ValueError(f"{path}:{linenos[bad]}: {_non_finite(tokens[bad])}")
-        return cls(dict(zip(tokens, rows)))
+        every component finite, at least one token.  A later line replaces an
+        earlier one for the same lowercased token."""
+        backend = cls({})
+        backend._index(*(_load_table(path) or _parse_table(path)))
+        return backend
 
     def _pool(self, text: str) -> np.ndarray | None:
-        found = [self._vectors[t] for t in _tokens(text) if t in self._vectors]
-        if not found:
-            return None
-        pooled = np.mean(found, axis=0)
-        norm = np.linalg.norm(pooled)
-        if norm == 0.0:
-            return None
-        return pooled / norm
+        return _unit_mean(self._table[[self._rows[t] for t in _tokens(text) if t in self._rows]])
 
     def score(self, a: str, b: str) -> float:
         return float(self.matrix([a], [b])[0, 0])
@@ -276,6 +252,90 @@ class EmbeddingBackend:
         return out
 
 
+def _load_table(path: str | Path) -> tuple[list[str], np.ndarray] | None:
+    """The tokens and the token x component array of a vector table, read by
+    numpy's C reader in one pass; None where `_parse_table` must decide: a
+    table that loadtxt rejects, or with no components or a non-finite one.
+
+    The reader splits fields on the whitespace that str.split() splits on and
+    parses a component as float() parses it, but it rejects spellings float()
+    accepts (1_0, non-ASCII digits), so those tables parse line by line.
+    """
+    tokens: list[str] = []
+
+    def token(field: str) -> float:
+        tokens.append(field)
+        return 0.0
+
+    try:
+        # A handle, not the path: numpy would decompress a path ending in .gz,
+        # and it reads the handle's lines, split where _parse_table's are.
+        with open(path, encoding="utf-8") as handle, warnings.catch_warnings():
+            # An empty table is _parse_table's "no vectors" error.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # Column 0 holds a placeholder for each token.  Before numpy 2.0,
+            # loadtxt hands converters latin-1 bytes unless an encoding is given.
+            table = np.loadtxt(
+                handle, comments=None, ndmin=2, encoding="utf-8", converters={0: token}
+            )
+    except ValueError:  # also a UnicodeDecodeError
+        return None
+    vectors = table[:, 1:]
+    if not vectors.size or not np.isfinite(vectors).all():
+        return None
+    return tokens, vectors
+
+
+def _parse_table(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """The tokens and the token x component array of a vector table, parsed
+    line by line with float(); a malformed table raises a ValueError that
+    names its file and, where there is one, its line."""
+    tokens: list[str] = []
+    linenos: list[int] = []
+    rows: list[np.ndarray] = []
+    dim: int | None = None
+    with read_text(path) as handle:
+        for lineno, line in enumerate(handle, 1):
+            parts = line.split()
+            if not parts:
+                continue
+            token, values = parts[0], parts[1:]
+            if dim is None:
+                dim = len(values)
+            try:
+                if not values:
+                    raise ValueError(f"token {token!r} has no vector components")
+                if len(values) != dim:
+                    raise ValueError(f"expected {dim} components, got {len(values)}")
+                rows.append(np.array([float(v) for v in values]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            tokens.append(token)
+            linenos.append(lineno)
+    if not rows:
+        raise ValueError(f"{path}: no vectors")
+    # One nan or inf makes every similarity of its token nan.  One check
+    # over the whole table costs a fraction of one check per line.
+    table = np.array(rows, ndmin=2)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"{path}:{linenos[bad]}: {_non_finite(tokens[bad])}")
+    return tokens, table
+
+
+def _unit_mean(vectors: np.ndarray | list[np.ndarray]) -> np.ndarray | None:
+    """The mean of the vectors scaled to length 1; None for no vectors or a
+    zero mean."""
+    if not len(vectors):
+        return None
+    pooled = np.mean(vectors, axis=0)
+    norm = np.linalg.norm(pooled)
+    if norm == 0.0:
+        return None
+    return pooled / norm
+
+
 def _non_finite(token: str) -> str:
     return f"vector of {token!r} has a non-finite component"
 
@@ -294,6 +354,7 @@ class EmbeddingServiceBackend(EmbeddingBackend):
 
     def __init__(self, url: str, fetch: Callable[[list[str]], list[list[float]]] | None = None):
         super().__init__({})
+        self._vectors: dict[str, np.ndarray] = {}
         self.url = url
         self._fetch = fetch or self._http_fetch
         self._poster = None
@@ -307,7 +368,8 @@ class EmbeddingServiceBackend(EmbeddingBackend):
         return self._poster.post({"texts": texts})["vectors"]
 
     def _pool(self, text: str) -> np.ndarray | None:
-        missing = [t for t in _tokens(text) if t not in self._vectors]
+        tokens = _tokens(text)
+        missing = [t for t in tokens if t not in self._vectors]
         if missing:
             try:
                 vectors = self._fetch(missing)
@@ -320,7 +382,7 @@ class EmbeddingServiceBackend(EmbeddingBackend):
             except Exception as exc:
                 raise EmbeddingServiceError(f"embedding service {self.url} failed: {exc}") from exc
             self._vectors.update(zip(missing, fetched))
-        return super()._pool(text)
+        return _unit_mean([self._vectors[t] for t in tokens])
 
 
 @dataclass

@@ -105,6 +105,8 @@ class TestReplayStore:
             # A hash that is not a string would load, then break save().
             '{"hash": 7, "completions": ["Type: attack"]}',
             '{"hash": null, "completions": []}',
+            # Completions that are not strings would be served as "None", "3".
+            '{"hash": "h", "completions": [null, 3]}',
         ],
     )
     def test_mistyped_entry_raises_with_location(self, tmp_path, line):

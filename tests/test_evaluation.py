@@ -220,6 +220,30 @@ class TestReporting:
         )
         assert load_gold_mentions(path) == [("m1", "attack"), ("m2", "election")]
 
+    def test_load_gold_mentions_takes_integer_ids(self, tmp_path):
+        # The corpus loader takes an integer "id" as its decimal string.
+        path = tmp_path / "gold.jsonl"
+        path.write_text('{"id": 5, "type": "attack"}\n', encoding="utf-8")
+        assert load_gold_mentions(path) == [("5", "attack")]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            # A null type would be scored as a gold type named "None".
+            '{"id": 5, "type": null}',
+            '{"id": "m2", "type": 3}',
+            '{"id": null, "type": "attack"}',
+            '{"id": true, "type": "attack"}',
+            '{"id": 1.5, "type": "attack"}',
+            '{"id": ["m2"], "type": "attack"}',
+        ],
+    )
+    def test_mistyped_gold_record_raises_with_location(self, tmp_path, line):
+        path = tmp_path / "gold.jsonl"
+        path.write_text('{"id": "m1", "type": "attack"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="gold.jsonl:2: bad gold record"):
+            load_gold_mentions(path)
+
     def test_metrics_table_alignment(self):
         metrics = score_partition([0, 0, 1], [0, 0, 1])
         table = metrics_table(metrics)

@@ -1,9 +1,12 @@
 """Peak traced memory of the aggregate path at graph-large's size, in units of
-one n x n float64 array.
+one n x n float64 array, and of loading a vector table, in units of the
+table's float64 components.
 
 The schema graph build holds the weights and, while pruning copies them, the
 pruned graph; Louvain's intake holds its CSR arrays.  Everything else grows
-with a block of rows (`similarity.BLOCK_ROWS`), not with n x n.
+with a block of rows (`similarity.BLOCK_ROWS`), not with n x n.  A vector
+table is read into one array, beside which the loader holds its tokens and
+numpy's reader its growing buffer.
 """
 
 import random
@@ -12,7 +15,7 @@ import tracemalloc
 import numpy as np
 
 from eventframes.aggregate import SchemaGraph, build_schema_graph, cluster_instances
-from eventframes.similarity import SlotSimilarity, default_ensemble
+from eventframes.similarity import EmbeddingBackend, SlotSimilarity, default_ensemble
 
 from test_aggregate import structured
 from test_louvain import planted_graph
@@ -68,3 +71,19 @@ class TestAggregateMemory:
         )
         peak = traced_peak(lambda: cluster_instances(instances, graph, 1234))
         assert peak / self.unit <= 3.5
+
+
+class TestVectorTableMemory:
+    tokens, dim = 20_000, 50
+    unit = tokens * dim * 8
+
+    def test_from_file_peak(self, tmp_path):
+        rng = np.random.default_rng(1)
+        path = tmp_path / "vectors.txt"
+        path.write_text(
+            "".join(f"tok{i} " + " ".join(f"{v:.5f}" for v in row) + "\n"
+                    for i, row in enumerate(rng.normal(size=(self.tokens, self.dim)).tolist())),
+            encoding="utf-8",
+        )
+        peak = traced_peak(lambda: EmbeddingBackend.from_file(path))
+        assert peak / self.unit <= 2.0

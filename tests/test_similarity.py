@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from eventframes import similarity
@@ -199,6 +199,100 @@ class TestEmbeddingBackend:
         )
         with pytest.raises(EmbeddingServiceError, match="vector of 'beta' has a non-finite"):
             backend.matrix(["alpha beta"], ["alpha"])
+
+
+# Spellings of a component: float() and loadtxt read the first group alike;
+# float() alone reads the next (underscores, non-ASCII digits), the next are
+# read but not finite, and neither reads the last.
+SPELLINGS = [
+    "-1.5", "+2.25", "1e5", "1E-3", "-.5", "5.", "-0.0", "5e-324", "2.2250738585072011e-308",
+    "1_0", "١", "٣.٥", "１",
+    "nan", "-NaN", "inf", "-Infinity", "1e999",
+    "1#2", "#1", "0x10", "1..2", "abc", "+",
+]
+finite = st.floats(allow_nan=False, allow_infinity=False)
+components = st.one_of(
+    finite.map(repr), finite.map("{:.5f}".format), finite.map("{:.17e}".format),
+    st.sampled_from(SPELLINGS),
+)
+# Case variants, a token that lowercases to two characters, one that reads
+# as a number and one holding the comment character.
+table_tokens = st.sampled_from(["run", "Run", "RUN", "walk", "İ", "i\u0307", "naïve", "1.5", "#x"])
+# str.split() whitespace that is no line end in text mode.
+field_separators = st.sampled_from([" ", "  ", "\t", "\u0085", "\u2028", "\u00a0", "\x1c", "\u3000"])
+line_ends = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def vector_tables(draw) -> str:
+    dim = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            fields = []
+        else:
+            # Mostly the table's width; sometimes one more, one fewer or none.
+            width = draw(st.sampled_from([dim] * 8 + [dim + 1, dim - 1, 0]))
+            fields = [draw(table_tokens), *(draw(components) for _ in range(width))]
+        line = "".join(draw(field_separators) + field for field in fields)
+        lines.append(line + draw(st.sampled_from(["", " ", "\u2028"])) + draw(line_ends))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines)
+
+
+class TestVectorTableLoader:
+    """`EmbeddingBackend.from_file` reads a table with numpy's loadtxt and
+    leaves the tables it cannot vouch for to the per-line parser; the two
+    must agree on every table."""
+
+    @staticmethod
+    def loaded(path):
+        try:
+            backend = EmbeddingBackend.from_file(path)
+        except ValueError as exc:
+            return str(exc)
+        return [(token, backend._table[row].tobytes()) for token, row in backend._rows.items()]
+
+    @staticmethod
+    def parsed(path):
+        try:
+            tokens, table = similarity._parse_table(path)
+        except ValueError as exc:
+            return str(exc)
+        vectors = {}
+        for token, vector in zip(tokens, table):
+            vectors[token.lower()] = vector  # a later line wins
+        return [(token, vector.tobytes()) for token, vector in vectors.items()]
+
+    @given(vector_tables())
+    @example("")
+    @example(" \n\t\r\n\u2028\r\x1c\u00a0\n")
+    @example("run 1\n\udcff 2\n")  # not UTF-8
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @pytest.mark.filterwarnings("error::UserWarning")
+    def test_from_file_is_the_per_line_parser(self, tmp_path, table):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(table.encode("utf-8", "surrogateescape"))
+        assert self.loaded(path) == self.parsed(path)
+
+    def test_a_later_line_wins_for_a_repeated_token(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("run 1 0\nRun 0 1\nrun -1 0\nwalk 0 1\n", encoding="utf-8")
+        backend = EmbeddingBackend.from_file(path)
+        assert list(backend._rows) == ["run", "walk"]
+        assert backend._table[backend._rows["run"]].tolist() == [-1.0, 0.0]
+
+    def test_a_plain_table_is_not_parsed_line_by_line(self, tmp_path, monkeypatch):
+        path = tmp_path / "vectors.txt"
+        path.write_text("up 0 1.5e-3\r\ndown\t0 -1\n\nside 1 0", encoding="utf-8")
+        monkeypatch.setattr(similarity, "_parse_table", None)
+        assert self.loaded(path) == [
+            ("up", np.array([0.0, 1.5e-3]).tobytes()),
+            ("down", np.array([0.0, -1.0]).tobytes()),
+            ("side", np.array([1.0, 0.0]).tobytes()),
+        ]
 
 
 class TestEmbeddingServiceWire:
