@@ -170,17 +170,24 @@ def load_corpus(
 
     Ids are assigned deterministically in input order as "<path>:<line>" unless
     a structured record carries its own "id".  Malformed records are skipped
-    and counted in the report.
+    and counted in the report.  An id that an earlier line already has,
+    discarded or not, raises ValueError naming both lines.
     """
     path = Path(path)
 
     expressions: list[EventExpression] = []
     report = LoadReport()
+    line_of: dict[str, int] = {}
     for lineno, explicit_id, text in _iter_units(path, cfg.format):
         if text is None:
             report.discarded[DISCARD_MALFORMED] += 1
             continue
         expr_id = explicit_id if explicit_id is not None else f"{path}:{lineno}"
+        if expr_id in line_of:
+            raise ValueError(
+                f"{path}:{lineno}: id {expr_id!r} is already used on line {line_of[expr_id]}"
+            )
+        line_of[expr_id] = lineno
         expr = EventExpression.from_text(expr_id, text, source=f"{path}:{lineno}")
         decision = filter_expression(expr, cfg)
         if decision.keep:

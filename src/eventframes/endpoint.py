@@ -291,8 +291,8 @@ class RecordingClient:
     deterministic even under sampling; new prompts hit the live client and are
     recorded.  Each new entry is appended to the store file as it arrives, so
     an interrupted run keeps every completion it received; a failed attempt
-    passes through and records nothing.  Call save() (or use as a context
-    manager) to rewrite the file sorted.
+    passes through and records nothing.  Call save() to rewrite the file
+    sorted.
     """
 
     def __init__(self, inner: GenerationClient, store: ReplayStore, path: str | Path):
@@ -321,9 +321,3 @@ class RecordingClient:
 
     def save(self) -> None:
         self.store.save(self.path)
-
-    def __enter__(self) -> "RecordingClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.save()

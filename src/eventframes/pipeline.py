@@ -27,7 +27,16 @@ import time
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Mapping,
+    Sequence,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from .aggregate import (
     GraphConfig,
@@ -85,13 +94,55 @@ class StageInputError(RuntimeError):
     pass
 
 
+# The JSON values a config field of each annotated type takes: a bool is
+# not a number, and an integer is also a float.
+_JSON_TYPES: dict[Any, tuple[str, Callable[[Any], bool]]] = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    type(None): ("null", lambda v: v is None),
+}
+
+
+def _accepts(annotation: Any, value: Any) -> bool:
+    """Whether a JSON value has the annotated type: a scalar, `X | None`, a
+    `tuple[X, ...]` given as a list, or (any other annotation) an object."""
+    if annotation in _JSON_TYPES:
+        return _JSON_TYPES[annotation][1](value)
+    args = get_args(annotation)
+    if get_origin(annotation) is tuple:
+        return isinstance(value, (list, tuple)) and all(_accepts(args[0], v) for v in value)
+    if args:
+        return any(_accepts(a, value) for a in args)
+    return isinstance(value, Mapping)
+
+
+def _describe(annotation: Any) -> str:
+    if annotation in _JSON_TYPES:
+        return _JSON_TYPES[annotation][0]
+    args = get_args(annotation)
+    if get_origin(annotation) is tuple:
+        return f"a list (each item {_describe(args[0])})"
+    if args:
+        return " or ".join(_describe(a) for a in args)
+    return "an object"
+
+
+def _check_type(name: str, annotation: Any, value: Any) -> None:
+    if not _accepts(annotation, value):
+        raise ConfigError(f"{name} must be {_describe(annotation)}, got {value!r}")
+
+
 def _from_mapping(cls, data: Mapping, section: str):
     if not isinstance(data, Mapping):
         raise ConfigError(f"config section {section!r} must be an object")
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(data) - allowed
+    hints = get_type_hints(cls)
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
+    for key, value in data.items():
+        _check_type(f"{section}.{key}", hints[key], value)
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
@@ -141,13 +192,15 @@ class SimilaritySettings:
         object.__setattr__(self, "backends", tuple(dict(b) for b in self.backends))
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        for entry in self.backends:
+        for index, entry in enumerate(self.backends):
             kind = entry.get("kind")
             if kind not in BACKEND_KEYS:
                 raise ConfigError(f"unknown similarity backend kind: {kind!r}")
             unknown = set(entry) - BACKEND_KEYS[kind] - {"kind"}
             if unknown:
                 raise ConfigError(f"unknown keys in {kind} backend: {sorted(unknown)}")
+            for key in sorted(BACKEND_KEYS[kind] & set(entry)):
+                _check_type(f"similarity.backends[{index}].{key}", str, entry[key])
             if kind == "lexicon" and not entry.get("path"):
                 raise ConfigError("lexicon backend requires a 'path'")
             if kind == "embedding" and not (entry.get("path") or entry.get("url")):
@@ -204,8 +257,7 @@ class PipelineConfig:
         if unknown:
             raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
         seed = data.get("seed", cls.seed)
-        if not isinstance(seed, int):
-            raise ConfigError(f"seed must be an integer, got {seed!r}")
+        _check_type("seed", int, seed)
         kwargs: dict[str, Any] = {"seed": seed}
         for name, section_cls in sections.items():
             if name in data:
@@ -301,15 +353,12 @@ _dumps = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 def write_stage_file(
     path: Path, stage: str, config_hash: str, records: Iterable[Mapping]
-) -> int:
+) -> None:
     header = {"stage": stage, "config_hash": config_hash, "format_version": FORMAT_VERSION}
-    count = 0
     with atomic_write(path) as handle:
         handle.write(_dumps(header) + "\n")
         for record in records:
             handle.write(_dumps(record) + "\n")
-            count += 1
-    return count
 
 
 def _json_object(path: Path, lineno: int, line: str) -> dict:
@@ -417,18 +466,17 @@ def _write_manifest(
     outputs: Sequence[Path],
     counts: Mapping,
     wall_time: float,
-    digests: dict[str, str | None] | None = None,
-) -> dict:
+    digests: dict[str, str | None],
+) -> None:
     manifest = {
         "stage": stage,
-        **_record(config_hash, inputs, outputs, {} if digests is None else digests),
+        **_record(config_hash, inputs, outputs, digests),
         "counts": dict(counts),
         "wall_time_s": round(wall_time, 6),
     }
     with atomic_write(_manifest_path(out_dir, stage)) as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    return manifest
 
 
 # --------------------------------------------------------------------------
@@ -458,8 +506,8 @@ class RunContext:
         """The records of an earlier stage's file, refused if stale for cfg."""
         return read_stage_file(self.path(stage), stage, self.cfg.stage_keys[stage])
 
-    def write(self, stage: str, records: Iterable[Mapping]) -> int:
-        return write_stage_file(self.path(stage), stage, self.cfg.stage_keys[stage], records)
+    def write(self, stage: str, records: Iterable[Mapping]) -> None:
+        write_stage_file(self.path(stage), stage, self.cfg.stage_keys[stage], records)
 
     @cached_property
     def ensemble(self) -> SimilarityEnsemble:
@@ -652,7 +700,8 @@ def _stage_io(
     """Input and output files of one stage, and the inputs that the config or
     the command line names, which must exist before the stage runs.  The
     other inputs are the stage files it reads, which read_stage_file reports
-    missing, and without an input path the corpus files ingest last read."""
+    missing; without an input path, the corpus files ingest last read; and a
+    configured replay store, which record mode creates."""
     cfg = ctx.cfg
     inputs: list[Path] = []
     named: list[Path] = []
@@ -665,8 +714,8 @@ def _stage_io(
     if stage.name == "conceptualize":
         if cfg.demonstrations.path:
             named.append(Path(cfg.demonstrations.path))
-        if cfg.generation.replay and Path(cfg.generation.replay).exists():
-            named.append(Path(cfg.generation.replay))
+        if cfg.generation.replay:
+            inputs.append(Path(cfg.generation.replay))
     if "similarity" in stage.sections:
         named.extend(cfg.similarity.tables)
     if stage.name == "evaluate":
@@ -734,7 +783,5 @@ def run_stage(
     started = time.monotonic()
     report = spec.run(ctx)
     elapsed = time.monotonic() - started
-    # record mode may have created the replay store; refresh input list
-    inputs, outputs, _ = _stage_io(spec, ctx, manifest)
     _write_manifest(ctx.out_dir, stage, key, inputs, outputs, report, elapsed, ctx.digests)
     return report

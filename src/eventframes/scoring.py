@@ -138,63 +138,46 @@ def cooccurrence_graph(slot_set: SlotSet, weighted: bool = False) -> dict[str, d
     return adjacency
 
 
-@dataclass(frozen=True)
-class PageRankTrace:
-    """Per-iteration score movement; the L1 change contracts by beta per step."""
-
-    max_changes: tuple[float, ...]
-    l1_changes: tuple[float, ...]
-
-    @property
-    def iterations(self) -> int:
-        return len(self.max_changes)
-
-
 def pagerank(
     adjacency: Mapping[str, Mapping[str, float]],
     beta: float,
     max_iterations: int,
     tolerance: float,
-) -> tuple[dict[str, float], PageRankTrace]:
+) -> dict[str, float]:
     """Degree-normalized power iteration with uniform teleport.
 
     Scores start at 1/N.  Each step distributes beta * R(s') / d(s') along
     edges, where d(s') is the (weighted) degree; nodes without partners keep
     only the teleport term.  Stops after max_iterations or once the max
-    per-slot change drops below tolerance.  Sums add left to right, as
-    Python's sum() did before Python 3.12 compensated its rounding.
+    per-slot change drops below tolerance.  Returns each node's score; an
+    empty graph gives {}.  Sums add left to right, as Python's sum() did
+    before Python 3.12 compensated its rounding.
     """
     nodes = sorted(adjacency)
     n = len(nodes)
     if n == 0:
-        return {}, PageRankTrace((), ())
+        return {}
     degree = {s: reduce(add, adjacency[s].values(), 0.0) for s in nodes}
     neighbours = {s: sorted(adjacency[s].items()) for s in nodes}
     teleport = (1.0 - beta) / n
     scores = {s: 1.0 / n for s in nodes}
-    max_changes: list[float] = []
-    l1_changes: list[float] = []
     for _ in range(max_iterations):
         updated: dict[str, float] = {}
         for s in nodes:
             inflow = reduce(add, [scores[o] * w / degree[o] for o, w in neighbours[s]], 0.0)
             updated[s] = beta * inflow + teleport
-        deltas = [abs(updated[s] - scores[s]) for s in nodes]
-        max_changes.append(max(deltas))
-        l1_changes.append(reduce(add, deltas, 0.0))
+        max_change = max(abs(updated[s] - scores[s]) for s in nodes)
         scores = updated
-        if max_changes[-1] < tolerance:
+        if max_change < tolerance:
             break
-    return scores, PageRankTrace(tuple(max_changes), tuple(l1_changes))
+    return scores
 
 
 def reliability(slot_set: SlotSet, cfg: ScoringConfig = ScoringConfig()) -> dict[str, float]:
-    """PageRank centrality of each slot in the instance's co-occurrence graph."""
-    if len(slot_set) == 0:
-        return {}
+    """PageRank centrality of each slot in the instance's co-occurrence graph,
+    as `pagerank` returns it."""
     adjacency = cooccurrence_graph(slot_set, weighted=cfg.weighted_cooccurrence)
-    scores, _ = pagerank(adjacency, cfg.beta, cfg.max_iterations, cfg.tolerance)
-    return scores
+    return pagerank(adjacency, cfg.beta, cfg.max_iterations, cfg.tolerance)
 
 
 def type_similarities(

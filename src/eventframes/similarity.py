@@ -4,25 +4,25 @@ Three backend kinds: token/bigram overlap (lexical), synonym-set lookup
 (lexicon), and vector cosine (embedding).  Every backend is symmetric, maps
 any string pair into [0, 1], and scores identical non-empty strings as 1.
 
-Each backend implements its similarity once, in `matrix`, which scores
-every pair of two string lists.  `score` (one backend) and
+Each backend implements its similarity once, in `matrix`, which scores every
+pair of two string lists.  `score` (one backend) and
 `SimilarityEnsemble.sim` (the ensemble) are one-cell views of it; each
-backend class defines its own `score`, because perfbench's tracer counts
-the calls per class.  The
-lexicon and embedding backends fall back to the lexical score, so `matrix`
-takes the lexical matrix of the same lists when the caller already has it.
-The embedding matrix computes all cosines of the covered strings in one
-numpy call, one dot product per cell.  A vector table is read by numpy's
-loadtxt in one pass; a table that loadtxt rejects or that holds nan or inf
-is parsed again line by line, which names the bad line.  An embedding service that fails to
-return vectors raises `EmbeddingServiceError`; it is never replaced by
-lexical scores.  Slot-set similarity is stated once, in `slotset_matrix`:
-the schema graph calls it, and `SimilarityEnsemble.sim_slotsets` reads one
-cell of it.  Every float sum adds its terms left to right without
-Python's sum(), which compensates rounding from Python 3.12 on, so the
-results are the same bits on every interpreter.  Work on a matrix of
-every pair runs `BLOCK_ROWS` rows at a time where it can, so that its
-temporaries grow with a block of rows, not with the matrix.
+backend class defines its own `score`, because perfbench's tracer counts the
+calls per class.  The lexicon and embedding backends fall back to the
+lexical score, so `matrix` takes the lexical matrix of the same lists when
+the caller already has it.  The embedding matrix computes all cosines of the
+covered strings in one numpy call, one dot product per cell.  A vector table
+is read by numpy's loadtxt in one pass; a table that loadtxt rejects or that
+holds nan or inf is parsed again line by line, which names the bad line.  An
+embedding service that fails to return vectors raises
+`EmbeddingServiceError`; it is never replaced by lexical scores.  Slot-set
+similarity is stated once, in `slotset_matrix`: the schema graph calls it,
+and `SimilarityEnsemble.sim_slotsets` reads one cell of it.  Every float sum
+adds its terms left to right without Python's sum(), which compensates
+rounding from Python 3.12 on, so the results are the same bits on every
+interpreter.  Work on a matrix of every pair runs `BLOCK_ROWS` rows at a
+time where it can, so that its temporaries grow with a block of rows, not
+with the matrix.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's code paths: naive pair enumeration for
 ARI, direct probability tables for NMI, per-element loops for BCubed, a
-direct double-sum modularity for partitions, per-pair similarity formulas,
-and a per-pair schema graph.  `reference_louvain` is the dict-based Louvain
-that the array-backed `eventframes.louvain.louvain` must match bitwise: same
+direct double-sum modularity for partitions, a PageRank power iteration that
+records each step's change, per-pair similarity formulas, and a per-pair
+schema graph.  `reference_louvain` is the dict-based Louvain that the
+array-backed `eventframes.louvain.louvain` must match bitwise: same
 labels, same modularity floats.
 
 Float sums add left to right (`ordered_sum`), never with sum(): from Python
@@ -135,6 +136,30 @@ def random_partition_pair(rng, max_elements: int = 12, max_clusters: int = 5):
     gold = [rng.randrange(k_gold) for _ in range(n)]
     pred = [rng.randrange(k_pred) for _ in range(n)]
     return gold, pred
+
+
+def reference_pagerank(adjacency, beta, max_iterations, tolerance):
+    """Power iteration that sorts each neighbour list on every step; returns
+    the scores and each step's max and L1 change, the trace that
+    `eventframes.scoring.pagerank` does not keep."""
+    nodes = sorted(adjacency)
+    degree = {s: ordered_sum(adjacency[s].values()) for s in nodes}
+    scores = {s: 1.0 / len(nodes) for s in nodes}
+    max_changes, l1_changes = [], []
+    for _ in range(max_iterations):
+        updated = {
+            s: beta
+            * ordered_sum(scores[o] * w / degree[o] for o, w in sorted(adjacency[s].items()))
+            + (1.0 - beta) / len(nodes)
+            for s in nodes
+        }
+        deltas = [abs(updated[s] - scores[s]) for s in nodes]
+        max_changes.append(max(deltas))
+        l1_changes.append(ordered_sum(deltas))
+        scores = updated
+        if max_changes[-1] < tolerance:
+            break
+    return scores, tuple(max_changes), tuple(l1_changes)
 
 
 # -- per-pair similarity ------------------------------------------------------

@@ -139,6 +139,25 @@ class TestLoadCorpus:
         assert [e.id for e in expressions] == ["custom-1", f"{path}:2"]
         assert report.discarded["malformed"] == 2
 
+    @pytest.mark.parametrize(
+        "first, second, used_on",
+        [
+            ("custom-1", {"id": "custom-1", "text": "second unit"}, 1),
+            ("custom-1", {"id": "{path}:2", "text": "second unit"}, 2),
+            ("custom-1", {"id": "custom-1", "text": " ".join(["tok"] * 300)}, 1),
+            (5, {"id": "5", "text": "second unit"}, 1),
+        ],
+    )
+    def test_repeated_id_raises_naming_both_lines(self, tmp_path, first, second, used_on):
+        path = tmp_path / "records.jsonl"
+        second = {**second, "id": second["id"].format(path=path)}
+        records = [{"id": first, "text": "first unit"}, {"text": "plain unit"}, second]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        message = f"{path}:3: id {second['id']!r} is already used on line {used_on}"
+        with pytest.raises(ValueError) as raised:
+            load_corpus(path, CorpusFilterConfig(format=STRUCTURED_RECORDS))
+        assert str(raised.value) == message
+
     def test_length_counts_tokens_of_the_language_mode(self, tmp_path):
         path = tmp_path / "one-word.txt"
         path.write_text("abcdefgh\n", encoding="utf-8")

@@ -139,8 +139,9 @@ class TestRecordingClient:
     def test_record_then_replay_identical(self, tmp_path):
         live = StaticClient(table={}, default=["Type: t, Slots: a", "Type: t, Slots: b"])
         path = tmp_path / "store.jsonl"
-        with RecordingClient.at(live, path) as recorder:
-            recorded = recorder.generate(GenerationRequest(prompt="p", n=2))
+        recorder = RecordingClient.at(live, path)
+        recorded = recorder.generate(GenerationRequest(prompt="p", n=2))
+        recorder.save()
         replayed = ReplayClient.from_file(path).generate(GenerationRequest(prompt="p", n=2))
         assert replayed == recorded
 
@@ -180,8 +181,9 @@ class TestRecordingClient:
 
         # A resumed run completes the store, and save() compacts it to sorted order.
         live = StaticClient(table={}, default=["Type: u, Slots: s"])
-        with RecordingClient.at(live, path) as resumed:
-            conceptualize_corpus(resumed, DEMOS, corpus, n=1)
+        resumed = RecordingClient.at(live, path)
+        conceptualize_corpus(resumed, DEMOS, corpus, n=1)
+        resumed.save()
         fresh = tmp_path / "fresh.jsonl"
         resumed.store.save(fresh)
         assert path.read_bytes() == fresh.read_bytes()
@@ -212,8 +214,9 @@ class TestRecordingClient:
     def test_replay_serves_at_most_n(self, tmp_path):
         live = StaticClient(table={}, default=["a", "b", "c"])
         path = tmp_path / "store.jsonl"
-        with RecordingClient.at(live, path) as recorder:
-            recorder.generate(GenerationRequest(prompt="p", n=3))
+        recorder = RecordingClient.at(live, path)
+        recorder.generate(GenerationRequest(prompt="p", n=3))
+        recorder.save()
         response = ReplayClient.from_file(path).generate(GenerationRequest(prompt="p", n=2))
         assert response.completions == ("a", "b")
 

@@ -648,7 +648,7 @@ class TestDigestTable:
         if tables:
             assert {str(tmp / "lexicon.tsv"), str(tmp / "vectors.txt")} <= set(hashed)
 
-    def test_a_no_op_rerun_probes_only_the_replay_store(self, workspace, monkeypatch):
+    def test_a_no_op_rerun_probes_no_path(self, workspace, monkeypatch):
         paths, cfg, tmp = workspace
         run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
         probed = []
@@ -661,7 +661,7 @@ class TestDigestTable:
         monkeypatch.setattr(Path, "exists", counted)
         report = run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
         assert set(self.statuses(report).values()) == {"up-to-date"}
-        assert probed == [str(paths["store"])]
+        assert probed == []
 
     def test_an_edit_between_calls_is_rehashed(self, workspace, hashed):
         paths, cfg, tmp = workspace
@@ -740,11 +740,11 @@ class TestCrashSafeWrites:
     def test_failed_manifest_write_keeps_the_previous_manifest(self, tmp_path):
         output = tmp_path / "expressions.jsonl"
         output.write_text("x\n", encoding="utf-8")
-        _write_manifest(tmp_path, "ingest", "k1", [], [output], {"kept": 1}, 0.1)
+        _write_manifest(tmp_path, "ingest", "k1", [], [output], {"kept": 1}, 0.1, {})
         manifest = tmp_path / "ingest.manifest.json"
         before = manifest.read_bytes()
         with pytest.raises(TypeError):
-            _write_manifest(tmp_path, "ingest", "k2", [], [output], {"kept": object()}, 0.1)
+            _write_manifest(tmp_path, "ingest", "k2", [], [output], {"kept": object()}, 0.1, {})
         assert manifest.read_bytes() == before
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["expressions.jsonl", "ingest.manifest.json"]
@@ -1193,6 +1193,75 @@ class TestCli:
         assert len(err.splitlines()) == 1, err
         assert err.startswith("error: " + expected.format(config=config))
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("generation", "n", 2.5),
+            ("generation", "n", True),
+            ("generation", "replay", 5),
+            ("generation", "max_new_tokens", 2.5),
+            ("generation", "workers", 1.5),
+            ("scoring", "threshold", "0.3"),
+            ("scoring", "max_iterations", 300.0),
+            ("scoring", "weighted_cooccurrence", "yes"),
+            ("demonstrations", "path", 5),
+            ("demonstrations", "m", 8.0),
+            ("evaluation", "gold", 5),
+            ("evaluation", "top_k", 15.0),
+            ("evaluation", "repeats", 2.0),
+            ("similarity", "weights", ["0.5", "0.5"]),
+            ("similarity", "backends", [{"kind": "lexical"}, {"kind": "lexicon", "path": 5}]),
+            ("similarity", "backends", [{"kind": "embedding", "url": 5}]),
+            (None, "seed", True),
+        ],
+    )
+    def test_value_of_the_wrong_json_type_is_one_error_before_any_stage(
+        self, workspace, capsys, section, key, value
+    ):
+        paths, _, tmp = workspace
+        data = json.loads(paths["config"].read_text(encoding="utf-8"))
+        if section is None:
+            data[key] = value
+        else:
+            data.setdefault(section, {})[key] = value
+        if key == "weights":
+            data["similarity"]["backends"] = [{"kind": "lexical"}, {"kind": "lexical"}]
+        config = tmp / "mistyped.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp / "out"
+        code = cli_main(
+            ["all", "--config", str(config), "--input", str(paths["corpus"]),
+             "--output", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error: ")
+        assert (key if section is None else f"{section}.{key}") in err
+        assert not out.exists()
+
+    def test_an_integer_for_a_float_field_is_accepted(self):
+        cfg = PipelineConfig.from_dict({"graph": {"lambda3": 3}, "scoring": {"threshold": 0}})
+        assert (cfg.graph.lambda3, cfg.scoring.threshold) == (3, 0)
+
+    def test_repeated_expression_id_is_one_error_at_ingest(self, workspace, capsys):
+        paths, _, tmp = workspace
+        lines = paths["corpus"].read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[0])
+        lines.append(json.dumps({"id": first["id"], "text": "crews repair engines"}))
+        paths["corpus"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp / "out"
+        code = cli_main(
+            ["all", "--config", str(paths["config"]), "--input", str(paths["corpus"]),
+             "--output", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: {paths['corpus']}:{len(lines)}: id {first['id']!r} is already used on line 1"
+        ]
+        assert list(out.iterdir()) == []
 
     def test_override_into_a_section_that_is_not_an_object(self, workspace, capsys):
         paths, _, tmp = workspace

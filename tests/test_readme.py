@@ -1,7 +1,11 @@
-"""The README's library quickstart runs as written."""
+"""The README's library quickstart runs as written, and its configuration
+defaults are the config's own."""
 
+import json
 import re
 from pathlib import Path
+
+from eventframes.pipeline import PipelineConfig
 
 from synthetic import PLANTED, build_workspace
 
@@ -19,3 +23,9 @@ def test_quickstart_runs_in_a_synthetic_workspace(tmp_path, monkeypatch, capsys)
     exec(compile(quickstart(), str(README), "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert sorted(line.split(",")[0] for line in lines) == [f"Type: {t}" for t in sorted(PLANTED)]
+
+
+def test_documented_config_defaults_are_the_defaults():
+    section = README.read_text(encoding="utf-8").split("### Configuration", 1)[1]
+    documented = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    assert documented == json.loads(json.dumps(PipelineConfig().to_dict()))
