@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .fileio import read_text
+from .fileio import read_text, typed
 
 SPACE_DELIMITED = "space-delimited"
 CHARACTER = "character"
@@ -153,13 +153,11 @@ def _iter_units(path: Path, format: str) -> Iterator[tuple[int, str | None, str 
                     continue
                 try:
                     record = json.loads(stripped)
-                    text = record["text"]
-                    if not isinstance(text, str):
-                        raise TypeError("text field is not a string")
+                    text = typed("text", str, record["text"])
+                    explicit = typed("id", str | int | None, record.get("id"))
                 except (json.JSONDecodeError, KeyError, TypeError):
                     yield lineno, None, None
                     continue
-                explicit = record.get("id")
                 yield lineno, str(explicit) if explicit is not None else None, text
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol, Sequence
 
-from .fileio import atomic_write, read_text
+from .fileio import atomic_write, read_records, typed
 
 log = logging.getLogger(__name__)
 
@@ -227,21 +227,8 @@ class ReplayStore:
     @classmethod
     def load(cls, path: str | Path) -> "ReplayStore":
         store = cls()
-        with read_text(path) as handle:
-            for lineno, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    key, completions = record["hash"], record["completions"]
-                    if not isinstance(key, str) or not isinstance(completions, list):
-                        raise TypeError("hash must be a string, completions a list")
-                    if not all(isinstance(c, str) for c in completions):
-                        raise TypeError("each completion must be a string")
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise ValueError(f"{path}:{lineno}: bad replay entry: {exc}") from exc
-                store.entries.setdefault(key, tuple(completions))
+        for _, (key, completions) in read_records(path, "replay entry", _replay_entry):
+            store.entries.setdefault(key, completions)
         return store
 
     def put(self, prompt: str, completions: tuple[str, ...]) -> str:
@@ -262,6 +249,11 @@ class ReplayStore:
         with atomic_write(Path(path)) as handle:
             for key in sorted(self.entries):
                 handle.write(_entry_line(key, self.entries[key]))
+
+
+def _replay_entry(record: dict) -> tuple[str, tuple[str, ...]]:
+    completions = typed("completions", tuple[str, ...], record["completions"])
+    return typed("hash", str, record["hash"]), completions
 
 
 def _entry_line(key: str, completions: tuple[str, ...]) -> str:

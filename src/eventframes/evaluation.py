@@ -3,7 +3,6 @@ top-k-type mention clustering harness."""
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass
@@ -14,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fileio import read_text
+from .fileio import read_records, typed
 
 
 class PartitionInputError(ValueError):
@@ -169,24 +168,22 @@ def average_metrics(runs: Sequence[ClusteringMetrics]) -> ClusteringMetrics:
 
 def load_gold_mentions(path: str | Path) -> list[tuple[str, str]]:
     """Read a gold file: one {"id", "type"} object per line, the type a
-    string and the id a string or, as the corpus allows, an integer."""
+    string and the id a string or, as the corpus allows, an integer.  An id
+    that an earlier line already has raises ValueError naming both lines."""
     mentions: list[tuple[str, str]] = []
-    with read_text(path) as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                expr_id, event_type = record["id"], record["type"]
-                if not isinstance(expr_id, (str, int)) or isinstance(expr_id, bool):
-                    raise TypeError("id must be a string or an integer")
-                if not isinstance(event_type, str):
-                    raise TypeError("type must be a string")
-                mentions.append((str(expr_id), event_type))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad gold record: {exc}") from exc
+    line_of: dict[str, int] = {}
+    for lineno, (expr_id, event_type) in read_records(path, "gold record", _gold_mention):
+        if expr_id in line_of:
+            raise ValueError(
+                f"{path}:{lineno}: id {expr_id!r} is already used on line {line_of[expr_id]}"
+            )
+        line_of[expr_id] = lineno
+        mentions.append((expr_id, event_type))
     return mentions
+
+
+def _gold_mention(record: dict) -> tuple[str, str]:
+    return str(typed("id", str | int, record["id"])), typed("type", str, record["type"])
 
 
 def metrics_table(metrics: ClusteringMetrics) -> str:

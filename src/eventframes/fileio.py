@@ -1,13 +1,67 @@
 """File IO shared by the modules: UTF-8 reads whose decode errors name the
-file, and crash-safe writes (a temp file beside the target, then a rename)."""
+file, JSON-lines records whose fields are checked against their types, and
+crash-safe writes (a temp file beside the target, then a rename)."""
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Any, Callable, Iterator, Mapping, TextIO, get_args, get_origin
+
+# A scalar field takes a value of exactly its type (a bool is not an int),
+# and a float field also an integer.
+_SCALARS = {
+    bool: "true or false", int: "an integer", float: "a number", str: "a string", type(None): "null"
+}
+
+_REJECTED = object()
+
+
+def _convert(annotation: Any, value: Any) -> Any:
+    """value in annotation's form, or _REJECTED."""
+    if type(value) is annotation:
+        return value
+    if annotation in _SCALARS:
+        return float(value) if annotation is float and type(value) is int else _REJECTED
+    args = get_args(annotation)
+    if not args:
+        return dict(value) if isinstance(value, Mapping) else _REJECTED
+    if get_origin(annotation) is tuple:
+        if not isinstance(value, (list, tuple)):
+            return _REJECTED
+        items = tuple([_convert(args[0], v) for v in value])
+        return _REJECTED if _REJECTED in items else items
+    for arg in args:
+        converted = _convert(arg, value)
+        if converted is not _REJECTED:
+            return converted
+    return _REJECTED
+
+
+def _describe(annotation: Any) -> str:
+    if annotation in _SCALARS:
+        return _SCALARS[annotation]
+    args = get_args(annotation)
+    if get_origin(annotation) is tuple:
+        return f"a list (each item {_describe(args[0])})"
+    if args:
+        return " or ".join(_describe(a) for a in args)
+    return "an object"
+
+
+def typed(name: str, annotation: Any, value: Any) -> Any:
+    """A JSON value in the form a field annotated `annotation` holds: a
+    scalar as it is, except that an integer for a float becomes that float;
+    a list for `tuple[X, ...]` a tuple of X; for `X | Y` the first that
+    takes it; an object (any other annotation) a dict.  A value of another
+    JSON type raises TypeError("<name> must be <types>, got <value>")."""
+    converted = _convert(annotation, value)
+    if converted is _REJECTED:
+        raise TypeError(f"{name} must be {_describe(annotation)}, got {value!r}")
+    return converted
 
 
 @contextmanager
@@ -19,6 +73,24 @@ def read_text(path: str | Path) -> Iterator[TextIO]:
             yield handle
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def read_records(path: str | Path, what: str, parse: Callable) -> Iterator[tuple[int, Any]]:
+    """(line number, parse(record)) for each JSON object line of path, in
+    order; blank lines are skipped.  A line that is not a JSON object, or
+    whose record parse rejects with a KeyError, TypeError or ValueError,
+    raises ValueError("<path>:<line>: bad <what>: <reason>")."""
+    with read_text(path) as handle:
+        for lineno, line in enumerate(handle, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                yield lineno, parse(typed("the line", dict, json.loads(line)))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: bad {what}: no {exc} field") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad {what}: {exc}") from exc
 
 
 @contextmanager

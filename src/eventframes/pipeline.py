@@ -27,16 +27,7 @@ import time
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Iterable,
-    Mapping,
-    Sequence,
-    get_args,
-    get_origin,
-    get_type_hints,
-)
+from typing import Any, Callable, Iterable, Mapping, Sequence, get_type_hints
 
 from .aggregate import (
     GraphConfig,
@@ -62,7 +53,7 @@ from .endpoint import (
     ReplayClient,
 )
 from .evaluation import PartitionInputError, average_metrics, load_gold_mentions, mention_harness
-from .fileio import atomic_write, read_text
+from .fileio import atomic_write, read_text, typed
 from .schemas import SchemaCandidate, load_demonstrations
 from .scoring import (
     ScoringConfig,
@@ -94,44 +85,12 @@ class StageInputError(RuntimeError):
     pass
 
 
-# The JSON values a config field of each annotated type takes: a bool is
-# not a number, and an integer is also a float.
-_JSON_TYPES: dict[Any, tuple[str, Callable[[Any], bool]]] = {
-    bool: ("true or false", lambda v: isinstance(v, bool)),
-    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
-    str: ("a string", lambda v: isinstance(v, str)),
-    type(None): ("null", lambda v: v is None),
-}
-
-
-def _accepts(annotation: Any, value: Any) -> bool:
-    """Whether a JSON value has the annotated type: a scalar, `X | None`, a
-    `tuple[X, ...]` given as a list, or (any other annotation) an object."""
-    if annotation in _JSON_TYPES:
-        return _JSON_TYPES[annotation][1](value)
-    args = get_args(annotation)
-    if get_origin(annotation) is tuple:
-        return isinstance(value, (list, tuple)) and all(_accepts(args[0], v) for v in value)
-    if args:
-        return any(_accepts(a, value) for a in args)
-    return isinstance(value, Mapping)
-
-
-def _describe(annotation: Any) -> str:
-    if annotation in _JSON_TYPES:
-        return _JSON_TYPES[annotation][0]
-    args = get_args(annotation)
-    if get_origin(annotation) is tuple:
-        return f"a list (each item {_describe(args[0])})"
-    if args:
-        return " or ".join(_describe(a) for a in args)
-    return "an object"
-
-
-def _check_type(name: str, annotation: Any, value: Any) -> None:
-    if not _accepts(annotation, value):
-        raise ConfigError(f"{name} must be {_describe(annotation)}, got {value!r}")
+def _config_value(name: str, annotation: Any, value: Any) -> Any:
+    """typed(), with a value of the wrong JSON type reported as a ConfigError."""
+    try:
+        return typed(name, annotation, value)
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _from_mapping(cls, data: Mapping, section: str):
@@ -141,10 +100,9 @@ def _from_mapping(cls, data: Mapping, section: str):
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
-    for key, value in data.items():
-        _check_type(f"{section}.{key}", hints[key], value)
+    values = {key: _config_value(f"{section}.{key}", hints[key], v) for key, v in data.items()}
     try:
-        return cls(**data)
+        return cls(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config section {section!r}: {exc}") from exc
 
@@ -189,9 +147,6 @@ class SimilaritySettings:
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "backends", tuple(dict(b) for b in self.backends))
-        if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         for index, entry in enumerate(self.backends):
             kind = entry.get("kind")
             if kind not in BACKEND_KEYS:
@@ -200,7 +155,7 @@ class SimilaritySettings:
             if unknown:
                 raise ConfigError(f"unknown keys in {kind} backend: {sorted(unknown)}")
             for key in sorted(BACKEND_KEYS[kind] & set(entry)):
-                _check_type(f"similarity.backends[{index}].{key}", str, entry[key])
+                typed(f"similarity.backends[{index}].{key}", str, entry[key])
             if kind == "lexicon" and not entry.get("path"):
                 raise ConfigError("lexicon backend requires a 'path'")
             if kind == "embedding" and not (entry.get("path") or entry.get("url")):
@@ -241,9 +196,6 @@ class PipelineConfig:
         for name in (f.name for f in fields(self) if f.name != "seed"):
             section = getattr(self, name)
             data[name] = {f.name: getattr(section, f.name) for f in fields(section)}
-        data["similarity"]["backends"] = [dict(b) for b in self.similarity.backends]
-        if self.similarity.weights is not None:
-            data["similarity"]["weights"] = list(self.similarity.weights)
         return data
 
     @classmethod
@@ -256,17 +208,11 @@ class PipelineConfig:
         unknown = set(data) - set(sections) - {"seed"}
         if unknown:
             raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
-        seed = data.get("seed", cls.seed)
-        _check_type("seed", int, seed)
-        kwargs: dict[str, Any] = {"seed": seed}
+        kwargs: dict[str, Any] = {"seed": _config_value("seed", int, data.get("seed", cls.seed))}
         for name, section_cls in sections.items():
             if name in data:
                 kwargs[name] = _from_mapping(section_cls, data[name], name)
         return cls(**kwargs)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PipelineConfig":
-        return cls.from_dict(read_config(path))
 
     @cached_property
     def stage_keys(self) -> dict[str, str]:
@@ -327,18 +273,20 @@ def build_client(cfg: PipelineConfig) -> GenerationClient:
         if not Path(gen.replay).exists():
             raise StageInputError(f"replay store not found: {gen.replay}")
         return _load(ReplayClient.from_file, gen.replay)
-    if gen.endpoint:
-        client_cls = OpenAICompletionsClient if gen.endpoint_style == "openai" else HttpGenerationClient
-        try:
-            live: GenerationClient = client_cls(gen.endpoint)
-        except ValueError as exc:
-            raise ConfigError(f"generation.endpoint: {exc}") from exc
+    if not gen.endpoint:
         if gen.record:
-            if not gen.replay:
-                raise ConfigError("record mode requires a replay store path")
-            return _load(RecordingClient.at, live, gen.replay)
-        return live
-    raise ConfigError("conceptualize needs an endpoint or a replay store")
+            raise ConfigError("record mode needs generation.endpoint (or --endpoint)")
+        raise ConfigError("conceptualize needs an endpoint or a replay store")
+    client_cls = OpenAICompletionsClient if gen.endpoint_style == "openai" else HttpGenerationClient
+    try:
+        live: GenerationClient = client_cls(gen.endpoint)
+    except ValueError as exc:
+        raise ConfigError(f"generation.endpoint: {exc}") from exc
+    if gen.record:
+        if not gen.replay:
+            raise ConfigError("record mode requires a replay store path")
+        return _load(RecordingClient.at, live, gen.replay)
+    return live
 
 
 # --------------------------------------------------------------------------

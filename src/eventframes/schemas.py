@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 
-from .fileio import read_text
+from .fileio import read_records, typed
 
 _WHITESPACE_RUN = re.compile(r"\s+")
 
@@ -104,21 +103,11 @@ class Demonstration:
 
 def load_demonstrations(path: str | Path) -> list[Demonstration]:
     """Read a demonstrations file: one {"text", "type", "slots"} object per line."""
-    demos: list[Demonstration] = []
-    with read_text(path) as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                text, event_type, slots = record["text"], record["type"], record.get("slots", [])
-                if not isinstance(slots, list) or not all(
-                    isinstance(s, str) for s in (text, event_type, *slots)
-                ):
-                    raise TypeError("text and type must be strings, slots a list of strings")
-                demo = Demonstration(text=text, schema=SchemaCandidate.create(event_type, slots))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad demonstration record: {exc}") from exc
-            demos.append(demo)
-    return demos
+    return [demo for _, demo in read_records(path, "demonstration record", _demonstration)]
+
+
+def _demonstration(record: dict) -> Demonstration:
+    schema = SchemaCandidate.create(
+        typed("type", str, record["type"]), typed("slots", tuple[str, ...], record.get("slots", []))
+    )
+    return Demonstration(text=typed("text", str, record["text"]), schema=schema)

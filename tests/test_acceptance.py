@@ -12,7 +12,7 @@ import pytest
 from eventframes.aggregate import GraphConfig, aggregate, build_schema_graph, cluster_instances
 from eventframes.evaluation import ari, bcubed, mention_harness, nmi
 from eventframes.louvain import louvain
-from eventframes.pipeline import PipelineConfig, read_stage_file, run_stage
+from eventframes.pipeline import PipelineConfig, read_config, read_stage_file, run_stage
 from eventframes.schemas import parse_schema, render_schema
 from eventframes.scoring import (
     ScoringConfig,
@@ -135,7 +135,7 @@ def test_criterion_6_parser_round_trip():
 def test_criterion_7_end_to_end_synthetic_run(tmp_path):
     started = time.monotonic()
     paths = build_workspace(tmp_path / "ws")
-    cfg = PipelineConfig.from_file(paths["config"])
+    cfg = PipelineConfig.from_dict(read_config(paths["config"]))
 
     first = run_stage("all", cfg, tmp_path / "run1", input_path=paths["corpus"])
     second = run_stage("all", cfg, tmp_path / "run2", input_path=paths["corpus"])

@@ -17,7 +17,7 @@ from eventframes.aggregate import (
     render_aggregated,
 )
 from eventframes.louvain import ClusterAssignment
-from eventframes.pipeline import PipelineConfig, read_stage_file, run_stage
+from eventframes.pipeline import PipelineConfig, read_config, read_stage_file, run_stage
 from eventframes.scoring import SlotRecord, StructuredInstance, structured_from_dict
 from eventframes.similarity import (
     EmbeddingBackend,
@@ -363,7 +363,7 @@ def assert_graph_matches_oracle(instances, ensemble_name, cfg):
 def synthetic_instances(tmp_path_factory):
     root = tmp_path_factory.mktemp("synthetic")
     paths = build_workspace(root / "ws")
-    cfg = PipelineConfig.from_file(paths["config"])
+    cfg = PipelineConfig.from_dict(read_config(paths["config"]))
     for stage in ("ingest", "conceptualize", "structuralize"):
         run_stage(stage, cfg, root / "out", input_path=paths["corpus"])
     records = read_stage_file(root / "out" / "structured.jsonl", "structuralize")

@@ -133,11 +133,17 @@ class TestLoadCorpus:
             {"text": "first unit", "id": "custom-1"},
             {"text": "second unit"},
             {"no_text": True},
+            {"text": 7},
+            {"text": "third unit", "id": 3},
+            # An id is a string or an integer, as a gold file's is.
+            {"text": "fourth unit", "id": True},
+            {"text": "fifth unit", "id": 1.5},
+            {"text": "sixth unit", "id": ["a"]},
         ]
         path.write_text("\n".join(json.dumps(r) for r in records) + "\nnot json\n", encoding="utf-8")
         expressions, report = load_corpus(path, CorpusFilterConfig(format=STRUCTURED_RECORDS))
-        assert [e.id for e in expressions] == ["custom-1", f"{path}:2"]
-        assert report.discarded["malformed"] == 2
+        assert [e.id for e in expressions] == ["custom-1", f"{path}:2", "3"]
+        assert report.discarded["malformed"] == 6
 
     @pytest.mark.parametrize(
         "first, second, used_on",

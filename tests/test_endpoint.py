@@ -61,6 +61,21 @@ class TestGenerationRequest:
             GenerationRequest(prompt="p", temperature=-0.1)
 
 
+# A store line with a field of the wrong JSON type, and the reason it is refused.
+MISTYPED_ENTRIES = {
+    # A string is not a completion list: it would load as one completion per
+    # character.
+    '{"hash": "h1", "completions": "Type: attack"}':
+        "completions must be a list (each item a string), got 'Type: attack'",
+    # A hash that is not a string would load, then break save().
+    '{"hash": 7, "completions": ["Type: attack"]}': "hash must be a string, got 7",
+    '{"hash": null, "completions": []}': "hash must be a string, got None",
+    # Completions that are not strings would be served as "None", "3".
+    '{"hash": "h", "completions": [null, 3]}':
+        "completions must be a list (each item a string), got [None, 3]",
+}
+
+
 class TestReplayStore:
     def test_put_get_roundtrip(self):
         store = ReplayStore()
@@ -96,24 +111,13 @@ class TestReplayStore:
         shuffled.write_text("\n".join(reversed(lines)) + "\n", encoding="utf-8")
         assert ReplayStore.load(shuffled).entries == store.entries
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            # A string is not a completion list: it would load as one
-            # completion per character.
-            '{"hash": "h1", "completions": "Type: attack"}',
-            # A hash that is not a string would load, then break save().
-            '{"hash": 7, "completions": ["Type: attack"]}',
-            '{"hash": null, "completions": []}',
-            # Completions that are not strings would be served as "None", "3".
-            '{"hash": "h", "completions": [null, 3]}',
-        ],
-    )
+    @pytest.mark.parametrize("line", MISTYPED_ENTRIES)
     def test_mistyped_entry_raises_with_location(self, tmp_path, line):
         path = tmp_path / "store.jsonl"
         path.write_text('{"hash": "h0", "completions": []}\n' + line + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="store.jsonl:2: bad replay entry"):
+        with pytest.raises(ValueError) as info:
             ReplayStore.load(path)
+        assert str(info.value) == f"{path}:2: bad replay entry: {MISTYPED_ENTRIES[line]}"
 
     def test_failed_save_keeps_the_previous_store(self, tmp_path):
         store = ReplayStore()

@@ -197,6 +197,18 @@ class TestMentionHarness:
             mention_harness([], {}, k=15)
 
 
+# A gold line with a field of the wrong JSON type, and the reason it is refused.
+MISTYPED_GOLD = {
+    # A null type would be scored as a gold type named "None".
+    '{"id": 5, "type": null}': "type must be a string, got None",
+    '{"id": "m2", "type": 3}': "type must be a string, got 3",
+    '{"id": null, "type": "attack"}': "id must be a string or an integer, got None",
+    '{"id": true, "type": "attack"}': "id must be a string or an integer, got True",
+    '{"id": 1.5, "type": "attack"}': "id must be a string or an integer, got 1.5",
+    '{"id": ["m2"], "type": "attack"}': "id must be a string or an integer, got ['m2']",
+}
+
+
 class TestReporting:
     def test_average_metrics(self):
         runs = [
@@ -226,23 +238,29 @@ class TestReporting:
         path.write_text('{"id": 5, "type": "attack"}\n', encoding="utf-8")
         assert load_gold_mentions(path) == [("5", "attack")]
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            # A null type would be scored as a gold type named "None".
-            '{"id": 5, "type": null}',
-            '{"id": "m2", "type": 3}',
-            '{"id": null, "type": "attack"}',
-            '{"id": true, "type": "attack"}',
-            '{"id": 1.5, "type": "attack"}',
-            '{"id": ["m2"], "type": "attack"}',
-        ],
-    )
+    @pytest.mark.parametrize("line", MISTYPED_GOLD)
     def test_mistyped_gold_record_raises_with_location(self, tmp_path, line):
         path = tmp_path / "gold.jsonl"
         path.write_text('{"id": "m1", "type": "attack"}\n' + line + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="gold.jsonl:2: bad gold record"):
+        with pytest.raises(ValueError) as info:
             load_gold_mentions(path)
+        assert str(info.value) == f"{path}:2: bad gold record: {MISTYPED_GOLD[line]}"
+
+    @pytest.mark.parametrize(
+        "first, again", [("a", "a"), (7, "7"), ("7", 7)], ids=["same", "int-str", "str-int"]
+    )
+    def test_repeated_gold_id_raises_naming_both_lines(self, tmp_path, first, again):
+        # Scored twice, a→t1, b→t1, a→t2, c→t2 would read ARI 0.0 against
+        # the partition {a: 0, b: 0, c: 1}.
+        path = tmp_path / "gold.jsonl"
+        mentions = [(first, "t1"), ("b", "t1"), (again, "t2"), ("c", "t2")]
+        path.write_text(
+            "".join(json.dumps({"id": i, "type": t}) + "\n" for i, t in mentions),
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError) as info:
+            load_gold_mentions(path)
+        assert str(info.value) == f"{path}:3: id '{again}' is already used on line 1"
 
     def test_metrics_table_alignment(self):
         metrics = score_partition([0, 0, 1], [0, 0, 1])

@@ -4,7 +4,9 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import pytest
 
@@ -18,6 +20,7 @@ from eventframes.pipeline import (
     _write_manifest,
     build_client,
     build_ensemble,
+    read_config,
     read_stage_file,
     run_stage,
     write_stage_file,
@@ -36,8 +39,18 @@ from test_golden import write_tables
 @pytest.fixture()
 def workspace(tmp_path):
     paths = build_workspace(tmp_path / "ws")
-    cfg = PipelineConfig.from_file(paths["config"])
+    cfg = PipelineConfig.from_dict(read_config(paths["config"]))
     return paths, cfg, tmp_path
+
+
+# (section, key) of every config field that holds a float.
+FLOAT_FIELDS = [
+    (section.name, name)
+    for section in fields(PipelineConfig)
+    if section.name != "seed"
+    for name, annotation in get_type_hints(type(section.default)).items()
+    if float in (annotation, *get_args(annotation))
+]
 
 
 def cover_seed(paths, tmp, seed):
@@ -471,6 +484,43 @@ class TestScopedStageKeys:
         data, keys = PINNED_KEYS[name]
         assert PipelineConfig.from_dict(data).stage_keys == keys
 
+    @pytest.mark.parametrize("section, key", [*FLOAT_FIELDS, ("similarity", "weights")])
+    def test_a_float_field_spelt_as_an_integer_is_one_config(self, section, key):
+        """`3` and `3.0` give one to_dict() JSON and one set of stage keys,
+        or, for a value out of range, one error."""
+
+        def outcome(number):
+            data = {section: {key: number}}
+            if key == "weights":
+                data[section] = {"backends": [{"kind": "lexical"}] * 2, key: [number, 1]}
+            try:
+                cfg = PipelineConfig.from_dict(data)
+            except ConfigError as exc:
+                return str(exc)
+            return json.dumps(cfg.to_dict(), sort_keys=True), cfg.stage_keys
+
+        for number in (0, 1, 2):
+            assert outcome(number) == outcome(float(number)), number
+
+    @pytest.mark.parametrize(
+        "section, key, number", [("graph", "lambda3", 3), ("scoring", "threshold", 0)]
+    )
+    def test_respelling_an_integer_as_a_float_reruns_no_stage(
+        self, workspace, capsys, section, key, number
+    ):
+        paths, _, tmp = workspace
+        data = json.loads(paths["config"].read_text(encoding="utf-8"))
+        common = ["all", "--config", str(paths["config"]), "--input", str(paths["corpus"]),
+                  "--output", str(tmp / "out")]
+        statuses = []
+        for value in (number, float(number)):
+            data.setdefault(section, {})[key] = value
+            paths["config"].write_text(json.dumps(data), encoding="utf-8")
+            assert cli_main(common) == 0
+            report = json.loads(capsys.readouterr().out)
+            statuses.append({s: r.get("status") for s, r in report.items()})
+        assert statuses == [dict.fromkeys(STAGES), dict.fromkeys(STAGES, "up-to-date")]
+
     def test_keys_chain_through_predecessors(self):
         base = PipelineConfig()
         changed = edited(base, "scoring", "threshold", 0.5)
@@ -843,14 +893,20 @@ def fake_endpoint():
 class TestColdStart:
     def test_replay_run_loads_no_http_code(self, tmp_path):
         """A replay run of every stage, in a fresh interpreter, imports none of
-        the HTTP client modules: they load only with a live client."""
+        the HTTP client modules: they load only with a live client.  Nor does
+        it import a third-party package other than numpy, the one declared
+        dependency."""
         paths = build_workspace(tmp_path / "ws")
         script = (
             "import sys\n"
-            "from eventframes.pipeline import PipelineConfig, run_stage\n"
-            "cfg = PipelineConfig.from_file(sys.argv[1])\n"
+            "def packages(): return {m.partition('.')[0] for m in sys.modules}\n"
+            "before = packages()\n"
+            "from eventframes.pipeline import PipelineConfig, read_config, run_stage\n"
+            "cfg = PipelineConfig.from_dict(read_config(sys.argv[1]))\n"
             "run_stage('all', cfg, sys.argv[2], input_path=sys.argv[3])\n"
             "print(sorted(m for m in ('requests', 'urllib3', 'http.client', 'ssl') if m in sys.modules))\n"
+            "new = packages() - before - set(sys.stdlib_module_names)\n"
+            "print(sorted(new - {'eventframes', 'numpy'}))\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         done = subprocess.run(
@@ -859,7 +915,7 @@ class TestColdStart:
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
+        assert done.stdout.splitlines()[-2:] == ["[]", "[]"]
         assert (tmp_path / "out" / "metrics.json").exists()
 
 
@@ -917,6 +973,15 @@ def _add_unrecorded_line(data, paths):
 
 def _delete_corpus(data, paths):
     paths["corpus"].unlink()
+
+
+def _repeat_first_gold_id(data, paths):
+    with open(paths["gold"], "a", encoding="utf-8") as handle:
+        handle.write(json.dumps({"id": planted_mentions()[0][0], "type": "other"}) + "\n")
+
+
+def _record_without_endpoint(data, paths):
+    data["generation"]["record"] = True
 
 
 def _add_unknown_gold_mention(data, paths):
@@ -1017,6 +1082,16 @@ CLI_ERRORS = {
         False,
     ),
     "empty-gold": (_overwrite("gold", ""), "gold file {gold}: no mentions retained", False),
+    "repeated-gold-id": (
+        _repeat_first_gold_id,
+        f"{{gold}}:{len(planted_mentions()) + 1}: id 'm00' is already used on line 1",
+        False,
+    ),
+    "record-without-endpoint": (
+        _record_without_endpoint,
+        "record mode needs generation.endpoint (or --endpoint)",
+        False,
+    ),
     "input-directory": (_corpus_directory, "[Errno 21] Is a directory: '{corpus}'", False),
     "output-file": (_output_file, "[Errno 17] File exists: '{out}'", False),
     "weights-misaligned": (
@@ -1244,6 +1319,11 @@ class TestCli:
     def test_an_integer_for_a_float_field_is_accepted(self):
         cfg = PipelineConfig.from_dict({"graph": {"lambda3": 3}, "scoring": {"threshold": 0}})
         assert (cfg.graph.lambda3, cfg.scoring.threshold) == (3, 0)
+        # It is read as that float: `"lambda3": 3` is the default config.
+        assert type(cfg.graph.lambda3) is type(cfg.scoring.threshold) is float
+        assert PipelineConfig.from_dict({"graph": {"lambda3": 3}}).stage_keys == (
+            PipelineConfig().stage_keys
+        )
 
     def test_repeated_expression_id_is_one_error_at_ingest(self, workspace, capsys):
         paths, _, tmp = workspace

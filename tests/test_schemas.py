@@ -123,20 +123,35 @@ class TestDemonstrations:
             load_demonstrations(path)
 
     @pytest.mark.parametrize(
-        "record",
+        "record, reason",
         [
-            {"text": 7, "type": "attack", "slots": []},
-            {"text": "Bombs went off", "type": ["attack"], "slots": []},
-            {"text": "Bombs went off", "type": "attack", "slots": ["target", None]},
+            pytest.param(
+                {"text": 7, "type": "attack", "slots": []}, "text must be a string, got 7", id="record0"
+            ),
+            pytest.param(
+                {"text": "Bombs went off", "type": ["attack"], "slots": []},
+                "type must be a string, got ['attack']",
+                id="record1",
+            ),
+            pytest.param(
+                {"text": "Bombs went off", "type": "attack", "slots": ["target", None]},
+                "slots must be a list (each item a string), got ['target', None]",
+                id="record2",
+            ),
             # A string is not a slot list: it would load as one slot per character.
-            {"text": "Bombs went off", "type": "attack", "slots": "abc"},
+            pytest.param(
+                {"text": "Bombs went off", "type": "attack", "slots": "abc"},
+                "slots must be a list (each item a string), got 'abc'",
+                id="record3",
+            ),
         ],
     )
-    def test_mistyped_field_raises_with_location(self, tmp_path, record):
+    def test_mistyped_field_raises_with_location(self, tmp_path, record, reason):
         path = tmp_path / "demos.jsonl"
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="demos.jsonl:1: bad demonstration record"):
+        with pytest.raises(ValueError) as info:
             load_demonstrations(path)
+        assert str(info.value) == f"{path}:1: bad demonstration record: {reason}"
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
