@@ -1,9 +1,11 @@
 """File IO shared by the modules: UTF-8 reads whose decode errors name the
-file, JSON-lines records whose fields are checked against their types, and
-crash-safe writes (a temp file beside the target, then a rename)."""
+file, JSON-lines records whose fields are checked against their types,
+content hashes read in chunks, and crash-safe writes (a temp file beside the
+target, then a rename)."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
@@ -25,7 +27,12 @@ def _convert(annotation: Any, value: Any) -> Any:
     if type(value) is annotation:
         return value
     if annotation in _SCALARS:
-        return float(value) if annotation is float and type(value) is int else _REJECTED
+        if annotation is not float or type(value) is not int:
+            return _REJECTED
+        try:
+            return float(value)
+        except OverflowError:  # beyond the float range
+            return _REJECTED
     args = get_args(annotation)
     if not args:
         return dict(value) if isinstance(value, Mapping) else _REJECTED
@@ -54,7 +61,8 @@ def _describe(annotation: Any) -> str:
 
 def typed(name: str, annotation: Any, value: Any) -> Any:
     """A JSON value in the form a field annotated `annotation` holds: a
-    scalar as it is, except that an integer for a float becomes that float;
+    scalar as it is, except that an integer for a float becomes that float
+    (one beyond the float range is of the wrong type);
     a list for `tuple[X, ...]` a tuple of X; for `X | Y` the first that
     takes it; an object (any other annotation) a dict.  A value of another
     JSON type raises TypeError("<name> must be <types>, got <value>")."""
@@ -62,6 +70,13 @@ def typed(name: str, annotation: Any, value: Any) -> Any:
     if converted is _REJECTED:
         raise TypeError(f"{name} must be {_describe(annotation)}, got {value!r}")
     return converted
+
+
+def normalized(annotation: Any, value: Any) -> Any:
+    """value in the form typed() gives it; a value that typed() refuses, which
+    a field set in Python may hold, as it is."""
+    converted = _convert(annotation, value)
+    return value if converted is _REJECTED else converted
 
 
 @contextmanager
@@ -91,6 +106,19 @@ def read_records(path: str | Path, what: str, parse: Callable) -> Iterator[tuple
                 raise ValueError(f"{path}:{lineno}: bad {what}: no {exc} field") from exc
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad {what}: {exc}") from exc
+
+
+def file_hash(path: str | Path) -> str | None:
+    """The sha256 of path's content, read 64 KiB at a time; None if there is
+    no such file."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as handle:
+            for chunk in iter(lambda: handle.read(65536), b""):
+                digest.update(chunk)
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    return digest.hexdigest()
 
 
 @contextmanager

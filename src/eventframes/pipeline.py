@@ -25,7 +25,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, get_type_hints
 
@@ -53,7 +53,8 @@ from .endpoint import (
     ReplayClient,
 )
 from .evaluation import PartitionInputError, average_metrics, load_gold_mentions, mention_harness
-from .fileio import atomic_write, read_text, typed
+from .fileio import atomic_write, normalized, read_text, typed
+from .fileio import file_hash as _file_hash
 from .schemas import SchemaCandidate, load_demonstrations
 from .scoring import (
     ScoringConfig,
@@ -93,10 +94,14 @@ def _config_value(name: str, annotation: Any, value: Any) -> Any:
         raise ConfigError(str(exc)) from None
 
 
+# The field annotations of a config section class, resolved once.
+_field_types = cache(get_type_hints)
+
+
 def _from_mapping(cls, data: Mapping, section: str):
     if not isinstance(data, Mapping):
         raise ConfigError(f"config section {section!r} must be an object")
-    hints = get_type_hints(cls)
+    hints = _field_types(cls)
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
@@ -192,10 +197,16 @@ class PipelineConfig:
     evaluation: EvaluationSettings = EvaluationSettings()
 
     def to_dict(self) -> dict:
+        """Each section's fields as from_dict reads them (so an integer for a
+        float field is that float): a config built in Python has the stage
+        keys of the same config read from JSON."""
         data: dict[str, Any] = {"seed": self.seed}
         for name in (f.name for f in fields(self) if f.name != "seed"):
             section = getattr(self, name)
-            data[name] = {f.name: getattr(section, f.name) for f in fields(section)}
+            hints = _field_types(type(section))
+            data[name] = {
+                f.name: normalized(hints[f.name], getattr(section, f.name)) for f in fields(section)
+            }
         return data
 
     @classmethod
@@ -356,18 +367,6 @@ def read_stage_file(
         for lineno, line in enumerate(lines[1:], 2)
         if line.strip()
     ]
-
-
-def _file_hash(path: Path) -> str | None:
-    """The sha256 of path's content; None if there is no such file."""
-    digest = hashlib.sha256()
-    try:
-        with open(path, "rb") as handle:
-            for chunk in iter(lambda: handle.read(65536), b""):
-                digest.update(chunk)
-    except (FileNotFoundError, NotADirectoryError):
-        return None
-    return digest.hexdigest()
 
 
 def _record(

@@ -13,7 +13,10 @@ lexical score, so `matrix` takes the lexical matrix of the same lists when
 the caller already has it.  The embedding matrix computes all cosines of the
 covered strings in one numpy call, one dot product per cell.  A vector table
 is read by numpy's loadtxt in one pass; a table that loadtxt rejects or that
-holds nan or inf is parsed again line by line, which names the bad line.  An
+holds nan or inf is parsed again line by line, which names the bad line.  A
+process parses each lexicon and vector table file once while its bytes are
+unchanged: the parsed table is kept, read-only, for the life of the process
+under the sha256 of the bytes, and each load hashes the file to reuse it.  An
 embedding service that fails to return vectors raises
 `EmbeddingServiceError`; it is never replaced by lexical scores.  Slot-set
 similarity is stated once, in `slotset_matrix`: the schema graph calls it,
@@ -33,11 +36,12 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import add
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .fileio import read_text
+from .fileio import file_hash, read_text
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +57,28 @@ BLOCK_ROWS = 64
 def row_blocks(n: int) -> Iterator[slice]:
     """Slices of at most BLOCK_ROWS consecutive rows that cover range(n)."""
     return (slice(start, start + BLOCK_ROWS) for start in range(0, n, BLOCK_ROWS))
+
+
+# The last table parsed from each file, by parser and absolute path: the
+# sha256 of the bytes parsed and the parsed table, which nothing modifies.
+_parsed: dict[tuple[Callable, Path], tuple[str, Any]] = {}
+
+
+def _parse_once(parse: Callable[[str | Path], Any], path: str | Path) -> Any:
+    """parse(path), reused while path's bytes are unchanged.
+
+    The table is kept only when the file hashes the same before and after
+    the parse, so a file rewritten while it was read is never kept under
+    the wrong digest.  A parse that raises keeps nothing."""
+    key = (parse, Path(path).absolute())
+    digest = file_hash(path)
+    entry = _parsed.get(key)
+    if entry is not None and entry[0] == digest:
+        return entry[1]
+    table = parse(path)
+    if digest is not None and file_hash(path) == digest:
+        _parsed[key] = (digest, table)
+    return table
 
 
 class SimilarityBackend(Protocol):
@@ -153,27 +179,18 @@ class LexiconBackend:
     kind = LEXICON
 
     def __init__(self, synonym_sets: Iterable[Iterable[str]]):
-        self._set_ids: dict[str, set[int]] = {}
-        for set_id, group in enumerate(synonym_sets):
-            for member in group:
-                key = member.strip().lower()
-                if key:
-                    self._set_ids.setdefault(key, set()).add(set_id)
+        self._set_ids = _set_ids(synonym_sets)
         self._fallback = LexicalBackend()
 
     @classmethod
     def from_file(cls, path: str | Path) -> "LexiconBackend":
         """Load a synonym-set file: one group per line, members tab-separated,
-        at least one group."""
-        groups: list[list[str]] = []
-        with read_text(path) as handle:
-            for line in handle:
-                members = [m for m in line.rstrip("\n").split("\t") if m.strip()]
-                if members:
-                    groups.append(members)
-        if not groups:
-            raise ValueError(f"{path}: no synonym sets")
-        return cls(groups)
+        at least one group.  A process parses the file once while its bytes
+        are unchanged, and keeps the parsed sets for its life; each backend
+        has its own fallback."""
+        backend = cls(())
+        backend._set_ids = _parse_once(_read_lexicon, path)
+        return backend
 
     def score(self, a: str, b: str) -> float:
         return float(self.matrix([a], [b])[0, 0])
@@ -195,6 +212,30 @@ class LexiconBackend:
         return np.where(shared_set, 1.0, self._fallback.matrix(xs, ys, lexical))
 
 
+def _set_ids(synonym_sets: Iterable[Iterable[str]]) -> Mapping[str, set[int]]:
+    """Read-only map of each lowercased, stripped member to the numbers of
+    the sets it is in; no backend modifies the sets."""
+    set_ids: dict[str, set[int]] = {}
+    for set_id, group in enumerate(synonym_sets):
+        for member in group:
+            key = member.strip().lower()
+            if key:
+                set_ids.setdefault(key, set()).add(set_id)
+    return MappingProxyType(set_ids)
+
+
+def _read_lexicon(path: str | Path) -> Mapping[str, set[int]]:
+    groups: list[list[str]] = []
+    with read_text(path) as handle:
+        for line in handle:
+            members = [m for m in line.rstrip("\n").split("\t") if m.strip()]
+            if members:
+                groups.append(members)
+    if not groups:
+        raise ValueError(f"{path}: no synonym sets")
+    return _set_ids(groups)
+
+
 class EmbeddingBackend:
     """Cosine similarity of mean-pooled token vectors, mapped to [0, 1] via
     (1 + cos) / 2.  Pairs with no vector coverage on either side fall back to
@@ -203,24 +244,20 @@ class EmbeddingBackend:
     kind = EMBEDDING
 
     def __init__(self, vectors: dict[str, np.ndarray]):
-        self._index(list(vectors), np.array(list(vectors.values()), dtype=float))
+        table = np.array(list(vectors.values()), dtype=float)
+        self._rows, self._table = _index(list(vectors), table)
         self._fallback = LexicalBackend()
         self.fallback_count = 0
-
-    def _index(self, tokens: Sequence[str], table: np.ndarray) -> None:
-        # Row r of the table is the vector of tokens[r].  Tokens are looked up
-        # lowercased; where two rows lowercase to one token, the later wins.
-        # One dict of row numbers, not one array view per token.
-        self._rows = {token.lower(): row for row, token in enumerate(tokens)}
-        self._table = table
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EmbeddingBackend":
         """Load a vector table: one "token v1 v2 ... vd" line per token, d >= 1,
         every component finite, at least one token.  A later line replaces an
-        earlier one for the same lowercased token."""
+        earlier one for the same lowercased token.  A process parses the file
+        once while its bytes are unchanged, and keeps the parsed table for its
+        life; each backend has its own fallback and fallback_count."""
         backend = cls({})
-        backend._index(*(_load_table(path) or _parse_table(path)))
+        backend._rows, backend._table = _parse_once(_read_vectors, path)
         return backend
 
     def _pool(self, text: str) -> np.ndarray | None:
@@ -250,6 +287,19 @@ class EmbeddingBackend:
             dots = np.matmul(vec_x[:, None, None, :], vec_y[None, :, :, None])[:, :, 0, 0]
             out[np.ix_(covered_x, covered_y)] = (1.0 + np.clip(dots, -1.0, 1.0)) / 2.0
         return out
+
+
+def _index(tokens: Sequence[str], table: np.ndarray) -> tuple[Mapping[str, int], np.ndarray]:
+    """A read-only map of each lowercased token to its row, and the table, no
+    longer writeable; row r of the table is the vector of tokens[r].  Where
+    two rows lowercase to one token, the later wins.  One dict of row
+    numbers, not one array view per token."""
+    table.flags.writeable = False
+    return MappingProxyType({token.lower(): row for row, token in enumerate(tokens)}), table
+
+
+def _read_vectors(path: str | Path) -> tuple[Mapping[str, int], np.ndarray]:
+    return _index(*(_load_table(path) or _parse_table(path)))
 
 
 def _load_table(path: str | Path) -> tuple[list[str], np.ndarray] | None:

@@ -1,9 +1,11 @@
 """Shared builders for tests: tiny instances, a table-backed similarity, a
-client that serves canned completions, and a loopback HTTP server."""
+client that serves canned completions, a loopback HTTP server, and a count
+of the similarity tables parsed."""
 
 from __future__ import annotations
 
 import json
+import os
 import socket
 import threading
 from dataclasses import dataclass
@@ -16,6 +18,7 @@ import numpy as np
 from eventframes.conceptualize import ConceptualizedInstance
 from eventframes.corpus import EventExpression
 from eventframes.endpoint import GenerationRequest, GenerationResponse, TransportError
+from eventframes import similarity
 from eventframes.schemas import SchemaCandidate
 from eventframes.similarity import SimilarityEnsemble
 
@@ -175,3 +178,17 @@ def refused_port() -> int:
 def as_partition(assignment) -> frozenset[frozenset[int]]:
     """A ClusterAssignment's clusters as a set of sets of node indices."""
     return frozenset(frozenset(group) for group in assignment.groups())
+
+
+def count_table_parses(monkeypatch) -> list[str]:
+    """The names of the files that the lexicon reader and the vector-table
+    loader read from now on, one per read, in order."""
+    parses: list[str] = []
+    for name in ("read_text", "_load_table"):
+
+        def counted(path, _original=getattr(similarity, name)):
+            parses.append(os.path.basename(path))
+            return _original(path)
+
+        monkeypatch.setattr(similarity, name, counted)
+    return parses

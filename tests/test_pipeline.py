@@ -31,7 +31,7 @@ from eventframes.endpoint import ReplayStore, prompt_hash
 from eventframes.schemas import SchemaCandidate, load_demonstrations, render_schema
 from eventframes.similarity import EmbeddingServiceBackend
 
-from helpers import LoopbackServer
+from helpers import LoopbackServer, count_table_parses
 from synthetic import DEMO_POOL, build_workspace, planted_mentions
 from test_golden import write_tables
 
@@ -487,20 +487,28 @@ class TestScopedStageKeys:
     @pytest.mark.parametrize("section, key", [*FLOAT_FIELDS, ("similarity", "weights")])
     def test_a_float_field_spelt_as_an_integer_is_one_config(self, section, key):
         """`3` and `3.0` give one to_dict() JSON and one set of stage keys,
-        or, for a value out of range, one error."""
+        or, for a value out of range, one error; so does a config built in
+        Python from either."""
 
-        def outcome(number):
+        def outcome(number, build):
             data = {section: {key: number}}
             if key == "weights":
                 data[section] = {"backends": [{"kind": "lexical"}] * 2, key: [number, 1]}
             try:
-                cfg = PipelineConfig.from_dict(data)
-            except ConfigError as exc:
+                cfg = build(data)
+            except (ConfigError, ValueError) as exc:
                 return str(exc)
             return json.dumps(cfg.to_dict(), sort_keys=True), cfg.stage_keys
 
+        def in_python(data):
+            section_cls = type(getattr(PipelineConfig, section))
+            return PipelineConfig(**{section: section_cls(**data[section])})
+
         for number in (0, 1, 2):
-            assert outcome(number) == outcome(float(number)), number
+            from_json = outcome(float(number), PipelineConfig.from_dict)
+            assert outcome(number, PipelineConfig.from_dict) == from_json, number
+            if not isinstance(from_json, str):
+                assert outcome(number, in_python) == from_json, number
 
     @pytest.mark.parametrize(
         "section, key, number", [("graph", "lambda3", 3), ("scoring", "threshold", 0)]
@@ -598,6 +606,53 @@ class TestOneEnsemblePerRun:
         run_stage("aggregate", cfg, tmp / "out", force=True)
         run_stage("structuralize", cfg, tmp / "out", force=True)
         assert len(builds) - before == 2
+
+
+class TestTablesParsedOncePerProcess:
+    @pytest.fixture()
+    def tables(self, workspace, monkeypatch):
+        """The workspace with a lexicon and a vector table, and the names of
+        the files that the lexicon reader and the vector-table loader read."""
+        paths, cfg, tmp = workspace
+        data = cfg.to_dict()
+        data["similarity"] = write_tables(tmp)
+        return paths, PipelineConfig.from_dict(data), tmp, count_table_parses(monkeypatch)
+
+    def test_config_edits_parse_each_table_once(self, tables):
+        paths, cfg, tmp, parses = tables
+        build_ensemble(cfg.similarity)
+        run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        for section, key, value in (("scoring", "threshold", 0.3), ("graph", "lambda3", 2.5)):
+            cfg = edited(cfg, section, key, value)
+            report = run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+            assert report["aggregate"].get("status") is None
+        assert sorted(parses) == ["lexicon.tsv", "vectors.txt"]
+
+    def test_a_table_rewritten_to_the_same_size_and_time_reruns_its_stages(self, tables):
+        paths, cfg, tmp, parses = tables
+        run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        before = (tmp / "out" / "structured.jsonl").read_bytes()
+        # Each vector moves to the next line's token: the same size, other bytes.
+        table = tmp / "vectors.txt"
+        stat = table.stat()
+        lines = table.read_text("utf-8").splitlines()
+        tokens, vectors = zip(*(line.split(" ", 1) for line in lines))
+        table.write_text(
+            "".join(f"{t} {v}\n" for t, v in zip(tokens[1:] + tokens[:1], vectors)), "utf-8"
+        )
+        os.utime(table, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert table.stat().st_size == stat.st_size
+
+        report = run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        assert {s for s, r in report.items() if r.get("status") is None} >= {
+            "structuralize", "aggregate"
+        }
+        assert parses.count("vectors.txt") == 2
+        assert (tmp / "out" / "structured.jsonl").read_bytes() != before
+        run_stage("all", cfg, tmp / "fresh", input_path=paths["corpus"], force=True)
+        for stage_file in ("structured.jsonl", "schemas.jsonl", "metrics.json"):
+            fresh = (tmp / "fresh" / stage_file).read_bytes()
+            assert (tmp / "out" / stage_file).read_bytes() == fresh, stage_file
 
 
 class TestOneGraphPerRun:
@@ -1278,6 +1333,7 @@ class TestCli:
             ("generation", "max_new_tokens", 2.5),
             ("generation", "workers", 1.5),
             ("scoring", "threshold", "0.3"),
+            pytest.param("graph", "lambda3", 10**400, id="graph-lambda3-beyond-float-range"),
             ("scoring", "max_iterations", 300.0),
             ("scoring", "weighted_cooccurrence", "yes"),
             ("demonstrations", "path", 5),

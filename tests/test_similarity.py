@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -13,7 +15,7 @@ from eventframes.similarity import (
     SimilarityEnsemble,
 )
 
-from helpers import LoopbackServer, TableBackend, table_ensemble
+from helpers import LoopbackServer, TableBackend, count_table_parses, table_ensemble
 from oracles import ReferenceEnsemble, ReferenceScorer, keyed_lexicon_matrix, reference_lexical
 
 labels = st.text(
@@ -293,6 +295,108 @@ class TestVectorTableLoader:
             ("down", np.array([0.0, -1.0]).tobytes()),
             ("side", np.array([1.0, 0.0]).tobytes()),
         ]
+
+
+class TestTablesParsedOnce:
+    """A process parses a table file once while its bytes are unchanged."""
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        return count_table_parses(monkeypatch)
+
+    @staticmethod
+    def vectors(backend):
+        return {token: backend._table[row].tolist() for token, row in backend._rows.items()}
+
+    def test_an_unchanged_table_is_parsed_once(self, tmp_path, parses):
+        (tmp_path / "lexicon.tsv").write_text("die\tdecease\n", encoding="utf-8")
+        (tmp_path / "vectors.txt").write_text("up 0 1\ndown 0 -1\n", encoding="utf-8")
+        for _ in range(3):
+            assert LexiconBackend.from_file(tmp_path / "lexicon.tsv").score("die", "decease") == 1
+            assert EmbeddingBackend.from_file(tmp_path / "vectors.txt").score("up", "down") == 0
+        assert parses == ["lexicon.tsv", "vectors.txt"]
+
+    def test_a_table_rewritten_to_the_same_size_and_time_is_parsed_again(self, tmp_path, parses):
+        path = tmp_path / "vectors.txt"
+        path.write_text("up 0 1\ndown 0 -1\n", encoding="utf-8")
+        assert self.vectors(EmbeddingBackend.from_file(path))["up"] == [0.0, 1.0]
+        stat = path.stat()
+        path.write_text("down 0 1\nup 0 -1\n", encoding="utf-8")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        assert self.vectors(EmbeddingBackend.from_file(path))["up"] == [0.0, -1.0]
+        assert parses == ["vectors.txt", "vectors.txt"]
+
+    def test_a_file_rewritten_while_it_is_parsed_is_not_kept(self, tmp_path, monkeypatch):
+        """Hashed as `first`, parsed as `second`: kept, the table would be
+        returned for `first`."""
+        path = tmp_path / "vectors.txt"
+        first, second = "up 0 1\n", "up 1 0\n"
+        path.write_text(first, encoding="utf-8")
+        original = similarity._load_table
+
+        def rewritten_first(p):
+            path.write_text(second, encoding="utf-8")
+            return original(p)
+
+        monkeypatch.setattr(similarity, "_load_table", rewritten_first)
+        assert self.vectors(EmbeddingBackend.from_file(path)) == {"up": [1.0, 0.0]}
+        monkeypatch.setattr(similarity, "_load_table", original)
+        path.write_text(first, encoding="utf-8")
+        assert self.vectors(EmbeddingBackend.from_file(path)) == {"up": [0.0, 1.0]}
+
+    @pytest.mark.parametrize(
+        "cls, name, bad, message, good",
+        [
+            (LexiconBackend, "synsets.tsv", "\n", "synsets.tsv: no synonym sets", "a\tb\n"),
+            (EmbeddingBackend, "vectors.txt", "up 0 1\nbad 1\n", "vectors.txt:2: expected 2",
+             "up 0 1\nbad 1 0\n"),
+        ],
+    )
+    def test_a_table_that_fails_to_parse_fails_again_until_fixed(
+        self, tmp_path, parses, cls, name, bad, message, good
+    ):
+        path = tmp_path / name
+        path.write_text(bad, encoding="utf-8")
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message) as excinfo:
+                cls.from_file(path)
+            errors.append(str(excinfo.value))
+        assert errors[0] == errors[1]
+        path.write_text(good, encoding="utf-8")
+        cls.from_file(path)
+        before = len(parses)
+        cls.from_file(path)
+        assert len(parses) == before
+
+    def test_backends_from_one_file_share_only_the_read_only_table(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("up 0 1\ndown 0 -1\n", encoding="utf-8")
+        one, two = EmbeddingBackend.from_file(path), EmbeddingBackend.from_file(path)
+        assert one._table is two._table and one._rows is two._rows
+        assert not one._table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            one._table[0, 0] = 5.0
+        with pytest.raises(TypeError):
+            one._rows["up"] = 1
+        assert one.score("die", "died") == pytest.approx(0.8)
+        assert (one.fallback_count, two.fallback_count) == (1, 0)
+        assert one._fallback is not two._fallback
+
+        (tmp_path / "synsets.tsv").write_text("die\tdecease\n", encoding="utf-8")
+        one, two = (LexiconBackend.from_file(tmp_path / "synsets.tsv") for _ in range(2))
+        assert one._set_ids is two._set_ids and one._fallback is not two._fallback
+        with pytest.raises(TypeError):
+            one._set_ids["die"] = set()
+
+    def test_one_file_read_as_both_kinds_of_table(self, tmp_path):
+        # Read as a lexicon, each line is a group of a token and its components.
+        path = tmp_path / "table.txt"
+        path.write_text("up\t0\t1\ndown\t0\t-1\n", encoding="utf-8")
+        for _ in range(2):
+            assert EmbeddingBackend.from_file(path).score("up", "down") == 0.0
+            assert LexiconBackend.from_file(path).score("up", "1") == 1.0
 
 
 class TestEmbeddingServiceWire:
