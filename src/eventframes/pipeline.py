@@ -11,10 +11,12 @@ first stage that reads the edited section.
 A stage is up to date when its manifest's `config_hash`, `inputs` and
 `outputs` equal what a run would record now: its key and the content hashes
 (sha256, not mtimes) of exactly its input and output files, none of them
-missing.  Without an input path, ingest's inputs are the corpus files its
-manifest records.  The stages of one `run_stage("all")` call share a digest
-table, emptied whenever a stage runs, so while stages are skipped each input,
-table and stage file is hashed at most once.
+missing.  Its inputs are its predecessor's file and the files that
+`Stage.files` declares, with the files it writes besides its own.  The stages
+of one `run_stage("all")` call share a digest table: a stage's files are
+hashed before it runs, so its manifest records each input as it was before
+the stage read it, and after it runs only the digests of the files it wrote
+are dropped, so a file that no stage writes is hashed once per call.
 """
 
 from __future__ import annotations
@@ -400,11 +402,6 @@ def _read_manifest(out_dir: Path, stage: str) -> dict:
     return manifest if isinstance(manifest, dict) else {}
 
 
-def _recorded_inputs(manifest: Mapping) -> list[str]:
-    recorded = manifest.get("inputs")
-    return list(recorded) if isinstance(recorded, dict) else []
-
-
 def _write_manifest(
     out_dir: Path,
     stage: str,
@@ -435,11 +432,11 @@ def _write_manifest(
 class RunContext:
     """What the stages of one run_stage call share: the config, the output
     directory, the corpus path (None when not given), and `digests`, path ->
-    sha256 (None for a missing file) of each file hashed since the last stage
-    ran.  The ensemble and the schema graph are built on first use and kept
-    for the later stages.  build_ensemble, build_schema_graph and the stage
-    file functions are looked up at call time, so a wrapper installed on
-    their modules sees the calls."""
+    sha256 (None for a missing file) of each file hashed in the call and not
+    written by a stage since.  The ensemble and the schema graph are built on
+    first use and kept for the later stages.  build_ensemble,
+    build_schema_graph and the stage file functions are looked up at call
+    time, so a wrapper installed on their modules sees the calls."""
 
     cfg: PipelineConfig
     out_dir: Path
@@ -477,7 +474,7 @@ def _expression(record: Mapping) -> EventExpression:
 def _stage_ingest(ctx: RunContext) -> dict:
     if ctx.input_path is None:
         message = "ingest needs an --input corpus file"
-        for path in _recorded_inputs(_read_manifest(ctx.out_dir, "ingest")):
+        for path in _ingest_files(ctx)[0]:
             message += f"; {path}, which it last read, has changed or is missing"
         raise StageInputError(message)
     expressions, report = _load(load_corpus, ctx.input_path, ctx.cfg.corpus)
@@ -509,6 +506,8 @@ def _stage_conceptualize(ctx: RunContext) -> dict:
     )
     if isinstance(client, RecordingClient):
         client.save()
+    if not instances:
+        raise StageInputError(f"no expression survived conceptualize: {report.as_dict()}")
     ctx.write(
         "conceptualize",
         (
@@ -592,28 +591,55 @@ def _stage_evaluate(ctx: RunContext) -> dict:
     return report
 
 
+def _paths(*names: str | None) -> list[Path]:
+    return [Path(name) for name in names if name]
+
+
+def _ingest_files(ctx: RunContext) -> tuple[list[Path], list[Path]]:
+    if ctx.input_path is not None:
+        return [ctx.input_path], []
+    recorded = _read_manifest(ctx.out_dir, "ingest").get("inputs")
+    return _paths(*recorded) if isinstance(recorded, dict) else [], []
+
+
+def _conceptualize_files(ctx: RunContext) -> tuple[list[Path], list[Path]]:
+    store = _paths(ctx.cfg.generation.replay)
+    return _paths(ctx.cfg.demonstrations.path) + store, store if ctx.cfg.generation.record else []
+
+
+def _evaluate_files(ctx: RunContext) -> tuple[list[Path], list[Path]]:
+    """The gold file, and with repeats the schema graph's inputs."""
+    reads = _paths(ctx.cfg.evaluation.gold)
+    if ctx.cfg.evaluation.repeats > 1:
+        reads += [ctx.path("structuralize"), *ctx.cfg.similarity.tables]
+    return reads, []
+
+
 @dataclass(frozen=True)
 class Stage:
     """One pipeline stage: the file it writes, the stage whose file it reads,
-    the config sections it reads, and its runner."""
+    the config sections it reads, its runner, and `files(ctx)`: the other
+    files it reads, and the files it writes besides its own."""
 
     name: str
     file: str
     predecessor: str | None
     sections: tuple[str, ...]
     run: Callable[[RunContext], dict]
+    files: Callable[[RunContext], tuple[list[Path], list[Path]]]
 
 
 STAGE_TABLE = {
     stage.name: stage
     for stage in (
-        Stage("ingest", "expressions.jsonl", None, ("corpus",), _stage_ingest),
+        Stage("ingest", "expressions.jsonl", None, ("corpus",), _stage_ingest, _ingest_files),
         Stage(
             "conceptualize",
             "conceptualized.jsonl",
             "ingest",
             ("demonstrations", "generation", "seed"),
             _stage_conceptualize,
+            _conceptualize_files,
         ),
         Stage(
             "structuralize",
@@ -621,6 +647,7 @@ STAGE_TABLE = {
             "conceptualize",
             ("scoring", "similarity"),
             _stage_structuralize,
+            lambda ctx: (ctx.cfg.similarity.tables, []),
         ),
         Stage(
             "aggregate",
@@ -628,8 +655,10 @@ STAGE_TABLE = {
             "structuralize",
             ("graph", "similarity", "seed"),
             _stage_aggregate,
+            lambda ctx: (ctx.cfg.similarity.tables, []),
         ),
-        Stage("evaluate", "metrics.json", "aggregate", ("evaluation",), _stage_evaluate),
+        Stage("evaluate", "metrics.json", "aggregate", ("evaluation",), _stage_evaluate,
+              _evaluate_files),
     )
 }
 
@@ -639,39 +668,6 @@ STAGES = tuple(STAGE_TABLE)
 # asked for; they are left out of the conceptualize key, so they may be given
 # to conceptualize alone.  The replay store's content is a manifest input.
 TRANSPORT_FIELDS = ("endpoint", "endpoint_style", "replay", "record", "workers")
-
-
-def _stage_io(
-    stage: Stage, ctx: RunContext, manifest: Mapping
-) -> tuple[list[Path], list[Path], list[Path]]:
-    """Input and output files of one stage, and the inputs that the config or
-    the command line names, which must exist before the stage runs.  The
-    other inputs are the stage files it reads, which read_stage_file reports
-    missing; without an input path, the corpus files ingest last read; and a
-    configured replay store, which record mode creates."""
-    cfg = ctx.cfg
-    inputs: list[Path] = []
-    named: list[Path] = []
-    if stage.predecessor is not None:
-        inputs.append(ctx.path(stage.predecessor))
-    elif ctx.input_path is not None:
-        named.append(ctx.input_path)
-    else:
-        inputs.extend(map(Path, _recorded_inputs(manifest)))
-    if stage.name == "conceptualize":
-        if cfg.demonstrations.path:
-            named.append(Path(cfg.demonstrations.path))
-        if cfg.generation.replay:
-            inputs.append(Path(cfg.generation.replay))
-    if "similarity" in stage.sections:
-        named.extend(cfg.similarity.tables)
-    if stage.name == "evaluate":
-        if cfg.evaluation.gold:
-            named.append(Path(cfg.evaluation.gold))
-        if cfg.evaluation.repeats > 1:
-            inputs.append(ctx.path("structuralize"))
-            named.extend(cfg.similarity.tables)
-    return [*inputs, *named], [ctx.path(stage.name)], named
 
 
 def run_stage(
@@ -689,7 +685,7 @@ def run_stage(
     the context's config and paths are the ones used.  "all" passes its
     stages one context, so a run builds the ensemble at most once, and only
     when a stage reads it; aggregate and evaluate share one schema graph;
-    and while stages are skipped each file is hashed at most once.
+    and a file that no stage writes is hashed once.
     """
     if context is None:
         out_dir = Path(out_dir)
@@ -712,23 +708,26 @@ def run_stage(
 
     key = ctx.cfg.stage_keys[stage]
     manifest = _read_manifest(ctx.out_dir, stage)
-    inputs, outputs, named = _stage_io(spec, ctx, manifest)
-    if not force:
-        now = _record(key, inputs, outputs, ctx.digests)
-        # A missing file never matches, not even a manifest that records null for it.
-        found = None not in (*now["inputs"].values(), *now["outputs"].values())
-        if found and all(manifest.get(name) == value for name, value in now.items()):
-            log.info("stage %s is up-to-date; skipping", stage)
-            return {"status": "up-to-date", "stage": stage}
+    reads, writes = spec.files(ctx)
+    inputs = [ctx.path(spec.predecessor), *reads] if spec.predecessor else reads
+    outputs = [ctx.path(stage)]
+    now = _record(key, inputs, outputs, ctx.digests)
+    # A missing file never matches, not even a manifest that records null for it.
+    found = None not in (*now["inputs"].values(), *now["outputs"].values())
+    if not force and found and all(manifest.get(name) == value for name, value in now.items()):
+        log.info("stage %s is up-to-date; skipping", stage)
+        return {"status": "up-to-date", "stage": stage}
 
-    for path in named:
-        if not path.exists():
-            raise StageInputError(f"missing input file for stage {stage!r}: {path}")
-    # The stage writes its output, and in record mode the replay store, so
-    # the digests taken so far may be stale.
-    ctx.digests.clear()
     started = time.monotonic()
-    report = spec.run(ctx)
+    try:
+        report = spec.run(ctx)
+    except FileNotFoundError as exc:
+        if exc.filename is None or Path(exc.filename) not in reads:
+            raise
+        raise StageInputError(f"missing input file for stage {stage!r}: {exc.filename}") from exc
+    finally:
+        for path in (*outputs, *writes):
+            ctx.digests.pop(str(path), None)
     elapsed = time.monotonic() - started
     _write_manifest(ctx.out_dir, stage, key, inputs, outputs, report, elapsed, ctx.digests)
     return report

@@ -69,7 +69,8 @@ def _parse_once(parse: Callable[[str | Path], Any], path: str | Path) -> Any:
 
     The table is kept only when the file hashes the same before and after
     the parse, so a file rewritten while it was read is never kept under
-    the wrong digest.  A parse that raises keeps nothing."""
+    the wrong digest.  Both hashes are its own, not a pipeline run's digest
+    table's.  A parse that raises keeps nothing."""
     key = (parse, Path(path).absolute())
     digest = file_hash(path)
     entry = _parsed.get(key)

@@ -4,7 +4,8 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import fields
+from collections import Counter
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -827,6 +828,71 @@ class TestDigestTable:
         assert set(self.statuses(report).values()) == {"up-to-date"}
 
 
+class TestDeclaredFiles:
+    """A stage's declared files are hashed before it runs, and a run forgets
+    only the digests of the files a stage wrote."""
+
+    @pytest.fixture()
+    def tables(self, workspace):
+        paths, cfg, tmp = workspace
+        data = cfg.to_dict()
+        data["similarity"] = write_tables(tmp)
+        return paths, PipelineConfig.from_dict(data), tmp
+
+    @pytest.mark.parametrize("force", [False, True])
+    @pytest.mark.parametrize(
+        "stage, edited_file", [("conceptualize", "demos"), ("structuralize", "lexicon")]
+    )
+    def test_an_input_edited_while_its_stage_runs_reruns_it(
+        self, tables, monkeypatch, stage, edited_file, force
+    ):
+        paths, cfg, tmp = tables
+        edited_path = paths["demos"] if edited_file == "demos" else tmp / "lexicon.tsv"
+        spec = STAGE_TABLE[stage]
+
+        def run_then_edit(ctx):
+            report = spec.run(ctx)
+            # A blank line: the stage would read the same records from it.
+            with open(edited_path, "a", encoding="utf-8") as handle:
+                handle.write("\n")
+            return report
+
+        if force:
+            run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        monkeypatch.setitem(STAGE_TABLE, stage, replace(spec, run=run_then_edit))
+        run_stage("all", cfg, tmp / "out", input_path=paths["corpus"], force=force)
+        monkeypatch.setitem(STAGE_TABLE, stage, spec)
+
+        report = run_stage(stage, cfg, tmp / "out")
+        assert report.get("status") is None
+        manifest = json.loads((tmp / "out" / f"{stage}.manifest.json").read_text("utf-8"))
+        digest = hashlib.sha256(edited_path.read_bytes()).hexdigest()
+        assert manifest["inputs"][str(edited_path)] == digest
+        assert run_stage(stage, cfg, tmp / "out") == {"status": "up-to-date", "stage": stage}
+
+    def test_a_threshold_edit_hashes_only_rewritten_files_twice(self, tables, monkeypatch):
+        paths, cfg, tmp = tables
+        run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        hashed = []
+        original = pipeline._file_hash
+
+        def counted(path):
+            hashed.append(str(path))
+            return original(path)
+
+        monkeypatch.setattr(pipeline, "_file_hash", counted)
+        report = run_stage(
+            "all", edited(cfg, "scoring", "threshold", 0.3), tmp / "out", input_path=paths["corpus"]
+        )
+        rerun = [s for s, r in report.items() if r.get("status") != "up-to-date"]
+        assert rerun == ["structuralize", "aggregate", "evaluate"]
+        rewritten = {str(tmp / "out" / STAGE_TABLE[s].file) for s in rerun}
+        unwritten = {str(p) for p in (tmp / "lexicon.tsv", tmp / "vectors.txt")}
+        unwritten |= {str(paths[name]) for name in ("corpus", "demos", "store", "gold")}
+        unwritten |= {str(tmp / "out" / STAGE_TABLE[s].file) for s in ("ingest", "conceptualize")}
+        assert Counter(hashed) == {**dict.fromkeys(unwritten, 1), **dict.fromkeys(rewritten, 2)}
+
+
 class TestCrashSafeWrites:
     def test_failed_stage_write_keeps_the_previous_file(self, tmp_path):
         path = tmp_path / "structured.jsonl"
@@ -945,6 +1011,51 @@ def fake_endpoint():
         yield server
 
 
+class TestNothingConceptualized:
+    """Conceptualize that keeps no expression fails with its drop counts, as
+    ingest does, and record mode keeps the completions it was sent."""
+
+    @pytest.mark.parametrize(
+        "case, reply, counts",
+        [
+            ("replay-malformed", None, {"dropped": 30, "parse_failures": 90}),
+            ("record-malformed", (200, {"completions": ["garbage"] * 2}), {"parse_failures": 60}),
+            # A 2xx body without completions is a final transport failure.
+            ("record-transport", (200, ["garbage"]), {"transport_failures": 30}),
+        ],
+    )
+    def test_conceptualize_fails_naming_the_drops(self, workspace, case, reply, counts):
+        paths, cfg, tmp = workspace
+        if reply is None:
+            store = ReplayStore.load(paths["store"])
+            store.entries = dict.fromkeys(store.entries, ("garbage",) * 3)
+            store.save(paths["store"])
+            self.check(cfg, paths, tmp, counts)
+            return
+        with LoopbackServer(lambda received: reply) as server:
+            store = tmp / "recorded.jsonl"
+            data = cfg.to_dict()
+            data["generation"] = {"n": 2, "replay": str(store), "record": True,
+                                  "endpoint": server.url()}
+            self.check(PipelineConfig.from_dict(data), paths, tmp, counts)
+            assert len(server.received) == 30
+        recorded = ReplayStore.load(store).entries
+        assert len(recorded) == (30 if case == "record-malformed" else 0)
+
+    @staticmethod
+    def check(cfg, paths, tmp, counts):
+        with pytest.raises(StageInputError) as excinfo:
+            run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        message = str(excinfo.value)
+        assert message.startswith("no expression survived conceptualize: ")
+        assert "'instances': 0" in message and "'dropped': 30" in message
+        for name, count in counts.items():
+            assert f"'{name}': {count}" in message
+        assert sorted(p.name for p in (tmp / "out").iterdir()) == [
+            "expressions.jsonl", "ingest.manifest.json"
+        ]
+
+
 class TestColdStart:
     def test_replay_run_loads_no_http_code(self, tmp_path):
         """A replay run of every stage, in a fresh interpreter, imports none of
@@ -1030,6 +1141,13 @@ def _delete_corpus(data, paths):
     paths["corpus"].unlink()
 
 
+def _delete(name):
+    def edit(data, paths):
+        paths[name].unlink()
+
+    return edit
+
+
 def _repeat_first_gold_id(data, paths):
     with open(paths["gold"], "a", encoding="utf-8") as handle:
         handle.write(json.dumps({"id": planted_mentions()[0][0], "type": "other"}) + "\n")
@@ -1079,6 +1197,11 @@ def _vector_table(text):
     return edit
 
 
+def _missing_vector_table(data, paths):
+    _vector_table("a 1 2\n")(data, paths)
+    paths["vectors"].unlink()
+
+
 CLI_ERRORS = {
     # case: (edit of the config data and workspace files, start of the message
     # after "error: ", whether the config is rejected before any stage runs)
@@ -1113,6 +1236,15 @@ CLI_ERRORS = {
         False,
     ),
     "missing-corpus": (_delete_corpus, "missing input file for stage 'ingest': {corpus}", False),
+    "missing-demos": (
+        _delete("demos"), "missing input file for stage 'conceptualize': {demos}", False
+    ),
+    "missing-gold": (_delete("gold"), "missing input file for stage 'evaluate': {gold}", False),
+    "missing-vectors": (
+        _missing_vector_table,
+        "missing input file for stage 'structuralize': {vectors}",
+        False,
+    ),
     "replay-miss": (_add_unrecorded_line, "replay miss for prompt hash ", False),
     "malformed-store": (_overwrite("store", "{}\n"), "{store}:1: bad replay entry", False),
     "malformed-demos": (_overwrite("demos", "[]\n"), "{demos}:1: bad demonstration", False),
