@@ -10,6 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .fileio import typed
 from .louvain import ClusterAssignment, louvain
 from .scoring import StructuredInstance
 from .similarity import SimilarityEnsemble, SlotSimilarity, row_blocks, slotset_matrix
@@ -237,12 +238,15 @@ def aggregated_to_dict(schema: AggregatedSchema) -> dict:
 
 
 def aggregated_from_dict(record: Mapping) -> AggregatedSchema:
+    names = tuple[str, ...]
     return AggregatedSchema(
-        type_name=record["type"],
-        type_candidates=tuple(record["type_candidates"]),
+        type_name=typed("type", str, record["type"]),
+        type_candidates=typed("type_candidates", names, record["type_candidates"]),
         slot_groups=tuple(
-            SlotGroup(representative=s["name"], members=frozenset(s["synonyms"]))
-            for s in record["slots"]
+            SlotGroup(
+                typed("name", str, s["name"]), frozenset(typed("synonyms", names, s["synonyms"]))
+            )
+            for s in typed("slots", tuple[dict, ...], record["slots"])
         ),
-        member_ids=tuple(record["members"]),
+        member_ids=typed("members", names, record["members"]),
     )

@@ -4,7 +4,6 @@ and the record/replay store."""
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import threading
@@ -14,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol, Sequence
 
-from .fileio import atomic_write, read_records, typed
+from .fileio import encode, read_records, typed, write_records
 
 log = logging.getLogger(__name__)
 
@@ -216,7 +215,7 @@ class ReplayMissError(KeyError):
 
 @dataclass
 class ReplayStore:
-    """Prompt-hash -> completions map persisted as one JSON object per line.
+    """Prompt-hash -> completions map persisted as JSON lines through fileio.
 
     Lookups are keyed, so the store behaves identically after any reordering
     of its lines.  Duplicate hashes keep the first entry seen.
@@ -246,9 +245,7 @@ class ReplayStore:
         return prompt_hash(prompt) in self.entries
 
     def save(self, path: str | Path) -> None:
-        with atomic_write(Path(path)) as handle:
-            for key in sorted(self.entries):
-                handle.write(_entry_line(key, self.entries[key]))
+        write_records(Path(path), (_entry(key, self.entries[key]) for key in sorted(self.entries)))
 
 
 def _replay_entry(record: dict) -> tuple[str, tuple[str, ...]]:
@@ -256,9 +253,8 @@ def _replay_entry(record: dict) -> tuple[str, tuple[str, ...]]:
     return typed("hash", str, record["hash"]), completions
 
 
-def _entry_line(key: str, completions: tuple[str, ...]) -> str:
-    record = {"hash": key, "completions": list(completions)}
-    return json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
+def _entry(key: str, completions: tuple[str, ...]) -> dict:
+    return {"hash": key, "completions": list(completions)}
 
 
 class ReplayClient:
@@ -308,7 +304,7 @@ class RecordingClient:
                 key = self.store.put(request.prompt, response.completions)
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(_entry_line(key, response.completions))
+                    handle.write(encode(_entry(key, response.completions)) + "\n")
         return response
 
     def save(self) -> None:

@@ -1,7 +1,8 @@
 """File IO shared by the modules: UTF-8 reads whose decode errors name the
-file, JSON-lines records whose fields are checked against their types,
-content hashes read in chunks, and crash-safe writes (a temp file beside the
-target, then a rename)."""
+file, the JSON-lines format of every such file but the corpus (keys sorted,
+non-ASCII as it is, lines split only at line feeds, so U+2028 stays inside a
+text), content hashes read in chunks, and crash-safe writes (a temp file
+beside the target, then a rename)."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, TextIO, get_args, get_origin
+from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO, get_args, get_origin
 
 # A scalar field takes a value of exactly its type (a bool is not an int),
 # and a float field also an integer.
@@ -20,6 +21,9 @@ _SCALARS = {
 }
 
 _REJECTED = object()
+
+# The text of one JSON line (json.dumps with options builds an encoder per call).
+encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 
 def _convert(annotation: Any, value: Any) -> Any:
@@ -106,6 +110,13 @@ def read_records(path: str | Path, what: str, parse: Callable) -> Iterator[tuple
                 raise ValueError(f"{path}:{lineno}: bad {what}: no {exc} field") from exc
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad {what}: {exc}") from exc
+
+
+def write_records(path: Path, records: Iterable[Mapping]) -> None:
+    """Write each record as one encoded line, through atomic_write."""
+    with atomic_write(path) as handle:
+        for record in records:
+            handle.write(encode(record) + "\n")
 
 
 def file_hash(path: str | Path) -> str | None:

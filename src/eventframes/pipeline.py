@@ -2,7 +2,9 @@
 
 Every stage reads its predecessor's JSONL file and writes its own, so each is
 independently re-runnable and diffable.  Stage files are self-describing via
-a header line carrying the producing stage, its stage key, and format version.
+a header line carrying the producing stage, its stage key, and format version;
+`fileio` reads and writes them, and reports a record that a stage cannot
+decode as "<path>:<line>: bad <stage> record: <reason>".
 
 A stage's key hashes the config sections it reads (`Stage.sections`) and its
 predecessor's key, so a config edit reruns only the stages downstream of the
@@ -17,17 +19,21 @@ of one `run_stage("all")` call share a digest table: a stage's files are
 hashed before it runs, so its manifest records each input as it was before
 the stage read it, and after it runs only the digests of the files it wrote
 are dropped, so a file that no stage writes is hashed once per call.
+Manifests name files relative to the output directory, so a copied or moved
+workspace stays up to date.
 """
 
 from __future__ import annotations
 
 import hashlib
 import importlib
+import itertools
 import json
 import logging
+import os
 import time
 from dataclasses import dataclass, field, fields
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, get_type_hints
 
@@ -55,7 +61,7 @@ from .endpoint import (
     ReplayClient,
 )
 from .evaluation import PartitionInputError, average_metrics, load_gold_mentions, mention_harness
-from .fileio import atomic_write, normalized, read_text, typed
+from .fileio import atomic_write, encode, normalized, read_records, typed, write_records
 from .fileio import file_hash as _file_hash
 from .schemas import SchemaCandidate, load_demonstrations
 from .scoring import (
@@ -252,7 +258,7 @@ def read_config(path: str | Path) -> Any:
 
 
 def _digest(value: Any) -> str:
-    return hashlib.sha256(_dumps(value).encode("utf-8")).hexdigest()
+    return hashlib.sha256(encode(value).encode("utf-8")).hexdigest()
 
 
 def _load(loader: Callable, *args: Any) -> Any:
@@ -307,83 +313,64 @@ def build_client(cfg: PipelineConfig) -> GenerationClient:
 # --------------------------------------------------------------------------
 
 
-# One encoder for every record: json.dumps with these options builds a new
-# encoder on each call.
-_dumps = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
-
-
-def write_stage_file(
-    path: Path, stage: str, config_hash: str, records: Iterable[Mapping]
-) -> None:
+def write_stage_file(path: Path, stage: str, config_hash: str, records: Iterable[Mapping]) -> None:
     header = {"stage": stage, "config_hash": config_hash, "format_version": FORMAT_VERSION}
-    with atomic_write(path) as handle:
-        handle.write(_dumps(header) + "\n")
-        for record in records:
-            handle.write(_dumps(record) + "\n")
-
-
-def _json_object(path: Path, lineno: int, line: str) -> dict:
-    try:
-        value = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise StageInputError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-    if not isinstance(value, dict):
-        raise StageInputError(f"{path}:{lineno}: expected a JSON object")
-    return value
+    write_records(path, itertools.chain([header], records))
 
 
 def read_stage_file(
-    path: Path, expected_stage: str, expected_key: str | None = None
-) -> list[dict]:
-    """Records of a stage file.  With expected_key, refuse a file whose header
-    key differs: it was written under other config sections than the current
-    config gives that stage or an earlier one.  A line that is not a JSON
-    object is reported as "<path>:<line>: ..."."""
+    path: Path, expected_stage: str, expected_key: str | None = None, parse: Callable = dict
+) -> list:
+    """parse(record) for each record after the header line.  With expected_key,
+    refuse a file whose header key differs: it was written under other config
+    sections than the current config gives that stage or an earlier one."""
+    header: list[dict] = []
+
+    def record(value: dict) -> Any:
+        if header:
+            return parse(value)
+        header.append(value)
+        if value.get("stage") != expected_stage:
+            raise StageInputError(
+                f"{path} was written by stage {value.get('stage')!r}, expected {expected_stage!r}"
+            )
+        if value.get("format_version") != FORMAT_VERSION:
+            raise StageInputError(f"{path} has format_version {value.get('format_version')}")
+        if expected_key is not None and value.get("config_hash") != expected_key:
+            raise StageInputError(
+                f"{path} is stale: the config has changed in a section that the {expected_stage!r} "
+                f"stage or an earlier one reads; rerun the {expected_stage!r} stage"
+            )
+
     try:
-        with read_text(path) as handle:
-            text = handle.read()
+        records = _load(list, read_records(path, f"{expected_stage} record", record))
     except FileNotFoundError:
         message = f"missing {path.name}; run the {expected_stage!r} stage first"
         raise StageInputError(message) from None
-    except ValueError as exc:
-        raise StageInputError(str(exc)) from exc
-    if not text:
+    if not header:
         raise StageInputError(f"{path} is empty; rerun the {expected_stage!r} stage")
-    # JSON escapes "\n" but writes U+0085, U+2028 and U+2029 raw, and
-    # str.splitlines() would break records at them too.
-    lines = text.split("\n")
-    header = _json_object(path, 1, lines[0])
-    if header.get("stage") != expected_stage:
-        raise StageInputError(
-            f"{path} was written by stage {header.get('stage')!r}, expected {expected_stage!r}"
-        )
-    if header.get("format_version") != FORMAT_VERSION:
-        raise StageInputError(f"{path} has format_version {header.get('format_version')}")
-    if expected_key is not None and header.get("config_hash") != expected_key:
-        raise StageInputError(
-            f"{path} is stale: the config has changed in a section that the "
-            f"{expected_stage!r} stage or an earlier one reads; rerun the {expected_stage!r} stage"
-        )
-    return [
-        _json_object(path, lineno, line)
-        for lineno, line in enumerate(lines[1:], 2)
-        if line.strip()
-    ]
+    return [r for _, r in records[1:]]
+
+
+# os.path.relpath (~6 µs a call), cached: on absolute paths it reads no cwd.
+_relpath = lru_cache(maxsize=4096)(os.path.relpath)
 
 
 def _record(
-    config_hash: str, inputs: Sequence[Path], outputs: Sequence[Path], digests: dict
+    out_dir: Path, config_hash: str, inputs: Sequence[Path], outputs: Sequence[Path], digests: dict
 ) -> dict:
     """The manifest fields that decide whether a stage is up to date: its key
     and the sha256 of each input and output file, taken from digests or
-    hashed into it."""
+    hashed into it, keyed by the file's path relative to out_dir."""
     for path in (*inputs, *outputs):
         if str(path) not in digests:
             digests[str(path)] = _file_hash(path)
+    cwd = os.getcwd()
+    start = os.path.join(cwd, out_dir)
     return {
         "config_hash": config_hash,
-        "inputs": {str(p): digests[str(p)] for p in inputs},
-        "outputs": {str(p): digests[str(p)] for p in outputs},
+        "inputs": {_relpath(os.path.join(cwd, p), start): digests[str(p)] for p in inputs},
+        "outputs": {_relpath(os.path.join(cwd, p), start): digests[str(p)] for p in outputs},
     }
 
 
@@ -414,7 +401,7 @@ def _write_manifest(
 ) -> None:
     manifest = {
         "stage": stage,
-        **_record(config_hash, inputs, outputs, digests),
+        **_record(out_dir, config_hash, inputs, outputs, digests),
         "counts": dict(counts),
         "wall_time_s": round(wall_time, 6),
     }
@@ -446,9 +433,9 @@ class RunContext:
     def path(self, stage: str) -> Path:
         return self.out_dir / STAGE_TABLE[stage].file
 
-    def read(self, stage: str) -> list[dict]:
-        """The records of an earlier stage's file, refused if stale for cfg."""
-        return read_stage_file(self.path(stage), stage, self.cfg.stage_keys[stage])
+    def read(self, stage: str, parse: Callable) -> list:
+        """parse(record) of each record of an earlier stage's file, refused if stale."""
+        return read_stage_file(self.path(stage), stage, self.cfg.stage_keys[stage], parse)
 
     def write(self, stage: str, records: Iterable[Mapping]) -> None:
         write_stage_file(self.path(stage), stage, self.cfg.stage_keys[stage], records)
@@ -460,15 +447,28 @@ class RunContext:
     @cached_property
     def graph(self) -> tuple[list[StructuredInstance], SchemaGraph]:
         """The structured instances and their schema graph."""
-        structured = [structured_from_dict(r) for r in self.read("structuralize")]
+        structured = self.read("structuralize", structured_from_dict)
         if not structured:
             raise StageInputError("no structured instances to aggregate")
         build = _aggregate_module.build_schema_graph
         return structured, build(structured, self.ensemble, self.cfg.graph)
 
 
-def _expression(record: Mapping) -> EventExpression:
-    return EventExpression.from_text(record["id"], record["text"], record["source"])
+def _expression(record: dict) -> EventExpression:
+    return EventExpression.from_text(
+        *(typed(key, str, record[key]) for key in ("id", "text", "source"))
+    )
+
+
+def _conceptualized(record: dict) -> ConceptualizedInstance:
+    candidates = tuple(
+        SchemaCandidate(typed("type", str, c["type"]), typed("slots", tuple[str, ...], c["slots"]))
+        for c in typed("candidates", tuple[dict, ...], record["candidates"])
+    )
+    if not candidates:
+        raise ValueError("no candidates")
+    parse_failures = typed("parse_failures", int, record["parse_failures"])
+    return ConceptualizedInstance(_expression(record), candidates, parse_failures)
 
 
 def _stage_ingest(ctx: RunContext) -> dict:
@@ -493,7 +493,7 @@ def _stage_conceptualize(ctx: RunContext) -> dict:
         raise ConfigError("conceptualize needs a demonstrations path in the config")
     pool = _load(load_demonstrations, cfg.demonstrations.path)
     demos = sample_demonstrations(pool, cfg.demonstrations.m, cfg.seed)
-    expressions = [_expression(r) for r in ctx.read("ingest")]
+    expressions = ctx.read("ingest", _expression)
     client = build_client(cfg)
     instances, report = conceptualize_corpus(
         client,
@@ -527,14 +527,7 @@ def _stage_conceptualize(ctx: RunContext) -> dict:
 
 
 def _stage_structuralize(ctx: RunContext) -> dict:
-    instances = [
-        ConceptualizedInstance(
-            _expression(r),
-            tuple(SchemaCandidate(c["type"], tuple(c["slots"])) for c in r["candidates"]),
-            parse_failures=r["parse_failures"],
-        )
-        for r in ctx.read("conceptualize")
-    ]
+    instances = ctx.read("conceptualize", _conceptualized)
     structured = structuralize(instances, ctx.cfg.scoring, ctx.ensemble)
     ctx.write("structuralize", (structured_to_dict(s) for s in structured))
     return {
@@ -561,7 +554,7 @@ def _stage_evaluate(ctx: RunContext) -> dict:
     if not cfg.evaluation.gold:
         raise ConfigError("evaluate needs a gold mentions path in the config")
     gold = _load(load_gold_mentions, cfg.evaluation.gold)
-    schemas = [aggregated_from_dict(r) for r in ctx.read("aggregate")]
+    schemas = ctx.read("aggregate", aggregated_from_dict)
     predicted = {
         member: label for label, schema in enumerate(schemas) for member in schema.member_ids
     }
@@ -582,12 +575,8 @@ def _stage_evaluate(ctx: RunContext) -> dict:
     report = {"repeats": len(runs), "metrics": average_metrics(runs).as_dict()}
     if len(runs) > 1:
         report["runs"] = [m.as_dict() for m in runs]
-    payload = dict(report)
-    payload["stage"] = "evaluate"
-    payload["config_hash"] = cfg.stage_keys["evaluate"]
-    payload["format_version"] = FORMAT_VERSION
-    with atomic_write(ctx.path("evaluate")) as handle:
-        handle.write(_dumps(payload) + "\n")
+    header = {"stage": "evaluate", "config_hash": cfg.stage_keys["evaluate"]}
+    write_records(ctx.path("evaluate"), [{**report, **header, "format_version": FORMAT_VERSION}])
     return report
 
 
@@ -596,10 +585,12 @@ def _paths(*names: str | None) -> list[Path]:
 
 
 def _ingest_files(ctx: RunContext) -> tuple[list[Path], list[Path]]:
+    """--input, or else the files ingest's manifest names, mapped back lexically as relpath."""
     if ctx.input_path is not None:
         return [ctx.input_path], []
     recorded = _read_manifest(ctx.out_dir, "ingest").get("inputs")
-    return _paths(*recorded) if isinstance(recorded, dict) else [], []
+    names = recorded if isinstance(recorded, dict) else {}
+    return [Path(os.path.normpath(ctx.out_dir / name)) for name in names if name], []
 
 
 def _conceptualize_files(ctx: RunContext) -> tuple[list[Path], list[Path]]:
@@ -711,7 +702,7 @@ def run_stage(
     reads, writes = spec.files(ctx)
     inputs = [ctx.path(spec.predecessor), *reads] if spec.predecessor else reads
     outputs = [ctx.path(stage)]
-    now = _record(key, inputs, outputs, ctx.digests)
+    now = _record(ctx.out_dir, key, inputs, outputs, ctx.digests)
     # A missing file never matches, not even a manifest that records null for it.
     found = None not in (*now["inputs"].values(), *now["outputs"].values())
     if not force and found and all(manifest.get(name) == value for name, value in now.items()):

@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 
 from .conceptualize import ConceptualizedInstance
 from .corpus import EventExpression
+from .fileio import typed
 from .similarity import SimilarityEnsemble
 
 SQUARED_LOG = "squared-log"  # 1 + (log f)^2
@@ -304,23 +305,19 @@ def structured_to_dict(instance: StructuredInstance) -> dict:
 
 
 def structured_from_dict(record: Mapping) -> StructuredInstance:
-    expression = EventExpression.from_text(
-        id=str(record["id"]), text=record["text"], source=str(record["id"])
-    )
+    expr_id = typed("id", str, record["id"])
+    expression = EventExpression.from_text(expr_id, typed("text", str, record["text"]), expr_id)
     slots = tuple(
         SlotRecord(
-            slot=s["name"],
-            freq=int(s["freq"]),
-            salience=float(s["salience"]),
-            reliability=float(s["reliability"]),
-            consistency=float(s["consistency"]),
-            score=float(s["score"]),
+            typed("name", str, s["name"]),
+            typed("freq", int, s["freq"]),
+            *(typed(k, float, s[k]) for k in ("salience", "reliability", "consistency", "score")),
         )
-        for s in record["slots"]
+        for s in typed("slots", tuple[dict, ...], record["slots"])
     )
     return StructuredInstance(
         expression=expression,
-        event_type=record["type"],
+        event_type=typed("type", str, record["type"]),
         slots=slots,
-        type_consistency=float(record["type_consistency"]),
+        type_consistency=typed("type_consistency", float, record["type_consistency"]),
     )

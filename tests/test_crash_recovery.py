@@ -7,11 +7,21 @@ of a run fails once before and once after its rename, as a process stopped
 there would.  A plain rerun must then give the stage files and manifest
 counts of a fresh `force=True` run, and no temp file may be left.  These are
 process-level faults only; nothing here models a power loss.
+
+One case kills a process with SIGKILL while it renames a stage file into
+place; that leaves the stage's hidden temp file, and a plain rerun must still
+give a fresh run's files.
 """
 
 import json
 import os
+import shutil
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -57,16 +67,17 @@ def outcome(out):
 
 
 def check_every_boundary(monkeypatch, root, corpus, start_cfg, cfg):
-    """Interrupt run_stage("all", cfg) at each write boundary, in a workspace
-    that start_cfg has run (an empty one if it is None), and check each rerun
-    against a fresh force=True run of cfg.  Each case runs start_cfg in its
-    own directory: manifests record absolute paths, so a copy would not be up
-    to date."""
+    """Interrupt run_stage("all", cfg) at each write boundary, in a copy of a
+    workspace that start_cfg has run (an empty one if it is None), and check
+    each rerun against a fresh force=True run of cfg.  Manifests name files
+    relative to the output directory, so each copy is up to date."""
+
+    (root / "start").mkdir()
+    if start_cfg is not None:
+        run_stage("all", start_cfg, root / "start", input_path=corpus)
 
     def start(out):
-        out.mkdir()
-        if start_cfg is not None:
-            run_stage("all", start_cfg, out, input_path=corpus)
+        shutil.copytree(root / "start", out)
 
     run_stage("all", cfg, root / "fresh", input_path=corpus, force=True)
     fresh = outcome(root / "fresh")
@@ -148,3 +159,48 @@ def test_the_harness_catches_a_manifest_written_before_its_stage_file(workspace,
         monkeypatch.setitem(STAGE_TABLE, name, manifest_first(stage))
     with pytest.raises(AssertionError, match="the rerun after a crash"):
         check_every_boundary(monkeypatch, root, corpus, *CASES["threshold-edit"](cfg, root))
+
+
+def test_a_rerun_after_sigkill_mid_rename_equals_a_fresh_run(workspace, tmp_path):
+    """A child process blocks in the os.replace of structured.jsonl and is
+    killed there.  At most its one hidden temp file is left, and a plain rerun
+    gives a fresh run's stage files and manifest counts."""
+    corpus, cfg, root = workspace
+    marker, out = tmp_path / "renaming", tmp_path / "out"
+    script = (
+        "import os, sys, time\n"
+        "from pathlib import Path\n"
+        "from eventframes.pipeline import PipelineConfig, read_config, run_stage\n"
+        "config, out, corpus, marker = sys.argv[1:]\n"
+        "real = os.replace\n"
+        "def blocking(src, dst):\n"
+        "    if Path(dst).name == 'structured.jsonl':\n"
+        "        Path(marker).touch()\n"
+        "        time.sleep(60)\n"
+        "    real(src, dst)\n"
+        "os.replace = blocking\n"
+        "run_stage('all', PipelineConfig.from_dict(read_config(config)), out, input_path=corpus)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    child = subprocess.Popen(
+        [sys.executable, "-c", script, str(root / "ws" / "config.json"), str(out), str(corpus),
+         str(marker)],
+        env={**os.environ, "PYTHONPATH": src}, stderr=subprocess.PIPE,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not marker.exists() and child.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert marker.exists(), child.stderr.read() if child.poll() is not None else "timed out"
+    finally:
+        child.kill()
+        child.wait()
+        child.stderr.close()
+    assert child.returncode == -signal.SIGKILL
+
+    left = [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+    assert len(left) <= 1, left
+    assert all(name.startswith(f".structured.jsonl.{child.pid}-") for name in left), left
+    run_stage("all", cfg, out, input_path=corpus)
+    run_stage("all", cfg, root / "fresh", input_path=corpus, force=True)
+    assert outcome(out)[1:] == outcome(root / "fresh")[1:]

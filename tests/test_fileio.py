@@ -2,7 +2,7 @@ from typing import Mapping
 
 import pytest
 
-from eventframes.fileio import read_records, typed
+from eventframes.fileio import read_records, typed, write_records
 
 
 class TestTyped:
@@ -71,3 +71,15 @@ class TestReadRecords:
         with pytest.raises(ValueError) as info:
             list(read_records(path, "thing", lambda r: typed("a", int, r["a"])))
         assert str(info.value) == f"{path}:2: bad thing: {reason}"
+
+
+class TestWriteRecords:
+    def test_lines_have_sorted_keys_and_raw_text(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_records(path, [{"b": "caf\u00e9", "a": 1}, {"a": "x\ny\u2028z\u0085"}])
+        assert path.read_bytes() == (
+            '{"a": 1, "b": "caf\u00e9"}\n{"a": "x\\ny\u2028z\u0085"}\n'.encode("utf-8")
+        )
+        records = [r for _, r in read_records(path, "thing", lambda r: r)]
+        assert records == [{"a": 1, "b": "caf\u00e9"}, {"a": "x\ny\u2028z\u0085"}]
+        assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]

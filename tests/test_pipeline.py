@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -314,7 +315,7 @@ class TestStageChain:
         manifest = json.loads((tmp / "out" / "ingest.manifest.json").read_text(encoding="utf-8"))
         assert manifest["stage"] == "ingest"
         assert manifest["config_hash"] == cfg.stage_keys["ingest"]
-        assert str(paths["corpus"]) in manifest["inputs"]
+        assert os.path.relpath(paths["corpus"], tmp / "out") in manifest["inputs"]
         assert any(path.endswith("expressions.jsonl") for path in manifest["outputs"])
         assert manifest["counts"]["kept"] == 30
         assert manifest["wall_time_s"] >= 0
@@ -472,7 +473,8 @@ class TestScopedStageKeys:
         for stage in ("structuralize", "aggregate", "evaluate"):
             manifest = json.loads((tmp / "out" / f"{stage}.manifest.json").read_text("utf-8"))
             reads_table = stage != "evaluate" or repeats > 1
-            assert (str(lexicon) in manifest["inputs"]) is reads_table, stage
+            reads = os.path.relpath(lexicon, tmp / "out") in manifest["inputs"]
+            assert reads is reads_table, stage
 
         run_stage("all", cfg, tmp / "fresh", input_path=paths["corpus"], force=True)
         for stage_file in ("structured.jsonl", "schemas.jsonl", "metrics.json"):
@@ -722,6 +724,48 @@ class TestAllWithoutInput:
         assert str(paths["corpus"]) in message
 
 
+class TestRelocatedWorkspace:
+    """Manifests name each file by its path relative to the output
+    directory, so a workspace whose config names its files relatively stays
+    up to date when it is copied, moved or named by another path."""
+
+    UP_TO_DATE = {s: {"status": "up-to-date", "stage": s} for s in STAGES}
+
+    @pytest.fixture()
+    def relative(self, tmp_path, monkeypatch):
+        (tmp_path / "a").mkdir()
+        monkeypatch.chdir(tmp_path / "a")
+        build_workspace(Path("."))
+        return PipelineConfig.from_dict(read_config("config.json")), tmp_path
+
+    def test_a_copied_workspace_is_up_to_date(self, relative, monkeypatch):
+        cfg, tmp = relative
+        run_stage("all", cfg, "out", input_path="corpus.jsonl")
+        shutil.copytree(tmp / "a", tmp / "b")
+        monkeypatch.chdir(tmp / "b")
+        report = run_stage("all", cfg, tmp / "b" / "out", input_path="corpus.jsonl")
+        assert report == self.UP_TO_DATE
+        assert run_stage("all", cfg, "out") == self.UP_TO_DATE
+
+    @pytest.mark.parametrize("first", ["relative", "absolute"])
+    def test_an_absolute_and_a_relative_name_are_one_workspace(self, relative, first):
+        cfg, tmp = relative
+        names = {"relative": Path("out"), "absolute": tmp / "a" / "out"}
+        run_stage("all", cfg, names[first], input_path="corpus.jsonl")
+        for name in (*names.values(), names[first]):
+            assert run_stage("all", cfg, name, input_path="corpus.jsonl") == self.UP_TO_DATE
+            assert run_stage("all", cfg, name) == self.UP_TO_DATE
+
+    def test_a_symlinked_output_directory_reads_its_corpus_lexically(self, relative):
+        """`out/../corpus.jsonl` is `corpus.jsonl` as relpath wrote it, not
+        the corpus beside the link's target."""
+        cfg, tmp = relative
+        (tmp / "elsewhere" / "out").mkdir(parents=True)
+        Path("out").symlink_to(tmp / "elsewhere" / "out")
+        run_stage("all", cfg, "out", input_path="corpus.jsonl")
+        assert run_stage("all", cfg, "out") == self.UP_TO_DATE
+
+
 class TestDigestTable:
     @pytest.fixture()
     def hashed(self, monkeypatch):
@@ -796,7 +840,7 @@ class TestDigestTable:
         assert str(paths["demos"]) in hashed
         manifest = json.loads((tmp / "out" / "conceptualize.manifest.json").read_text("utf-8"))
         digest = hashlib.sha256(paths["demos"].read_bytes()).hexdigest()
-        assert manifest["inputs"][str(paths["demos"])] == digest
+        assert manifest["inputs"][os.path.relpath(paths["demos"], tmp / "out")] == digest
 
     def test_a_rewritten_stage_file_is_rehashed(self, workspace):
         """Aggregate's check hashes the hand-edited schemas.jsonl; the rerun
@@ -810,7 +854,7 @@ class TestDigestTable:
         assert self.statuses(report) == {**dict.fromkeys(STAGES, "up-to-date"), "aggregate": None}
         assert schemas.read_bytes() == written
         manifest = json.loads((tmp / "out" / "aggregate.manifest.json").read_text("utf-8"))
-        assert manifest["outputs"] == {str(schemas): hashlib.sha256(written).hexdigest()}
+        assert manifest["outputs"] == {"schemas.jsonl": hashlib.sha256(written).hexdigest()}
         report = run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
         assert set(self.statuses(report).values()) == {"up-to-date"}
 
@@ -823,7 +867,10 @@ class TestDigestTable:
         record_cfg = PipelineConfig.from_dict(data)
         run_stage("all", record_cfg, tmp / "out", input_path=paths["corpus"])
         manifest = json.loads((tmp / "out" / "conceptualize.manifest.json").read_text("utf-8"))
-        assert manifest["inputs"][str(store)] == hashlib.sha256(store.read_bytes()).hexdigest()
+        assert (
+            manifest["inputs"][os.path.relpath(store, tmp / "out")]
+            == hashlib.sha256(store.read_bytes()).hexdigest()
+        )
         report = run_stage("all", record_cfg, tmp / "out", input_path=paths["corpus"])
         assert set(self.statuses(report).values()) == {"up-to-date"}
 
@@ -867,7 +914,7 @@ class TestDeclaredFiles:
         assert report.get("status") is None
         manifest = json.loads((tmp / "out" / f"{stage}.manifest.json").read_text("utf-8"))
         digest = hashlib.sha256(edited_path.read_bytes()).hexdigest()
-        assert manifest["inputs"][str(edited_path)] == digest
+        assert manifest["inputs"][os.path.relpath(edited_path, tmp / "out")] == digest
         assert run_stage(stage, cfg, tmp / "out") == {"status": "up-to-date", "stage": stage}
 
     def test_a_threshold_edit_hashes_only_rewritten_files_twice(self, tables, monkeypatch):
@@ -954,10 +1001,11 @@ MALFORMED_MANIFESTS = {
 
 class TestMalformedManifest:
     @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
-    def test_stage_reruns_and_matches_a_fresh_run(self, workspace, capsys, case):
+    def test_stage_reruns_and_matches_a_fresh_run(self, workspace, capsys, monkeypatch, case):
         paths, _, tmp = workspace
         common = ["all", "--config", str(paths["config"]), "--input", str(paths["corpus"])]
         assert cli_main([*common, "--output", str(tmp / "out")]) == 0
+        monkeypatch.chdir(tmp / "out")  # where the manifest's file names start
         manifest = tmp / "out" / "aggregate.manifest.json"
         corrupt = MALFORMED_MANIFESTS[case]
         manifest.write_bytes(corrupt(json.loads(manifest.read_text(encoding="utf-8"))))
@@ -1299,6 +1347,35 @@ CLI_ERRORS = {
 }
 
 
+def _without(key):
+    return lambda record: json.dumps({k: v for k, v in record.items() if k != key})
+
+
+def _with(**fields):
+    return lambda record: json.dumps({**record, **fields})
+
+
+# A stage file's last record, edited, and the reason the next stage reports.
+CORRUPT_RECORDS = {
+    "not-json": ("ingest", lambda record: "{broken", "Expecting property name"),
+    "ingest-no-text": ("ingest", _without("text"), "no 'text' field"),
+    "no-candidates": ("conceptualize", _with(candidates=[]), "no candidates"),
+    "string-slots": (
+        "conceptualize",
+        _with(candidates=[{"type": "attack", "slots": "ab"}]),
+        "slots must be a list (each item a string), got 'ab'",
+    ),
+    "structured-no-slots": ("structuralize", _without("slots"), "no 'slots' field"),
+    "string-freq": (
+        "structuralize",
+        _with(slots=[{"name": "actor", "freq": "two", "salience": 1.0, "reliability": 1.0,
+                      "consistency": 1.0, "score": 1.0}]),
+        "freq must be an integer, got 'two'",
+    ),
+    "no-members": ("aggregate", _without("members"), "no 'members' field"),
+}
+
+
 class TestCli:
     @pytest.mark.parametrize("case", sorted(CLI_ERRORS))
     def test_error_is_one_line_and_exit_2(self, workspace, capsys, case):
@@ -1409,20 +1486,22 @@ class TestCli:
             name = STAGE_TABLE[stage].file
             assert (tmp / "staged" / name).read_bytes() == (tmp / "fresh" / name).read_bytes(), name
 
-    def test_corrupt_stage_file_is_reported(self, workspace, capsys):
+    @pytest.mark.parametrize("case", sorted(CORRUPT_RECORDS))
+    def test_corrupt_stage_file_is_reported(self, workspace, capsys, case):
         paths, _, tmp = workspace
+        stage, edit, reason = CORRUPT_RECORDS[case]
         common = ["--config", str(paths["config"]), "--output", str(tmp / "corrupt")]
-        assert cli_main(["ingest", "--input", str(paths["corpus"]), *common]) == 0
+        assert cli_main(["all", "--input", str(paths["corpus"]), *common]) == 0
         capsys.readouterr()
-        expressions = tmp / "corrupt" / "expressions.jsonl"
-        lines = expressions.read_text(encoding="utf-8").count("\n")
-        with open(expressions, "a", encoding="utf-8") as handle:
-            handle.write("{broken\n")
-        code = cli_main(["conceptualize", "--force", *common])
+        path = tmp / "corrupt" / STAGE_TABLE[stage].file
+        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+        lines[-1] = edit(json.loads(lines[-1]))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = cli_main([STAGES[STAGES.index(stage) + 1], "--force", *common])
         err = capsys.readouterr().err
         assert code == 2
         assert "Traceback" not in err
-        assert err.startswith(f"error: {expressions}:{lines + 1}: not valid JSON")
+        assert err.startswith(f"error: {path}:{len(lines)}: bad {stage} record: {reason}")
         assert len(err.splitlines()) == 1, err
 
     @pytest.mark.parametrize(
