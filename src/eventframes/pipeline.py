@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import importlib
-import itertools
 import json
 import logging
 import os
@@ -315,7 +314,7 @@ def build_client(cfg: PipelineConfig) -> GenerationClient:
 
 def write_stage_file(path: Path, stage: str, config_hash: str, records: Iterable[Mapping]) -> None:
     header = {"stage": stage, "config_hash": config_hash, "format_version": FORMAT_VERSION}
-    write_records(path, itertools.chain([header], records))
+    write_records(path, [header, *records])
 
 
 def read_stage_file(
@@ -352,8 +351,10 @@ def read_stage_file(
     return [r for _, r in records[1:]]
 
 
-# os.path.relpath (~6 µs a call), cached: on absolute paths it reads no cwd.
-_relpath = lru_cache(maxsize=4096)(os.path.relpath)
+@lru_cache(maxsize=4096)  # os.path.relpath costs ~6 µs a call
+def _name(path: str, out_dir: str, cwd: str) -> str:
+    """A file's name in a manifest: path relative to out_dir, both from cwd."""
+    return os.path.relpath(os.path.join(cwd, path), os.path.join(cwd, out_dir))
 
 
 def _record(
@@ -366,11 +367,10 @@ def _record(
         if str(path) not in digests:
             digests[str(path)] = _file_hash(path)
     cwd = os.getcwd()
-    start = os.path.join(cwd, out_dir)
     return {
         "config_hash": config_hash,
-        "inputs": {_relpath(os.path.join(cwd, p), start): digests[str(p)] for p in inputs},
-        "outputs": {_relpath(os.path.join(cwd, p), start): digests[str(p)] for p in outputs},
+        "inputs": {_name(str(p), str(out_dir), cwd): digests[str(p)] for p in inputs},
+        "outputs": {_name(str(p), str(out_dir), cwd): digests[str(p)] for p in outputs},
     }
 
 
