@@ -43,7 +43,7 @@ def _convert(annotation: Any, value: Any) -> Any:
     if get_origin(annotation) is tuple:
         if not isinstance(value, (list, tuple)):
             return _REJECTED
-        items = tuple([v if type(v) is args[0] else _convert(args[0], v) for v in value])
+        items = tuple([_convert(args[0], v) for v in value])
         return _REJECTED if _REJECTED in items else items
     for arg in args:
         converted = _convert(arg, value)
@@ -70,7 +70,7 @@ def typed(name: str, annotation: Any, value: Any) -> Any:
     a list for `tuple[X, ...]` a tuple of X; for `X | Y` the first that
     takes it; an object (any other annotation) a dict.  A value of another
     JSON type raises TypeError("<name> must be <types>, got <value>")."""
-    converted = value if type(value) is annotation else _convert(annotation, value)
+    converted = _convert(annotation, value)
     if converted is _REJECTED:
         raise TypeError(f"{name} must be {_describe(annotation)}, got {value!r}")
     return converted

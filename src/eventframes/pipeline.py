@@ -20,7 +20,7 @@ hashed before it runs, so its manifest records each input as it was before
 the stage read it, and after it runs only the digests of the files it wrote
 are dropped, so a file that no stage writes is hashed once per call.
 Manifests name files relative to the output directory, so a copied or moved
-workspace stays up to date.
+workspace stays up to date, and the corpus as given, which ingest's sources embed.
 """
 
 from __future__ import annotations
@@ -351,26 +351,27 @@ def read_stage_file(
     return [r for _, r in records[1:]]
 
 
-@lru_cache(maxsize=4096)  # os.path.relpath costs ~6 µs a call
+@lru_cache(maxsize=4096)  # relpath costs ~6 µs; uncached, graph-large rerun_s read ~30% worse
 def _name(path: str, out_dir: str, cwd: str) -> str:
-    """A file's name in a manifest: path relative to out_dir, both from cwd."""
-    return os.path.relpath(os.path.join(cwd, path), os.path.join(cwd, out_dir))
+    """os.path.relpath(path, out_dir), cached per cwd, from which both are read."""
+    return os.path.relpath(path, out_dir)
 
 
 def _record(
-    out_dir: Path, config_hash: str, inputs: Sequence[Path], outputs: Sequence[Path], digests: dict
+    out_dir: Path, key: str, inputs: list, outputs: list, digests: dict, given: Sequence = ()
 ) -> dict:
     """The manifest fields that decide whether a stage is up to date: its key
-    and the sha256 of each input and output file, taken from digests or
-    hashed into it, keyed by the file's path relative to out_dir."""
+    and the sha256 of each input and output file (from digests, or hashed
+    into it), named relative to out_dir, or as given if in given."""
     for path in (*inputs, *outputs):
         if str(path) not in digests:
             digests[str(path)] = _file_hash(path)
-    cwd = os.getcwd()
+    cwd, start = os.getcwd(), str(out_dir)
+    name = {p: str(p) if p in given else _name(str(p), start, cwd) for p in (*inputs, *outputs)}
     return {
-        "config_hash": config_hash,
-        "inputs": {_name(str(p), str(out_dir), cwd): digests[str(p)] for p in inputs},
-        "outputs": {_name(str(p), str(out_dir), cwd): digests[str(p)] for p in outputs},
+        "config_hash": key,
+        "inputs": {name[p]: digests[str(p)] for p in inputs},
+        "outputs": {name[p]: digests[str(p)] for p in outputs},
     }
 
 
@@ -398,10 +399,11 @@ def _write_manifest(
     counts: Mapping,
     wall_time: float,
     digests: dict[str, str | None],
+    given: Sequence[Path] = (),
 ) -> None:
     manifest = {
         "stage": stage,
-        **_record(out_dir, config_hash, inputs, outputs, digests),
+        **_record(out_dir, config_hash, inputs, outputs, digests, given),
         "counts": dict(counts),
         "wall_time_s": round(wall_time, 6),
     }
@@ -585,12 +587,11 @@ def _paths(*names: str | None) -> list[Path]:
 
 
 def _ingest_files(ctx: RunContext) -> tuple[list[Path], list[Path]]:
-    """--input, or else the files ingest's manifest names, mapped back lexically as relpath."""
+    """--input, or else the files ingest's manifest names."""
     if ctx.input_path is not None:
         return [ctx.input_path], []
     recorded = _read_manifest(ctx.out_dir, "ingest").get("inputs")
-    names = recorded if isinstance(recorded, dict) else {}
-    return [Path(os.path.normpath(ctx.out_dir / name)) for name in names if name], []
+    return _paths(*recorded) if isinstance(recorded, dict) else [], []
 
 
 def _conceptualize_files(ctx: RunContext) -> tuple[list[Path], list[Path]]:
@@ -702,7 +703,9 @@ def run_stage(
     reads, writes = spec.files(ctx)
     inputs = [ctx.path(spec.predecessor), *reads] if spec.predecessor else reads
     outputs = [ctx.path(stage)]
-    now = _record(ctx.out_dir, key, inputs, outputs, ctx.digests)
+    # Ingest's sources embed the corpus path as given; another spelling reruns it.
+    given = () if spec.predecessor else reads
+    now = _record(ctx.out_dir, key, inputs, outputs, ctx.digests, given)
     # A missing file never matches, not even a manifest that records null for it.
     found = None not in (*now["inputs"].values(), *now["outputs"].values())
     if not force and found and all(manifest.get(name) == value for name, value in now.items()):
@@ -720,5 +723,5 @@ def run_stage(
         for path in (*outputs, *writes):
             ctx.digests.pop(str(path), None)
     elapsed = time.monotonic() - started
-    _write_manifest(ctx.out_dir, stage, key, inputs, outputs, report, elapsed, ctx.digests)
+    _write_manifest(ctx.out_dir, stage, key, inputs, outputs, report, elapsed, ctx.digests, given)
     return report

@@ -315,7 +315,7 @@ class TestStageChain:
         manifest = json.loads((tmp / "out" / "ingest.manifest.json").read_text(encoding="utf-8"))
         assert manifest["stage"] == "ingest"
         assert manifest["config_hash"] == cfg.stage_keys["ingest"]
-        assert os.path.relpath(paths["corpus"], tmp / "out") in manifest["inputs"]
+        assert str(paths["corpus"]) in manifest["inputs"]
         assert any(path.endswith("expressions.jsonl") for path in manifest["outputs"])
         assert manifest["counts"]["kept"] == 30
         assert manifest["wall_time_s"] >= 0
@@ -727,7 +727,8 @@ class TestAllWithoutInput:
 class TestRelocatedWorkspace:
     """Manifests name each file by its path relative to the output
     directory, so a workspace whose config names its files relatively stays
-    up to date when it is copied, moved or named by another path."""
+    up to date when it is copied, moved or named by another path.  The
+    corpus is named as given, because ingest's sources embed it."""
 
     UP_TO_DATE = {s: {"status": "up-to-date", "stage": s} for s in STAGES}
 
@@ -756,13 +757,29 @@ class TestRelocatedWorkspace:
             assert run_stage("all", cfg, name, input_path="corpus.jsonl") == self.UP_TO_DATE
             assert run_stage("all", cfg, name) == self.UP_TO_DATE
 
-    def test_a_symlinked_output_directory_reads_its_corpus_lexically(self, relative):
-        """`out/../corpus.jsonl` is `corpus.jsonl` as relpath wrote it, not
-        the corpus beside the link's target."""
+    def test_a_symlinked_output_directory_is_up_to_date(self, relative):
+        """relpath names files lexically, without resolving the link."""
         cfg, tmp = relative
         (tmp / "elsewhere" / "out").mkdir(parents=True)
         Path("out").symlink_to(tmp / "elsewhere" / "out")
         run_stage("all", cfg, "out", input_path="corpus.jsonl")
+        assert run_stage("all", cfg, "out") == self.UP_TO_DATE
+
+    @pytest.mark.parametrize("first", ["relative", "absolute"])
+    def test_another_spelling_of_the_corpus_reruns_ingest(self, relative, first):
+        """Each source, and each id a line does not give, embeds the corpus
+        path as given, so naming the same corpus another way gives what a
+        fresh run gives."""
+        cfg, tmp = relative
+        names = {"relative": "corpus.jsonl", "absolute": str(tmp / "a" / "corpus.jsonl")}
+        second = names["absolute" if first == "relative" else "relative"]
+        run_stage("all", cfg, "out", input_path=names[first])
+        report = run_stage("all", cfg, "out", input_path=second)
+        assert report["ingest"].get("status") is None
+        run_stage("all", cfg, "fresh", input_path=second, force=True)
+        for stage in STAGES:
+            name = STAGE_TABLE[stage].file
+            assert Path("out", name).read_bytes() == Path("fresh", name).read_bytes(), name
         assert run_stage("all", cfg, "out") == self.UP_TO_DATE
 
 
