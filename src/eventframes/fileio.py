@@ -112,11 +112,16 @@ def read_records(path: str | Path, what: str, parse: Callable) -> Iterator[tuple
                 raise ValueError(f"{path}:{lineno}: bad {what}: {exc}") from exc
 
 
-def write_records(path: Path, records: Iterable[Mapping]) -> None:
-    """Write each record as one encoded line, through atomic_write."""
+def write_records(path: Path, records: Iterable[Mapping]) -> str:
+    """Write each record as one encoded line, through atomic_write; return
+    the sha256 of the bytes written, as file_hash would give it."""
+    digest = hashlib.sha256()
     with atomic_write(path) as handle:
         for record in records:
-            handle.write(encode(record) + "\n")
+            line = encode(record) + "\n"
+            digest.update(line.encode("utf-8"))
+            handle.write(line)
+    return digest.hexdigest()
 
 
 def file_hash(path: str | Path) -> str | None:
@@ -134,8 +139,9 @@ def file_hash(path: str | Path) -> str | None:
 
 @contextmanager
 def atomic_write(path: Path) -> Iterator[TextIO]:
-    """Open a temp file in path's directory for text writing; when the block
-    ends normally, `os.replace` it onto path.
+    """Open a temp file in path's directory for UTF-8 text writing, with line
+    feeds written as they are; when the block ends normally, `os.replace` it
+    onto path.
 
     If the block raises (or the process dies) the previous file at path is
     left as it was: readers see either the old or the new content, never a
@@ -146,7 +152,7 @@ def atomic_write(path: Path) -> Iterator[TextIO]:
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
-        with open(temp, "w", encoding="utf-8") as handle:
+        with open(temp, "w", encoding="utf-8", newline="\n") as handle:
             yield handle
         os.replace(temp, path)
     except BaseException:

@@ -1,10 +1,13 @@
 """Stage orchestration: configuration, line-oriented intermediates, manifests.
 
 Every stage reads its predecessor's JSONL file and writes its own, so each is
-independently re-runnable and diffable.  Stage files are self-describing via
-a header line carrying the producing stage, its stage key, and format version;
-`fileio` reads and writes them, and reports a record that a stage cannot
-decode as "<path>:<line>: bad <stage> record: <reason>".
+independently re-runnable and diffable.  Within one `run_stage("all")` call a
+stage takes the records its predecessor has just written from memory instead
+(`RunContext.handoff`), equal to what decoding the file would give.  Stage
+files are self-describing via a header line carrying the producing stage, its
+stage key, and format version; `fileio` reads and writes them, and reports a
+record that a stage cannot decode as "<path>:<line>: bad <stage> record:
+<reason>".
 
 A stage's key hashes the config sections it reads (`Stage.sections`) and its
 predecessor's key, so a config edit reruns only the stages downstream of the
@@ -17,8 +20,9 @@ missing.  Its inputs are its predecessor's file and the files that
 `Stage.files` declares, with the files it writes besides its own.  The stages
 of one `run_stage("all")` call share a digest table: a stage's files are
 hashed before it runs, so its manifest records each input as it was before
-the stage read it, and after it runs only the digests of the files it wrote
-are dropped, so a file that no stage writes is hashed once per call.
+the stage read it; its own file's digest is taken from the bytes it writes,
+and after it runs only the digests of the other files it wrote are dropped,
+so each file is hashed at most once per call.
 Manifests name files relative to the output directory, so a copied or moved
 workspace stays up to date, and the corpus as given, which ingest's sources embed.
 """
@@ -62,7 +66,7 @@ from .endpoint import (
 from .evaluation import PartitionInputError, average_metrics, load_gold_mentions, mention_harness
 from .fileio import atomic_write, encode, normalized, read_records, typed, write_records
 from .fileio import file_hash as _file_hash
-from .schemas import SchemaCandidate, load_demonstrations
+from .schemas import SchemaCandidate, load_demonstrations, normalize_label
 from .scoring import (
     ScoringConfig,
     StructuredInstance,
@@ -312,9 +316,10 @@ def build_client(cfg: PipelineConfig) -> GenerationClient:
 # --------------------------------------------------------------------------
 
 
-def write_stage_file(path: Path, stage: str, config_hash: str, records: Iterable[Mapping]) -> None:
+def write_stage_file(path: Path, stage: str, config_hash: str, records: Iterable[Mapping]) -> str:
+    """Write the header line and the records; return the sha256 of the bytes written."""
     header = {"stage": stage, "config_hash": config_hash, "format_version": FORMAT_VERSION}
-    write_records(path, [header, *records])
+    return write_records(path, [header, *records])
 
 
 def read_stage_file(
@@ -421,26 +426,45 @@ def _write_manifest(
 class RunContext:
     """What the stages of one run_stage call share: the config, the output
     directory, the corpus path (None when not given), and `digests`, path ->
-    sha256 (None for a missing file) of each file hashed in the call and not
-    written by a stage since.  The ensemble and the schema graph are built on
-    first use and kept for the later stages.  build_ensemble,
-    build_schema_graph and the stage file functions are looked up at call
-    time, so a wrapper installed on their modules sees the calls."""
+    sha256 (None for a missing file) of each file hashed or written in the
+    call.  A stage's write records the digest of the bytes it wrote, and
+    keeps its records as the `handoff` to the next read: the next stage of
+    the call takes them in place of decoding the file just written.  The
+    ensemble and the schema graph are built on first use and kept for the
+    later stages.  build_ensemble, build_schema_graph and the stage file
+    functions are looked up at call time, so a wrapper installed on their
+    modules sees the calls."""
 
     cfg: PipelineConfig
     out_dir: Path
     input_path: Path | None = None
     digests: dict[str, str | None] = field(default_factory=dict)
+    # (stage, sha256 of the file as written, the records written), until read.
+    handoff: tuple[str, str, list] | None = None
 
     def path(self, stage: str) -> Path:
         return self.out_dir / STAGE_TABLE[stage].file
 
     def read(self, stage: str, parse: Callable) -> list:
-        """parse(record) of each record of an earlier stage's file, refused if stale."""
-        return read_stage_file(self.path(stage), stage, self.cfg.stage_keys[stage], parse)
+        """parse(record) of each record of an earlier stage's file, refused if
+        stale: the handoff's records if that stage wrote them and `digests`
+        holds the digest they were written with, else decoded from the file.
+        Drops the handoff either way."""
+        path = self.path(stage)
+        handoff, self.handoff = self.handoff, None
+        if handoff is not None and handoff[:2] == (stage, self.digests.get(str(path))):
+            return handoff[2]
+        return read_stage_file(path, stage, self.cfg.stage_keys[stage], parse)
 
-    def write(self, stage: str, records: Iterable[Mapping]) -> None:
-        write_stage_file(self.path(stage), stage, self.cfg.stage_keys[stage], records)
+    def write(self, stage: str, records: list, to_dict: Callable[[Any], Mapping]) -> None:
+        """Write to_dict(record) of each record as the stage's file; record
+        the digest of the bytes written and hand the records to the next
+        read.  Each record must equal, field types included, what the
+        reader's parse makes of its line (TestHandoff checks each stage)."""
+        path = self.path(stage)
+        digest = write_stage_file(path, stage, self.cfg.stage_keys[stage], map(to_dict, records))
+        self.digests[str(path)] = digest
+        self.handoff = (stage, digest, records)
 
     @cached_property
     def ensemble(self) -> SimilarityEnsemble:
@@ -462,15 +486,51 @@ def _expression(record: dict) -> EventExpression:
     )
 
 
+def _expression_to_dict(expression: EventExpression) -> dict:
+    return {"id": expression.id, "text": expression.text, "source": expression.source}
+
+
+# A stage file repeats few names many times; normalize_label costs ~1.5 µs.
+_normalized = lru_cache(maxsize=4096)(normalize_label)
+
+
+def _check_label(name: str, label: str) -> None:
+    """Refuse a type or slot name that parse_schema never gives: an empty
+    one, or one that normalize_label changes."""
+    if not label:
+        raise ValueError(f"{name} is empty")
+    if _normalized(label) != label:
+        raise ValueError(f"{name} {label!r} is not normalized ({_normalized(label)!r})")
+
+
+def _candidate(record: dict) -> SchemaCandidate:
+    event_type = typed("type", str, record["type"])
+    _check_label("type", event_type)
+    slots = typed("slots", tuple[str, ...], record["slots"])
+    for slot in slots:
+        _check_label("slot", slot)
+    if len(set(slots)) != len(slots):
+        raise ValueError(f"slots repeat a name: {list(slots)}")
+    return SchemaCandidate(event_type, slots)
+
+
 def _conceptualized(record: dict) -> ConceptualizedInstance:
-    candidates = tuple(
-        SchemaCandidate(typed("type", str, c["type"]), typed("slots", tuple[str, ...], c["slots"]))
-        for c in typed("candidates", tuple[dict, ...], record["candidates"])
-    )
+    """A conceptualize record as that stage writes it; any other is refused."""
+    candidates = tuple(map(_candidate, typed("candidates", tuple[dict, ...], record["candidates"])))
     if not candidates:
         raise ValueError("no candidates")
     parse_failures = typed("parse_failures", int, record["parse_failures"])
+    if parse_failures < 0:
+        raise ValueError(f"parse_failures must be >= 0, got {parse_failures}")
     return ConceptualizedInstance(_expression(record), candidates, parse_failures)
+
+
+def _conceptualized_to_dict(instance: ConceptualizedInstance) -> dict:
+    return {
+        **_expression_to_dict(instance.expression),
+        "candidates": [{"type": c.event_type, "slots": list(c.slots)} for c in instance.candidates],
+        "parse_failures": instance.parse_failures,
+    }
 
 
 def _stage_ingest(ctx: RunContext) -> dict:
@@ -485,7 +545,7 @@ def _stage_ingest(ctx: RunContext) -> dict:
             f"no line of {ctx.input_path} survived ingest: {report.total} read, "
             f"discarded by reason {report.discarded}"
         )
-    ctx.write("ingest", ({"id": e.id, "text": e.text, "source": e.source} for e in expressions))
+    ctx.write("ingest", expressions, _expression_to_dict)
     return report.as_dict()
 
 
@@ -510,28 +570,14 @@ def _stage_conceptualize(ctx: RunContext) -> dict:
         client.save()
     if not instances:
         raise StageInputError(f"no expression survived conceptualize: {report.as_dict()}")
-    ctx.write(
-        "conceptualize",
-        (
-            {
-                "id": inst.expression.id,
-                "text": inst.expression.text,
-                "source": inst.expression.source,
-                "candidates": [
-                    {"type": c.event_type, "slots": list(c.slots)} for c in inst.candidates
-                ],
-                "parse_failures": inst.parse_failures,
-            }
-            for inst in instances
-        ),
-    )
+    ctx.write("conceptualize", instances, _conceptualized_to_dict)
     return report.as_dict()
 
 
 def _stage_structuralize(ctx: RunContext) -> dict:
     instances = ctx.read("conceptualize", _conceptualized)
     structured = structuralize(instances, ctx.cfg.scoring, ctx.ensemble)
-    ctx.write("structuralize", (structured_to_dict(s) for s in structured))
+    ctx.write("structuralize", structured, structured_to_dict)
     return {
         "instances": len(structured),
         "slots_kept": sum(len(s.slots) for s in structured),
@@ -543,7 +589,7 @@ def _stage_aggregate(ctx: RunContext) -> dict:
     structured, graph = ctx.graph
     assignment = cluster_instances(structured, graph, ctx.cfg.seed)
     schemas = aggregate(structured, assignment, graph, ctx.cfg.graph, ctx.cfg.seed)
-    ctx.write("aggregate", (aggregated_to_dict(s) for s in schemas))
+    ctx.write("aggregate", schemas, aggregated_to_dict)
     return {
         "instances": len(structured),
         "clusters": len(schemas),
@@ -578,7 +624,9 @@ def _stage_evaluate(ctx: RunContext) -> dict:
     if len(runs) > 1:
         report["runs"] = [m.as_dict() for m in runs]
     header = {"stage": "evaluate", "config_hash": cfg.stage_keys["evaluate"]}
-    write_records(ctx.path("evaluate"), [{**report, **header, "format_version": FORMAT_VERSION}])
+    path = ctx.path("evaluate")
+    record = {**report, **header, "format_version": FORMAT_VERSION}
+    ctx.digests[str(path)] = write_records(path, [record])
     return report
 
 
@@ -677,7 +725,10 @@ def run_stage(
     the context's config and paths are the ones used.  "all" passes its
     stages one context, so a run builds the ensemble at most once, and only
     when a stage reads it; aggregate and evaluate share one schema graph;
-    and a file that no stage writes is hashed once.
+    each file is hashed at most once, a stage's file never, once written: its
+    digest is that of the bytes written, which its manifest and the next
+    stage's record; and a stage takes the records its predecessor wrote in
+    the call from memory, not from the file.
     """
     if context is None:
         out_dir = Path(out_dir)
@@ -713,6 +764,8 @@ def run_stage(
         return {"status": "up-to-date", "stage": stage}
 
     started = time.monotonic()
+    for path in outputs:  # the stage's write records the digest of what it writes
+        ctx.digests.pop(str(path), None)
     try:
         report = spec.run(ctx)
     except FileNotFoundError as exc:
@@ -720,7 +773,7 @@ def run_stage(
             raise
         raise StageInputError(f"missing input file for stage {stage!r}: {exc.filename}") from exc
     finally:
-        for path in (*outputs, *writes):
+        for path in writes:
             ctx.digests.pop(str(path), None)
     elapsed = time.monotonic() - started
     _write_manifest(ctx.out_dir, stage, key, inputs, outputs, report, elapsed, ctx.digests, given)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from typing import Mapping, Sequence
@@ -221,9 +221,11 @@ def consistency(
     return max(sims)
 
 
-def score(record: SlotRecord, cfg: ScoringConfig = ScoringConfig()) -> float:
+def score(
+    salience: float, reliability: float, consistency: float, cfg: ScoringConfig = ScoringConfig()
+) -> float:
     """Combined confidence: (lambda1 * salience + lambda2 * reliability) * consistency."""
-    return (cfg.lambda1 * record.salience + cfg.lambda2 * record.reliability) * record.consistency
+    return (cfg.lambda1 * salience + cfg.lambda2 * reliability) * consistency
 
 
 def select_event_type(
@@ -251,7 +253,9 @@ def structuralize(
 
     Each instance's slot set is collected once, and each distinct (candidate
     type, text) pair is scored once.  Instances are retained even when every
-    slot is filtered out (type-only schema).
+    slot is filtered out (type-only schema).  A structured instance's
+    expression has its id for its source, as structured_from_dict gives it:
+    the structured record does not keep the source.
     """
     slot_sets = [collect_slot_set(instance) for instance in instances]
     totals, corpus_size = global_slot_frequencies(slot_sets)
@@ -262,20 +266,19 @@ def structuralize(
         reliabilities = reliability(slot_set, cfg)
         records: list[SlotRecord] = []
         for slot in sorted(slot_set.freq):
-            partial = SlotRecord(
-                slot=slot,
-                freq=slot_set.freq[slot],
-                salience=salience(slot_set.freq[slot], totals[slot], corpus_size, cfg),
-                reliability=reliabilities[slot],
-                consistency=consistency(slot, instance, type_sims),
-                score=0.0,
+            freq = slot_set.freq[slot]
+            factors = (
+                salience(freq, totals[slot], corpus_size, cfg),
+                reliabilities[slot],
+                consistency(slot, instance, type_sims),
             )
-            records.append(replace(partial, score=score(partial, cfg)))
+            records.append(SlotRecord(slot, freq, *factors, score(*factors, cfg)))
         event_type, type_consistency = select_event_type(instance, type_sims)
         surviving = tuple(r for r in records if r.score >= cfg.threshold)
+        expression = instance.expression
         structured.append(
             StructuredInstance(
-                expression=instance.expression,
+                expression=EventExpression(expression.id, expression.text, expression.id),
                 event_type=event_type,
                 slots=surviving,
                 type_consistency=type_consistency,

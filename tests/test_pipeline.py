@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -689,6 +690,93 @@ class TestOneGraphPerRun:
         assert len(builds) == 2
 
 
+def _types(value):
+    """The type of value and, in a dataclass or a container, of each value it holds."""
+    if dataclasses.is_dataclass(value):
+        return type(value), tuple(_types(getattr(value, f.name)) for f in fields(value))
+    if isinstance(value, (list, tuple)):
+        return type(value), tuple(map(_types, value))
+    if isinstance(value, frozenset):
+        return type(value), frozenset(map(_types, value))
+    return type(value)
+
+
+def _plain_lines(data, paths):
+    """The corpus as plain lines, one padded, and gold ids to match."""
+    texts = [json.loads(line)["text"] for line in paths["corpus"].read_text("utf-8").splitlines()]
+    paths["corpus"] = paths["corpus"].with_name("corpus.txt")
+    paths["corpus"].write_text(f"  {texts[0]}\t\n" + "".join(t + "\n" for t in texts[1:]), "utf-8")
+    paths["gold"].write_text(
+        "".join(
+            json.dumps({"id": f"{paths['corpus']}:{line}", "type": event_type}) + "\n"
+            for line, (_, event_type) in enumerate(planted_mentions(), 1)
+        ),
+        encoding="utf-8",
+    )
+    data["corpus"]["format"] = "plain-lines"
+
+
+class TestHandoff:
+    """Within one run_stage("all") call, a stage takes the records that its
+    predecessor has just written from memory, not from the file."""
+
+    @pytest.fixture()
+    def reads(self, monkeypatch):
+        """The records each RunContext.read returned, and the stages whose
+        files read_stage_file decoded."""
+        handed, decoded = {}, []
+        read, decode = pipeline.RunContext.read, pipeline.read_stage_file
+
+        def recorded(ctx, stage, parse):
+            handed[stage] = (read(ctx, stage, parse), parse)
+            return handed[stage][0]
+
+        def counted(path, stage, *args, **kwargs):
+            decoded.append(stage)
+            return decode(path, stage, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline.RunContext, "read", recorded)
+        monkeypatch.setattr(pipeline, "read_stage_file", counted)
+        return handed, decoded
+
+    @pytest.mark.parametrize("variant", ["repeats-1", "repeats-3", "plain-lines"])
+    def test_handed_records_equal_the_decoded_file(self, workspace, reads, variant):
+        paths, cfg, tmp = workspace
+        data = cfg.to_dict()
+        data["similarity"] = write_tables(tmp)
+        if variant == "repeats-3":
+            data["evaluation"]["repeats"] = 3
+        if variant == "plain-lines":
+            _plain_lines(data, paths)
+        cfg = PipelineConfig.from_dict(data)
+        handed, decoded = reads
+        report = run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        assert report["evaluate"]["metrics"]["ari"] == 1.0
+        assert decoded == []
+        assert list(handed) == list(STAGES[:-1])
+        for stage, (records, parse) in handed.items():
+            path = tmp / "out" / STAGE_TABLE[stage].file
+            expected = read_stage_file(path, stage, cfg.stage_keys[stage], parse)
+            assert records == expected, stage
+            assert _types(records) == _types(expected), stage
+
+    def test_a_file_not_written_in_the_run_is_decoded(self, workspace, reads):
+        paths, cfg, tmp = workspace
+        cfg = edited(cfg, "evaluation", "repeats", 3)
+        run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        handed, decoded = reads
+        # Structuralize's predecessor is up to date; aggregate and evaluate
+        # take what the stage before them wrote.
+        cfg = edited(cfg, "scoring", "threshold", 0.3)
+        run_stage("all", cfg, tmp / "out")
+        assert decoded == ["conceptualize"]
+        # Evaluate alone reruns, in this call and in the next.
+        cfg = edited(cfg, "evaluation", "top_k", 10)
+        run_stage("all", cfg, tmp / "out")
+        run_stage("evaluate", cfg, tmp / "out", force=True)
+        assert decoded == ["conceptualize", *["aggregate", "structuralize"] * 2]
+
+
 class TestAllWithoutInput:
     """Without an input path, ingest's inputs are the corpus files its
     manifest records."""
@@ -905,13 +993,20 @@ class TestDeclaredFiles:
 
     @pytest.mark.parametrize("force", [False, True])
     @pytest.mark.parametrize(
-        "stage, edited_file", [("conceptualize", "demos"), ("structuralize", "lexicon")]
+        "stage, edited_file",
+        [("conceptualize", "demos"), ("structuralize", "lexicon"), ("structuralize", "output")],
     )
     def test_an_input_edited_while_its_stage_runs_reruns_it(
         self, tables, monkeypatch, stage, edited_file, force
     ):
+        """Its own output, too: the manifest records the bytes the stage
+        wrote, and the next stage of the run takes those records."""
         paths, cfg, tmp = tables
-        edited_path = paths["demos"] if edited_file == "demos" else tmp / "lexicon.tsv"
+        edited_path = {
+            "demos": paths["demos"],
+            "lexicon": tmp / "lexicon.tsv",
+            "output": tmp / "out" / STAGE_TABLE[stage].file,
+        }[edited_file]
         spec = STAGE_TABLE[stage]
 
         def run_then_edit(ctx):
@@ -931,10 +1026,15 @@ class TestDeclaredFiles:
         assert report.get("status") is None
         manifest = json.loads((tmp / "out" / f"{stage}.manifest.json").read_text("utf-8"))
         digest = hashlib.sha256(edited_path.read_bytes()).hexdigest()
-        assert manifest["inputs"][os.path.relpath(edited_path, tmp / "out")] == digest
+        recorded = manifest["outputs" if edited_file == "output" else "inputs"]
+        assert recorded[os.path.relpath(edited_path, tmp / "out")] == digest
         assert run_stage(stage, cfg, tmp / "out") == {"status": "up-to-date", "stage": stage}
+        run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        run_stage("all", cfg, tmp / "fresh", input_path=paths["corpus"], force=True)
+        for name in (STAGE_TABLE[s].file for s in STAGES):
+            assert (tmp / "out" / name).read_bytes() == (tmp / "fresh" / name).read_bytes(), name
 
-    def test_a_threshold_edit_hashes_only_rewritten_files_twice(self, tables, monkeypatch):
+    def test_a_threshold_edit_hashes_each_file_once(self, tables, monkeypatch):
         paths, cfg, tmp = tables
         run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
         hashed = []
@@ -950,11 +1050,12 @@ class TestDeclaredFiles:
         )
         rerun = [s for s, r in report.items() if r.get("status") != "up-to-date"]
         assert rerun == ["structuralize", "aggregate", "evaluate"]
-        rewritten = {str(tmp / "out" / STAGE_TABLE[s].file) for s in rerun}
-        unwritten = {str(p) for p in (tmp / "lexicon.tsv", tmp / "vectors.txt")}
-        unwritten |= {str(paths[name]) for name in ("corpus", "demos", "store", "gold")}
-        unwritten |= {str(tmp / "out" / STAGE_TABLE[s].file) for s in ("ingest", "conceptualize")}
-        assert Counter(hashed) == {**dict.fromkeys(unwritten, 1), **dict.fromkeys(rewritten, 2)}
+        # A rewritten file is hashed before its stage runs, never after: its
+        # digest is taken from the bytes written.
+        files = {str(p) for p in (tmp / "lexicon.tsv", tmp / "vectors.txt")}
+        files |= {str(paths[name]) for name in ("corpus", "demos", "store", "gold")}
+        files |= {str(tmp / "out" / STAGE_TABLE[s].file) for s in STAGES}
+        assert Counter(hashed) == dict.fromkeys(files, 1)
 
 
 class TestCrashSafeWrites:
@@ -1381,6 +1482,29 @@ CORRUPT_RECORDS = {
         "conceptualize",
         _with(candidates=[{"type": "attack", "slots": "ab"}]),
         "slots must be a list (each item a string), got 'ab'",
+    ),
+    # Records that conceptualize never writes.
+    "empty-type": ("conceptualize", _with(candidates=[{"type": "", "slots": ["x"]}]),
+                   "type is empty"),
+    "unnormalized-type": (
+        "conceptualize",
+        _with(candidates=[{"type": "Attack ", "slots": ["x"]}]),
+        "type 'Attack ' is not normalized ('attack')",
+    ),
+    "empty-slot": ("conceptualize", _with(candidates=[{"type": "attack", "slots": ["x", ""]}]),
+                   "slot is empty"),
+    "unnormalized-slot": (
+        "conceptualize",
+        _with(candidates=[{"type": "attack", "slots": ["Bad Slot", "x"]}]),
+        "slot 'Bad Slot' is not normalized ('bad slot')",
+    ),
+    "repeated-slot": (
+        "conceptualize",
+        _with(candidates=[{"type": "attack", "slots": ["x", "y", "x"]}]),
+        "slots repeat a name: ['x', 'y', 'x']",
+    ),
+    "negative-parse-failures": (
+        "conceptualize", _with(parse_failures=-4), "parse_failures must be >= 0, got -4"
     ),
     "structured-no-slots": ("structuralize", _without("slots"), "no 'slots' field"),
     "string-freq": (

@@ -6,7 +6,6 @@ import pytest
 from eventframes.scoring import (
     LOG_OF_SQUARE,
     ScoringConfig,
-    SlotRecord,
     collect_slot_set,
     consistency,
     cooccurrence_graph,
@@ -235,16 +234,14 @@ class TestConsistency:
 
 class TestScore:
     def test_arithmetic(self):
-        record = SlotRecord("s", 1, salience=1.5, reliability=0.5, consistency=0.5, score=0.0)
-        assert score(record) == pytest.approx(1.0)
+        assert score(salience=1.5, reliability=0.5, consistency=0.5) == pytest.approx(1.0)
 
     def test_zero_consistency_zeroes_score(self):
-        record = SlotRecord("s", 1, salience=9.0, reliability=1.0, consistency=0.0, score=0.0)
-        assert score(record) == 0.0
+        assert score(salience=9.0, reliability=1.0, consistency=0.0) == 0.0
 
     def test_lambda_weights(self):
-        record = SlotRecord("s", 1, salience=2.0, reliability=0.5, consistency=1.0, score=0.0)
-        assert score(record, ScoringConfig(lambda1=0.0, lambda2=2.0)) == pytest.approx(1.0)
+        cfg = ScoringConfig(lambda1=0.0, lambda2=2.0)
+        assert score(salience=2.0, reliability=0.5, consistency=1.0, cfg=cfg) == pytest.approx(1.0)
 
 
 class TestSelectEventType:
@@ -374,7 +371,8 @@ class TestStructuralize:
         cfg = ScoringConfig()
         for structured in structuralize(instances, cfg, ensemble):
             for record in structured.slots:
-                assert record.score == pytest.approx(score(record, cfg))
+                factors = (record.salience, record.reliability, record.consistency)
+                assert record.score == pytest.approx(score(*factors, cfg))
 
     def test_serialization_roundtrip(self):
         instances, ensemble = engineered_corpus()
