@@ -12,6 +12,7 @@ import numpy as np
 
 from .fileio import typed
 from .louvain import ClusterAssignment, louvain
+from .schemas import SchemaCandidate, render_schema
 from .scoring import StructuredInstance
 from .similarity import SimilarityEnsemble, SlotSimilarity, row_blocks, slotset_matrix
 
@@ -35,8 +36,8 @@ class GraphConfig:
             raise ValueError("lambda3 + lambda4 + lambda5 must be positive")
         if self.edge_prune not in (PRUNE_NONE, PRUNE_BELOW_MEAN, PRUNE_ABSOLUTE):
             raise ValueError(f"unknown edge_prune mode: {self.edge_prune!r}")
-        if self.edge_prune == PRUNE_ABSOLUTE and self.prune_tau is None:
-            raise ValueError("absolute pruning requires prune_tau")
+        if (self.edge_prune == PRUNE_ABSOLUTE) != (self.prune_tau is not None):
+            raise ValueError("prune_tau is given with absolute pruning, and only with it")
 
 
 @dataclass(frozen=True)
@@ -219,10 +220,8 @@ def aggregate(
 
 
 def render_aggregated(schema: AggregatedSchema) -> str:
-    """Human-readable "Type: t, Slots: s1; s2; ..." rendering."""
-    if not schema.slot_groups:
-        return f"Type: {schema.type_name}, Slots:"
-    return f"Type: {schema.type_name}, Slots: " + "; ".join(schema.slot_names)
+    """The type and representative slots in render_schema's surface form."""
+    return render_schema(SchemaCandidate(schema.type_name, schema.slot_names))
 
 
 def aggregated_to_dict(schema: AggregatedSchema) -> dict:

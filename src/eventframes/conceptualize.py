@@ -22,11 +22,17 @@ SEPARATOR = "→"  # →
 
 @dataclass(frozen=True)
 class ConceptualizedInstance:
-    """An expression with its parsed schema candidates."""
+    """An expression with its parsed schema candidates, at least one."""
 
     expression: EventExpression
     candidates: tuple[SchemaCandidate, ...]
     parse_failures: int = 0
+
+    def __post_init__(self) -> None:
+        if not self.candidates:
+            raise ValueError("no candidates")
+        if self.parse_failures < 0:
+            raise ValueError(f"parse_failures must be >= 0, got {self.parse_failures}")
 
 
 @dataclass

@@ -66,7 +66,7 @@ from .endpoint import (
 from .evaluation import PartitionInputError, average_metrics, load_gold_mentions, mention_harness
 from .fileio import atomic_write, encode, normalized, read_records, typed, write_records
 from .fileio import file_hash as _file_hash
-from .schemas import SchemaCandidate, load_demonstrations, normalize_label
+from .schemas import SchemaCandidate, load_demonstrations, render_schema
 from .scoring import (
     ScoringConfig,
     StructuredInstance,
@@ -174,15 +174,16 @@ class SimilaritySettings:
                 typed(f"similarity.backends[{index}].{key}", str, entry[key])
             if kind == "lexicon" and not entry.get("path"):
                 raise ConfigError("lexicon backend requires a 'path'")
-            if kind == "embedding" and not (entry.get("path") or entry.get("url")):
-                raise ConfigError("embedding backend requires a 'path' or 'url'")
+            if kind == "embedding" and bool(entry.get("path")) == bool(entry.get("url")):
+                message = "an embedding backend takes exactly one of 'path' and 'url'"
+                raise ConfigError(f"similarity.backends[{index}]: {message}")
         # The ensemble checks the weights against the backends.
         SimilarityEnsemble([LexicalBackend()] * len(self.backends), self.weights)
 
     @property
     def tables(self) -> list[Path]:
         """The lexicon and vector table files that the backends read."""
-        return [Path(b["path"]) for b in self.backends if b.get("path") and not b.get("url")]
+        return [Path(b["path"]) for b in self.backends if b.get("path")]
 
 
 @dataclass(frozen=True)
@@ -292,8 +293,6 @@ def build_ensemble(settings: SimilaritySettings) -> SimilarityEnsemble:
 def build_client(cfg: PipelineConfig) -> GenerationClient:
     gen = cfg.generation
     if gen.replay and not gen.record:
-        if not Path(gen.replay).exists():
-            raise StageInputError(f"replay store not found: {gen.replay}")
         return _load(ReplayClient.from_file, gen.replay)
     if not gen.endpoint:
         if gen.record:
@@ -490,38 +489,26 @@ def _expression_to_dict(expression: EventExpression) -> dict:
     return {"id": expression.id, "text": expression.text, "source": expression.source}
 
 
-# A stage file repeats few names many times; normalize_label costs ~1.5 µs.
-_normalized = lru_cache(maxsize=4096)(normalize_label)
-
-
-def _check_label(name: str, label: str) -> None:
-    """Refuse a type or slot name that parse_schema never gives: an empty
-    one, or one that normalize_label changes."""
-    if not label:
-        raise ValueError(f"{name} is empty")
-    if _normalized(label) != label:
-        raise ValueError(f"{name} {label!r} is not normalized ({_normalized(label)!r})")
-
-
 def _candidate(record: dict) -> SchemaCandidate:
-    event_type = typed("type", str, record["type"])
-    _check_label("type", event_type)
-    slots = typed("slots", tuple[str, ...], record["slots"])
-    for slot in slots:
-        _check_label("slot", slot)
-    if len(set(slots)) != len(slots):
-        raise ValueError(f"slots repeat a name: {list(slots)}")
-    return SchemaCandidate(event_type, slots)
+    """A candidate that SchemaCandidate.create gives back unchanged; any other,
+    which parse_schema never gives, is refused naming both forms."""
+    written = SchemaCandidate(
+        typed("type", str, record["type"]), typed("slots", tuple[str, ...], record["slots"])
+    )
+    try:
+        canonical = SchemaCandidate.create(written.event_type, written.slots)
+    except ValueError as exc:
+        raise ValueError(f"candidate {render_schema(written)!r}: {exc}") from None
+    if canonical != written:
+        message = f"{render_schema(written)!r} is not canonical: {render_schema(canonical)!r}"
+        raise ValueError(f"candidate {message}")
+    return canonical
 
 
 def _conceptualized(record: dict) -> ConceptualizedInstance:
     """A conceptualize record as that stage writes it; any other is refused."""
     candidates = tuple(map(_candidate, typed("candidates", tuple[dict, ...], record["candidates"])))
-    if not candidates:
-        raise ValueError("no candidates")
     parse_failures = typed("parse_failures", int, record["parse_failures"])
-    if parse_failures < 0:
-        raise ValueError(f"parse_failures must be >= 0, got {parse_failures}")
     return ConceptualizedInstance(_expression(record), candidates, parse_failures)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from .fileio import read_records, typed
@@ -23,6 +24,7 @@ class SchemaParseError(ValueError):
         self.raw = raw
 
 
+@lru_cache(maxsize=4096)  # a corpus repeats few names many times; uncached ~1.5 µs each
 def normalize_label(label: str) -> str:
     """Canonical form for type and slot names.
 
@@ -44,7 +46,8 @@ class SchemaCandidate:
 
     @classmethod
     def create(cls, event_type: str, slots: list[str] | tuple[str, ...]) -> "SchemaCandidate":
-        """Build a candidate from raw names, normalizing and deduplicating slots."""
+        """The canonical candidate of raw names: each normalized, and the
+        slots without empty names or repeats, in first-seen order."""
         normalized_type = normalize_label(event_type)
         if not normalized_type:
             raise ValueError("event type must be non-empty after normalization")

@@ -85,8 +85,6 @@ class SlotSet:
 
 def collect_slot_set(instance: ConceptualizedInstance) -> SlotSet:
     """Union the candidates' slots; freq(s) counts candidates containing s."""
-    if not instance.candidates:
-        raise ValueError("instance has no parsed candidates")
     freq: Counter = Counter()
     members: list[frozenset[str]] = []
     for candidate in instance.candidates:
@@ -237,8 +235,6 @@ def select_event_type(
     Ties break toward the type proposed by more candidates, then
     lexicographically.
     """
-    if not instance.candidates:
-        raise ValueError("instance has no parsed candidates")
     type_freq = Counter(candidate.event_type for candidate in instance.candidates)
     best = min(type_freq, key=lambda t: (-type_sims[t], -type_freq[t], t))
     return best, type_sims[best]

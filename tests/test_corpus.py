@@ -8,6 +8,7 @@ from eventframes.corpus import (
     SPACE_DELIMITED,
     CorpusFilterConfig,
     EventExpression,
+    PLAIN_LINES,
     STRUCTURED_RECORDS,
     filter_expression,
     is_numeric_token,
@@ -176,10 +177,15 @@ class TestLoadCorpus:
         assert [e.text for e in expressions] == ["abcdefgh"]
         assert report.kept == 1
 
-    def test_blank_lines_counted_empty(self, tmp_path):
+    @pytest.mark.parametrize(
+        "fmt, first",
+        [(PLAIN_LINES, "real line"), (STRUCTURED_RECORDS, '{"text": "real line"}')],
+        ids=[PLAIN_LINES, STRUCTURED_RECORDS],
+    )
+    def test_blank_lines_counted_empty(self, tmp_path, fmt, first):
         path = tmp_path / "blanks.txt"
-        path.write_text("real line\n\n   \n", encoding="utf-8")
-        expressions, report = load_corpus(path)
+        path.write_text(f"{first}\n\n   \n", encoding="utf-8")
+        expressions, report = load_corpus(path, CorpusFilterConfig(format=fmt))
         assert len(expressions) == 1
         assert report.discarded["empty"] == 2
 

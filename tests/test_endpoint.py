@@ -346,12 +346,17 @@ class TestHttpClients:
         assert len(server.received) == 2
         assert clock.sleeps == [1.0]
 
-    def test_missing_completions_is_final(self, clock):
+    @pytest.mark.parametrize(
+        "client_cls, field",
+        [(HttpGenerationClient, "completions"), (OpenAICompletionsClient, "choices")],
+        ids=["native", "openai"],
+    )
+    def test_missing_completions_is_final(self, clock, client_cls, field):
         request = GenerationRequest(prompt="p")
         with LoopbackServer(in_order((200, {"text": "no"}))) as server:
-            outcome = generate_all(live(server), [request])[request]
+            outcome = generate_all(live(server, client_cls), [request])[request]
         assert type(outcome) is TransportError
-        assert "missing 'completions'" in str(outcome)
+        assert f"missing '{field}'" in str(outcome)
         assert len(server.received) == 1
         assert clock.sleeps == []
 

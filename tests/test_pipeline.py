@@ -128,6 +128,9 @@ class TestPipelineConfig:
             ("generation", "n", 0),
             ("generation", "max_new_tokens", 0),
             ("generation", "temperature", -0.1),
+            ("generation", "endpoint_style", "chat"),
+            ("scoring", "lambda1", -1.0),
+            ("scoring", "max_iterations", 0),
             ("evaluation", "top_k", 0),
             ("evaluation", "repeats", 0),
         ],
@@ -156,11 +159,6 @@ class TestBuildHelpers:
     def test_client_requires_endpoint_or_replay(self):
         with pytest.raises(ConfigError):
             build_client(PipelineConfig())
-
-    def test_replay_store_must_exist(self, tmp_path):
-        cfg = PipelineConfig.from_dict({"generation": {"replay": str(tmp_path / "nope.jsonl")}})
-        with pytest.raises(StageInputError):
-            build_client(cfg)
 
     def test_record_requires_store_path(self):
         cfg = PipelineConfig.from_dict(
@@ -210,6 +208,15 @@ class TestStageChain:
             for event_type in ("attack", "election", "marriage")
         }
         assert members == expected
+
+    def test_without_gold_all_runs_four_stages_and_evaluate_refuses(self, workspace):
+        paths, cfg, tmp = workspace
+        cfg = edited(cfg, "evaluation", "gold", None)
+        report = run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        assert list(report) == list(STAGES[:-1])
+        assert not (tmp / "out" / "metrics.json").exists()
+        with pytest.raises(ConfigError, match="^evaluate needs a gold mentions path"):
+            run_stage("evaluate", cfg, tmp / "out")
 
     def test_texts_with_unicode_line_separators_round_trip(self, workspace):
         # U+0085, U+2028 and U+2029 are line breaks to str.splitlines() but
@@ -1283,10 +1290,20 @@ class TestRecordReplay:
         replay_lines = (tmp / "rep" / "conceptualized.jsonl").read_bytes().splitlines()[1:]
         assert rerun_bytes.splitlines()[1:] == replay_lines
 
+    def test_endpoint_and_record_flags(self, workspace, fake_endpoint):
+        paths, _, tmp = workspace
+        store = tmp / "recorded.jsonl"
+        common = ["--config", str(paths["config"]), "--output", str(tmp / "rec")]
+        assert cli_main(["ingest", *common, "--input", str(paths["corpus"])]) == 0
+        flags = ["--endpoint", fake_endpoint.url(), "--record", "--replay", str(store)]
+        assert cli_main(["conceptualize", *common, *flags]) == 0
+        assert len(fake_endpoint.received) == 30
+        assert len(ReplayStore.load(store).entries) == 30
+
 
 def _set(section, key, value):
     def edit(data, paths):
-        data[section][key] = value
+        data.setdefault(section, {})[key] = value
 
     return edit
 
@@ -1406,6 +1423,14 @@ CLI_ERRORS = {
         _delete("demos"), "missing input file for stage 'conceptualize': {demos}", False
     ),
     "missing-gold": (_delete("gold"), "missing input file for stage 'evaluate': {gold}", False),
+    "missing-replay": (
+        _delete("store"), "missing input file for stage 'conceptualize': {store}", False
+    ),
+    "no-demonstrations-path": (
+        _set("demonstrations", "path", None),
+        "conceptualize needs a demonstrations path in the config",
+        False,
+    ),
     "missing-vectors": (
         _missing_vector_table,
         "missing input file for stage 'structuralize': {vectors}",
@@ -1462,6 +1487,39 @@ CLI_ERRORS = {
         "bad config section 'similarity': unknown keys in lexical backend: ['pth']",
         True,
     ),
+    "weights-all-zero": (
+        _similarity(backends=[{"kind": "lexical"}], weights=[0.0]),
+        "bad config section 'similarity': weights must not all be zero",
+        True,
+    ),
+    "lexicon-without-path": (
+        _similarity(backends=[{"kind": "lexicon"}]),
+        "bad config section 'similarity': lexicon backend requires a 'path'",
+        True,
+    ),
+    "embedding-without-path-or-url": (
+        _similarity(backends=[{"kind": "embedding"}]),
+        "bad config section 'similarity': similarity.backends[0]: an embedding backend takes "
+        "exactly one of 'path' and 'url'",
+        True,
+    ),
+    # The table at `path` would be neither read nor a manifest input.  The url
+    # is a loopback port, so code that accepted the entry fails on this machine.
+    "embedding-path-and-url": (
+        _similarity(
+            backends=[{"kind": "lexical"},
+                      {"kind": "embedding", "path": "v.txt", "url": "http://127.0.0.1:9/v"}]
+        ),
+        "bad config section 'similarity': similarity.backends[1]: an embedding backend takes "
+        "exactly one of 'path' and 'url'",
+        True,
+    ),
+    # Ignored, it would still change aggregate's stage key.
+    "prune-tau-without-absolute": (
+        _set("graph", "prune_tau", 0.5),
+        "bad config section 'graph': prune_tau is given with absolute pruning, and only with it",
+        True,
+    ),
 }
 
 
@@ -1483,25 +1541,33 @@ CORRUPT_RECORDS = {
         _with(candidates=[{"type": "attack", "slots": "ab"}]),
         "slots must be a list (each item a string), got 'ab'",
     ),
-    # Records that conceptualize never writes.
-    "empty-type": ("conceptualize", _with(candidates=[{"type": "", "slots": ["x"]}]),
-                   "type is empty"),
+    # Records that conceptualize never writes: a candidate that
+    # SchemaCandidate.create does not give back unchanged.
+    "empty-type": (
+        "conceptualize",
+        _with(candidates=[{"type": "", "slots": ["x"]}]),
+        "candidate 'Type: , Slots: x': event type must be non-empty after normalization",
+    ),
     "unnormalized-type": (
         "conceptualize",
         _with(candidates=[{"type": "Attack ", "slots": ["x"]}]),
-        "type 'Attack ' is not normalized ('attack')",
+        "candidate 'Type: Attack , Slots: x' is not canonical: 'Type: attack, Slots: x'",
     ),
-    "empty-slot": ("conceptualize", _with(candidates=[{"type": "attack", "slots": ["x", ""]}]),
-                   "slot is empty"),
+    "empty-slot": (
+        "conceptualize",
+        _with(candidates=[{"type": "attack", "slots": ["x", ""]}]),
+        "candidate 'Type: attack, Slots: x; ' is not canonical: 'Type: attack, Slots: x'",
+    ),
     "unnormalized-slot": (
         "conceptualize",
         _with(candidates=[{"type": "attack", "slots": ["Bad Slot", "x"]}]),
-        "slot 'Bad Slot' is not normalized ('bad slot')",
+        "candidate 'Type: attack, Slots: Bad Slot; x' is not canonical: "
+        "'Type: attack, Slots: bad slot; x'",
     ),
     "repeated-slot": (
         "conceptualize",
         _with(candidates=[{"type": "attack", "slots": ["x", "y", "x"]}]),
-        "slots repeat a name: ['x', 'y', 'x']",
+        "candidate 'Type: attack, Slots: x; y; x' is not canonical: 'Type: attack, Slots: x; y'",
     ),
     "negative-parse-failures": (
         "conceptualize", _with(parse_failures=-4), "parse_failures must be >= 0, got -4"
@@ -1514,6 +1580,20 @@ CORRUPT_RECORDS = {
         "freq must be an integer, got 'two'",
     ),
     "no-members": ("aggregate", _without("members"), "no 'members' field"),
+}
+
+
+# A stage file rewritten from its lines, and the error the next stage reports.
+STAGE_FILE_ERRORS = {
+    "other-format-version": (
+        "ingest",
+        lambda lines: [json.dumps({**json.loads(lines[0]), "format_version": 2}), *lines[1:]],
+        "{path} has format_version 2",
+    ),
+    "empty": ("ingest", lambda lines: [], "{path} is empty; rerun the 'ingest' stage"),
+    "header-only": (
+        "structuralize", lambda lines: lines[:1], "no structured instances to aggregate"
+    ),
 }
 
 
@@ -1644,6 +1724,20 @@ class TestCli:
         assert "Traceback" not in err
         assert err.startswith(f"error: {path}:{len(lines)}: bad {stage} record: {reason}")
         assert len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize("case", sorted(STAGE_FILE_ERRORS))
+    def test_unusable_stage_file_is_one_error(self, workspace, capsys, case):
+        paths, _, tmp = workspace
+        stage, edit, expected = STAGE_FILE_ERRORS[case]
+        common = ["--config", str(paths["config"]), "--output", str(tmp / "unusable")]
+        assert cli_main(["all", "--input", str(paths["corpus"]), *common]) == 0
+        capsys.readouterr()
+        path = tmp / "unusable" / STAGE_TABLE[stage].file
+        lines = edit(path.read_text(encoding="utf-8").splitlines())
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        code = cli_main([STAGES[STAGES.index(stage) + 1], "--force", *common])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["error: " + expected.format(path=path)]
 
     @pytest.mark.parametrize(
         "content, expected",
