@@ -25,8 +25,8 @@ pool = [
 demos = sample_demonstrations(pool, m=3, seed=1234)
 
 expressions = [
-    EventExpression.from_text("e1", "Gunmen stormed the checkpoint", "demo"),
-    EventExpression.from_text("e2", "Flood waters displaced residents", "demo"),
+    EventExpression.from_text("e1", "Gunmen stormed the checkpoint"),
+    EventExpression.from_text("e2", "Flood waters displaced residents"),
 ]
 
 prompt = build_prompt(demos, expressions[0].text)

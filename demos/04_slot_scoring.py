@@ -19,7 +19,7 @@ from eventframes.similarity import default_ensemble
 
 def make_instance(expr_id, text, candidates):
     return ConceptualizedInstance(
-        EventExpression.from_text(expr_id, text, "demo"),
+        EventExpression.from_text(expr_id, text),
         tuple(SchemaCandidate.create(t, s) for t, s in candidates),
     )
 

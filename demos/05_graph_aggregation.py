@@ -23,7 +23,7 @@ def member(expr_id, text, event_type, slots, type_consistency=0.8, scores=None):
         SlotRecord(s, 1, 0.5, 0.3, 0.8, (scores or {}).get(s, 0.6)) for s in slots
     )
     return StructuredInstance(
-        EventExpression.from_text(expr_id, text, "demo"), event_type, records, type_consistency
+        EventExpression.from_text(expr_id, text), event_type, records, type_consistency
     )
 
 

@@ -45,11 +45,10 @@ class EventExpression:
 
     id: str
     text: str
-    source: str
 
     @classmethod
-    def from_text(cls, id: str, text: str, source: str) -> "EventExpression":
-        return cls(id=id, text=text.strip(), source=source)
+    def from_text(cls, id: str, text: str) -> "EventExpression":
+        return cls(id=id, text=text.strip())
 
 
 def tokenize(text: str, language_mode: str = SPACE_DELIMITED) -> list[str]:
@@ -166,10 +165,11 @@ def load_corpus(
 ) -> tuple[list[EventExpression], LoadReport]:
     """Load the expression units of a cfg.format file that pass the filters.
 
-    Ids are assigned deterministically in input order as "<path>:<line>" unless
-    a structured record carries its own "id".  Malformed records are skipped
-    and counted in the report.  An id that an earlier line already has,
-    discarded or not, raises ValueError naming both lines.
+    Ids are assigned in input order as "<file name>:<line>", whatever the
+    path's spelling, unless a structured record carries its own "id".
+    Malformed records are skipped and counted in the report.  An id that an
+    earlier line already has, discarded or not, raises ValueError naming
+    both lines.
     """
     path = Path(path)
 
@@ -180,13 +180,13 @@ def load_corpus(
         if text is None:
             report.discarded[DISCARD_MALFORMED] += 1
             continue
-        expr_id = explicit_id if explicit_id is not None else f"{path}:{lineno}"
+        expr_id = explicit_id if explicit_id is not None else f"{path.name}:{lineno}"
         if expr_id in line_of:
             raise ValueError(
                 f"{path}:{lineno}: id {expr_id!r} is already used on line {line_of[expr_id]}"
             )
         line_of[expr_id] = lineno
-        expr = EventExpression.from_text(expr_id, text, source=f"{path}:{lineno}")
+        expr = EventExpression.from_text(expr_id, text)
         decision = filter_expression(expr, cfg)
         if decision.keep:
             expressions.append(expr)

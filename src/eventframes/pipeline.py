@@ -11,7 +11,7 @@ record that a stage cannot decode as "<path>:<line>: bad <stage> record:
 
 A stage's key hashes the config sections it reads (`Stage.sections`) and its
 predecessor's key, so a config edit reruns only the stages downstream of the
-first stage that reads the edited section.
+first stage that reads the edited section; ingest's stands on FORMAT_VERSION.
 
 A stage is up to date when its manifest's `config_hash`, `inputs` and
 `outputs` equal what a run would record now: its key and the content hashes
@@ -24,7 +24,7 @@ the stage read it; its own file's digest is taken from the bytes it writes,
 and after it runs only the digests of the other files it wrote are dropped,
 so each file is hashed at most once per call.
 Manifests name files relative to the output directory, so a copied or moved
-workspace stays up to date, and the corpus as given, which ingest's sources embed.
+workspace stays up to date.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ log = logging.getLogger(__name__)
 # sees the pipeline's calls.
 _aggregate_module = importlib.import_module(".aggregate", __package__)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class StageInputError(RuntimeError):
@@ -240,14 +240,15 @@ class PipelineConfig:
     @cached_property
     def stage_keys(self) -> dict[str, str]:
         """Stage name -> hash of the config sections that stage reads and of
-        its predecessor's key.  Computed once per config, from one to_dict()."""
+        its predecessor's key (ingest's: FORMAT_VERSION, so a new format
+        reruns every stage).  Computed once per config, from one to_dict()."""
         data = self.to_dict()
         for name in TRANSPORT_FIELDS:
             del data["generation"][name]
         keys: dict[str, str] = {}
         for stage in STAGE_TABLE.values():
             sections = {section: data[section] for section in stage.sections}
-            keys[stage.name] = _digest([keys.get(stage.predecessor), sections])
+            keys[stage.name] = _digest([keys.get(stage.predecessor, FORMAT_VERSION), sections])
         return keys
 
 
@@ -338,7 +339,8 @@ def read_stage_file(
                 f"{path} was written by stage {value.get('stage')!r}, expected {expected_stage!r}"
             )
         if value.get("format_version") != FORMAT_VERSION:
-            raise StageInputError(f"{path} has format_version {value.get('format_version')}")
+            version = f"format_version {value.get('format_version')}, not {FORMAT_VERSION}"
+            raise StageInputError(f"{path} has {version}; rerun the {expected_stage!r} stage")
         if expected_key is not None and value.get("config_hash") != expected_key:
             raise StageInputError(
                 f"{path} is stale: the config has changed in a section that the {expected_stage!r} "
@@ -361,17 +363,15 @@ def _name(path: str, out_dir: str, cwd: str) -> str:
     return os.path.relpath(path, out_dir)
 
 
-def _record(
-    out_dir: Path, key: str, inputs: list, outputs: list, digests: dict, given: Sequence = ()
-) -> dict:
+def _record(out_dir: Path, key: str, inputs: list, outputs: list, digests: dict) -> dict:
     """The manifest fields that decide whether a stage is up to date: its key
     and the sha256 of each input and output file (from digests, or hashed
-    into it), named relative to out_dir, or as given if in given."""
+    into it), named relative to out_dir."""
     for path in (*inputs, *outputs):
         if str(path) not in digests:
             digests[str(path)] = _file_hash(path)
     cwd, start = os.getcwd(), str(out_dir)
-    name = {p: str(p) if p in given else _name(str(p), start, cwd) for p in (*inputs, *outputs)}
+    name = {p: _name(str(p), start, cwd) for p in (*inputs, *outputs)}
     return {
         "config_hash": key,
         "inputs": {name[p]: digests[str(p)] for p in inputs},
@@ -403,11 +403,10 @@ def _write_manifest(
     counts: Mapping,
     wall_time: float,
     digests: dict[str, str | None],
-    given: Sequence[Path] = (),
 ) -> None:
     manifest = {
         "stage": stage,
-        **_record(out_dir, config_hash, inputs, outputs, digests, given),
+        **_record(out_dir, config_hash, inputs, outputs, digests),
         "counts": dict(counts),
         "wall_time_s": round(wall_time, 6),
     }
@@ -480,13 +479,11 @@ class RunContext:
 
 
 def _expression(record: dict) -> EventExpression:
-    return EventExpression.from_text(
-        *(typed(key, str, record[key]) for key in ("id", "text", "source"))
-    )
+    return EventExpression.from_text(*(typed(key, str, record[key]) for key in ("id", "text")))
 
 
 def _expression_to_dict(expression: EventExpression) -> dict:
-    return {"id": expression.id, "text": expression.text, "source": expression.source}
+    return {"id": expression.id, "text": expression.text}
 
 
 def _candidate(record: dict) -> SchemaCandidate:
@@ -622,11 +619,13 @@ def _paths(*names: str | None) -> list[Path]:
 
 
 def _ingest_files(ctx: RunContext) -> tuple[list[Path], list[Path]]:
-    """--input, or else the files ingest's manifest names."""
+    """--input, or else the files ingest's manifest names, relative to the
+    output directory and joined to it lexically, as _name names them."""
     if ctx.input_path is not None:
         return [ctx.input_path], []
     recorded = _read_manifest(ctx.out_dir, "ingest").get("inputs")
-    return _paths(*recorded) if isinstance(recorded, dict) else [], []
+    names = recorded if isinstance(recorded, dict) else {}
+    return [Path(os.path.normpath(ctx.out_dir / name)) for name in names], []
 
 
 def _conceptualize_files(ctx: RunContext) -> tuple[list[Path], list[Path]]:
@@ -741,9 +740,7 @@ def run_stage(
     reads, writes = spec.files(ctx)
     inputs = [ctx.path(spec.predecessor), *reads] if spec.predecessor else reads
     outputs = [ctx.path(stage)]
-    # Ingest's sources embed the corpus path as given; another spelling reruns it.
-    given = () if spec.predecessor else reads
-    now = _record(ctx.out_dir, key, inputs, outputs, ctx.digests, given)
+    now = _record(ctx.out_dir, key, inputs, outputs, ctx.digests)
     # A missing file never matches, not even a manifest that records null for it.
     found = None not in (*now["inputs"].values(), *now["outputs"].values())
     if not force and found and all(manifest.get(name) == value for name, value in now.items()):
@@ -763,5 +760,5 @@ def run_stage(
         for path in writes:
             ctx.digests.pop(str(path), None)
     elapsed = time.monotonic() - started
-    _write_manifest(ctx.out_dir, stage, key, inputs, outputs, report, elapsed, ctx.digests, given)
+    _write_manifest(ctx.out_dir, stage, key, inputs, outputs, report, elapsed, ctx.digests)
     return report

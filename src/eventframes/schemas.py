@@ -86,10 +86,10 @@ def parse_schema(raw: str) -> SchemaCandidate:
     else:
         type_part, slots_part = rest[: slots_match.start()], rest[slots_match.end():]
 
-    event_type = normalize_label(type_part.strip().rstrip(",").strip())
-    if not event_type:
-        raise SchemaParseError("empty type name", raw)
-    return SchemaCandidate.create(event_type, slots_part.split(";"))
+    try:
+        return SchemaCandidate.create(type_part, slots_part.split(";"))
+    except ValueError as exc:
+        raise SchemaParseError(str(exc), raw) from None
 
 
 @dataclass(frozen=True)

@@ -249,9 +249,7 @@ def structuralize(
 
     Each instance's slot set is collected once, and each distinct (candidate
     type, text) pair is scored once.  Instances are retained even when every
-    slot is filtered out (type-only schema).  A structured instance's
-    expression has its id for its source, as structured_from_dict gives it:
-    the structured record does not keep the source.
+    slot is filtered out (type-only schema).
     """
     slot_sets = [collect_slot_set(instance) for instance in instances]
     totals, corpus_size = global_slot_frequencies(slot_sets)
@@ -271,10 +269,9 @@ def structuralize(
             records.append(SlotRecord(slot, freq, *factors, score(*factors, cfg)))
         event_type, type_consistency = select_event_type(instance, type_sims)
         surviving = tuple(r for r in records if r.score >= cfg.threshold)
-        expression = instance.expression
         structured.append(
             StructuredInstance(
-                expression=EventExpression(expression.id, expression.text, expression.id),
+                expression=instance.expression,
                 event_type=event_type,
                 slots=surviving,
                 type_consistency=type_consistency,
@@ -304,8 +301,7 @@ def structured_to_dict(instance: StructuredInstance) -> dict:
 
 
 def structured_from_dict(record: Mapping) -> StructuredInstance:
-    expr_id = typed("id", str, record["id"])
-    expression = EventExpression.from_text(expr_id, typed("text", str, record["text"]), expr_id)
+    expression = EventExpression.from_text(*(typed(k, str, record[k]) for k in ("id", "text")))
     slots = tuple(
         SlotRecord(
             typed("name", str, s["name"]),

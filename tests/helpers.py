@@ -62,7 +62,7 @@ class StaticClient:
 
 
 def expression(expr_id: str, text: str) -> EventExpression:
-    return EventExpression.from_text(expr_id, text, source=expr_id)
+    return EventExpression.from_text(expr_id, text)
 
 
 def instance(expr_id: str, text: str, candidates) -> ConceptualizedInstance:

@@ -6,7 +6,9 @@ direct double-sum modularity for partitions, a PageRank power iteration that
 records each step's change, per-pair similarity formulas, and a per-pair
 schema graph.  `reference_louvain` is the dict-based Louvain that the
 array-backed `eventframes.louvain.louvain` must match bitwise: same
-labels, same modularity floats.
+labels, same modularity floats.  `reference_parse_schema` is the schema
+parser that normalized the type and refused an empty one itself, before
+`parse_schema` left both to `SchemaCandidate.create`.
 
 Float sums add left to right (`ordered_sum`), never with sum(): from Python
 3.12 sum() compensates rounding, and the bitwise comparisons must hold on
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import Counter
 from functools import reduce
 from itertools import combinations
@@ -27,6 +30,7 @@ import numpy as np
 
 from eventframes.aggregate import GraphConfig, prune_edges
 from eventframes.louvain import ClusterAssignment
+from eventframes.schemas import SchemaCandidate, SchemaParseError, normalize_label
 from eventframes.similarity import EMBEDDING, LEXICAL, LEXICON, LexicalBackend
 
 
@@ -464,3 +468,26 @@ def reference_louvain(
             relabel[com] = len(relabel)
         labels.append(relabel[com])
     return ClusterAssignment(labels=tuple(labels), modularity_levels=tuple(levels))
+
+
+# -- schema parsing -----------------------------------------------------------
+
+
+def reference_parse_schema(raw: str) -> SchemaCandidate:
+    """The first line's type after a case-insensitive "Type:" marker, up to a
+    "Slots:" marker, stripped of trailing commas and normalized, refused when
+    empty; the ";"-separated slots after the marker, canonicalized by create."""
+    line = raw.split("\n", 1)[0]
+    type_match = re.search(r"type\s*:", line, re.IGNORECASE)
+    if type_match is None:
+        raise SchemaParseError("missing 'Type:' marker", raw)
+    rest = line[type_match.end():]
+    slots_match = re.search(r"slots\s*:", rest, re.IGNORECASE)
+    if slots_match is None:
+        type_part, slots_part = rest, ""
+    else:
+        type_part, slots_part = rest[: slots_match.start()], rest[slots_match.end():]
+    event_type = normalize_label(type_part.strip().rstrip(",").strip())
+    if not event_type:
+        raise SchemaParseError("empty type name", raw)
+    return SchemaCandidate.create(event_type, slots_part.split(";"))

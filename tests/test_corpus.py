@@ -66,23 +66,23 @@ class TestNumericTokens:
 
 class TestFilterExpression:
     def test_overlong_discarded_with_length_reason(self):
-        expr = EventExpression.from_text("x", " ".join(["tok"] * 300), "src")
+        expr = EventExpression.from_text("x", " ".join(["tok"] * 300))
         decision = filter_expression(expr, CorpusFilterConfig(max_tokens=256))
         assert not decision.keep
         assert decision.reason == "length"
 
     def test_numeric_ratio_discard(self):
-        expr = EventExpression.from_text("x", "1 2 3 4", "src")
+        expr = EventExpression.from_text("x", "1 2 3 4")
         decision = filter_expression(expr, CorpusFilterConfig())
         assert not decision.keep
         assert decision.reason == "numeric"
 
     def test_short_clean_sentence_kept(self):
-        expr = EventExpression.from_text("x", "The president resigned yesterday", "src")
+        expr = EventExpression.from_text("x", "The president resigned yesterday")
         assert filter_expression(expr, CorpusFilterConfig())
 
     def test_length_fires_before_numeric(self):
-        expr = EventExpression.from_text("x", " ".join(["9"] * 300), "src")
+        expr = EventExpression.from_text("x", " ".join(["9"] * 300))
         decision = filter_expression(expr, CorpusFilterConfig(max_tokens=256))
         assert decision.reason == "length"
 
@@ -120,13 +120,15 @@ class TestLoadCorpus:
             "total": 0,
         }
 
-    def test_id_derived_from_path_and_line(self, tmp_path):
+    def test_id_derived_from_file_name_and_line(self, tmp_path, monkeypatch):
         path = tmp_path / "one.txt"
         path.write_text("a b c d e f g h i j\n", encoding="utf-8")
         expressions, _ = load_corpus(path)
         assert len(expressions) == 1
-        assert expressions[0].id == f"{path}:1"
+        assert expressions[0].id == "one.txt:1"
         assert len(tokenize(expressions[0].text)) == 10
+        monkeypatch.chdir(tmp_path)
+        assert load_corpus("one.txt")[0] == load_corpus(f"../{tmp_path.name}/one.txt")[0]
 
     def test_structured_records(self, tmp_path):
         path = tmp_path / "records.jsonl"
@@ -143,21 +145,20 @@ class TestLoadCorpus:
         ]
         path.write_text("\n".join(json.dumps(r) for r in records) + "\nnot json\n", encoding="utf-8")
         expressions, report = load_corpus(path, CorpusFilterConfig(format=STRUCTURED_RECORDS))
-        assert [e.id for e in expressions] == ["custom-1", f"{path}:2", "3"]
+        assert [e.id for e in expressions] == ["custom-1", "records.jsonl:2", "3"]
         assert report.discarded["malformed"] == 6
 
     @pytest.mark.parametrize(
         "first, second, used_on",
         [
             ("custom-1", {"id": "custom-1", "text": "second unit"}, 1),
-            ("custom-1", {"id": "{path}:2", "text": "second unit"}, 2),
+            ("custom-1", {"id": "records.jsonl:2", "text": "second unit"}, 2),
             ("custom-1", {"id": "custom-1", "text": " ".join(["tok"] * 300)}, 1),
             (5, {"id": "5", "text": "second unit"}, 1),
         ],
     )
     def test_repeated_id_raises_naming_both_lines(self, tmp_path, first, second, used_on):
         path = tmp_path / "records.jsonl"
-        second = {**second, "id": second["id"].format(path=path)}
         records = [{"id": first, "text": "first unit"}, {"text": "plain unit"}, second]
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         message = f"{path}:3: id {second['id']!r} is already used on line {used_on}"

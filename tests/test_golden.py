@@ -5,8 +5,9 @@ updates DIGESTS and says so in CHANGES.md.
 
 A body leaves out what depends on the config hash (the header line of a
 .jsonl stage file, config_hash in metrics.json), as perfbench's
-digest(skip_header=True) does.  Each expression's `source` holds the corpus
-path, so the runs use a relative input path from inside the workspace.
+digest(skip_header=True) does.  Each variant runs from inside the workspace
+with relative paths and from outside it with absolute ones: a body does not
+depend on how the corpus or the output directory is named.
 """
 
 import hashlib
@@ -69,37 +70,38 @@ def body_digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_variant(variant: str, root: Path, monkeypatch) -> dict[str, str]:
+def run_variant(variant: str, root: Path, monkeypatch, inside: bool = True) -> dict[str, str]:
     paths = build_workspace(root)
     data = json.loads(paths["config"].read_text(encoding="utf-8"))
     if variant == "repeats-3":
         data["evaluation"]["repeats"] = 3
     elif variant == "three-backend":
         data["similarity"] = write_tables(root)
-    monkeypatch.chdir(root)
-    run_stage("all", PipelineConfig.from_dict(data), "out", input_path="corpus.jsonl")
+    monkeypatch.chdir(root if inside else root.parent)
+    base = Path() if inside else root
+    run_stage("all", PipelineConfig.from_dict(data), base / "out", input_path=base / "corpus.jsonl")
     return {stage.file: body_digest(root / "out" / stage.file) for stage in STAGE_TABLE.values()}
 
 
 DIGESTS = {
     "repeats-1": {
-        "conceptualized.jsonl": "e96031aadafcb0e5f2a5d6e01c4e4efbc5dea1722cd56ea3bb5bd26c0698b345",
-        "expressions.jsonl": "4244ef2127b7c58fc65cebfa073cff178a441a7b33c51b3ed2f194579f0c2df1",
-        "metrics.json": "3af2f0fb09f655063b6febaf38e7a0efd6166e3398a8055de8b45f0067e4d45b",
+        "conceptualized.jsonl": "b015357cc7cba3a722d64d2cf9480210a71ee0b5215eb0d56104e54d105dcfeb",
+        "expressions.jsonl": "57318d31701788096e3655328330db2d865d305dee3ba0cec72cbc6df2fd0faa",
+        "metrics.json": "ed555a4ea2cbcc146a289016979ab9007e107430711c00cfff12f649972444dd",
         "schemas.jsonl": "c28def1d07d12c137276c3c73bca88ede40c6d50ce2221b6ce5f7e074e6f9cca",
         "structured.jsonl": "ad9ff1775af2c4b4e0820e5d17cc917a0c2efd2d92a70cefd595ff657f5e7342",
     },
     "repeats-3": {
-        "conceptualized.jsonl": "e96031aadafcb0e5f2a5d6e01c4e4efbc5dea1722cd56ea3bb5bd26c0698b345",
-        "expressions.jsonl": "4244ef2127b7c58fc65cebfa073cff178a441a7b33c51b3ed2f194579f0c2df1",
-        "metrics.json": "3229017477518bac444efcc1c5b040bc23fdc01a0c959e5410553c6b303dc7b3",
+        "conceptualized.jsonl": "b015357cc7cba3a722d64d2cf9480210a71ee0b5215eb0d56104e54d105dcfeb",
+        "expressions.jsonl": "57318d31701788096e3655328330db2d865d305dee3ba0cec72cbc6df2fd0faa",
+        "metrics.json": "a11e0d4a6a5aae530e079a1d9ccc3cc5bba39ebd92681e41ee7444ee4c0c27d7",
         "schemas.jsonl": "c28def1d07d12c137276c3c73bca88ede40c6d50ce2221b6ce5f7e074e6f9cca",
         "structured.jsonl": "ad9ff1775af2c4b4e0820e5d17cc917a0c2efd2d92a70cefd595ff657f5e7342",
     },
     "three-backend": {
-        "conceptualized.jsonl": "e96031aadafcb0e5f2a5d6e01c4e4efbc5dea1722cd56ea3bb5bd26c0698b345",
-        "expressions.jsonl": "4244ef2127b7c58fc65cebfa073cff178a441a7b33c51b3ed2f194579f0c2df1",
-        "metrics.json": "3af2f0fb09f655063b6febaf38e7a0efd6166e3398a8055de8b45f0067e4d45b",
+        "conceptualized.jsonl": "b015357cc7cba3a722d64d2cf9480210a71ee0b5215eb0d56104e54d105dcfeb",
+        "expressions.jsonl": "57318d31701788096e3655328330db2d865d305dee3ba0cec72cbc6df2fd0faa",
+        "metrics.json": "ed555a4ea2cbcc146a289016979ab9007e107430711c00cfff12f649972444dd",
         "schemas.jsonl": "1eb4d9a23ef7f6683ac89ff36e0573510da93e1c4ddb1ec0abc461c86ba7cca0",
         "structured.jsonl": "f125a2a6bbca2fc9dcf4a4b586f6c96286e49cb8653ed07637b5532b73c88a63",
     },
@@ -110,3 +112,7 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("variant", sorted(DIGESTS))
     def test_stage_file_bodies(self, variant, tmp_path, monkeypatch):
         assert run_variant(variant, tmp_path / "ws", monkeypatch) == DIGESTS[variant]
+
+    @pytest.mark.parametrize("variant", sorted(DIGESTS))
+    def test_stage_file_bodies_from_outside(self, variant, tmp_path, monkeypatch):
+        assert run_variant(variant, tmp_path / "ws", monkeypatch, inside=False) == DIGESTS[variant]

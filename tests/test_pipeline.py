@@ -15,6 +15,7 @@ import pytest
 
 from eventframes import pipeline
 from eventframes.pipeline import (
+    FORMAT_VERSION,
     STAGE_TABLE,
     STAGES,
     ConfigError,
@@ -308,7 +309,7 @@ class TestStageChain:
         assert header == {
             "stage": "ingest",
             "config_hash": cfg.stage_keys["ingest"],
-            "format_version": 1,
+            "format_version": 2,
         }
 
     def test_header_mismatch_detected(self, workspace):
@@ -323,7 +324,7 @@ class TestStageChain:
         manifest = json.loads((tmp / "out" / "ingest.manifest.json").read_text(encoding="utf-8"))
         assert manifest["stage"] == "ingest"
         assert manifest["config_hash"] == cfg.stage_keys["ingest"]
-        assert str(paths["corpus"]) in manifest["inputs"]
+        assert os.path.relpath(paths["corpus"], tmp / "out") in manifest["inputs"]
         assert any(path.endswith("expressions.jsonl") for path in manifest["outputs"])
         assert manifest["counts"]["kept"] == 30
         assert manifest["wall_time_s"] >= 0
@@ -370,11 +371,11 @@ PINNED_KEYS = {
             "evaluation": {"gold": "gold.jsonl", "top_k": 15},
         },
         {
-            "ingest": "20a6c2e059bb3a97945485efc77f219f95e130d4b7a17b5d04626d285a5312ca",
-            "conceptualize": "fe8b1e0d1bdcdf1aad44a94caa74cd2f59618023a7a495826ac2fd6f7f7e3af1",
-            "structuralize": "d3efb3e22c55623227914f561ea8ecad4b26454a8fb568db54fdd1fd797bc0fd",
-            "aggregate": "a3c89143fcba349be6a185c33adf1c905c9e936c21fdd7d64ae82ee022d1a610",
-            "evaluate": "e0825131d481d59520543f47ce0b15b94fa08e525400c7675c5b908ace31fb3f",
+            "ingest": "880fb4c1f28a7be22a8afaf42fa7dda0e9fb82ef2f4f4e2f5976744fb5353db5",
+            "conceptualize": "01c1b2e53e10f1c193e1861b8c6050a22e15c0e123be9426324dd7d28970f739",
+            "structuralize": "52329396b498d4a7b300dc4892d91fc512955f29ec2dae17e832ac5a24046b8e",
+            "aggregate": "5e85d29f35f4b05c29d419722804c7e21fd46fe0642edb959c4be015d12d493d",
+            "evaluate": "a443a61f0e8f6f109cf4ab85b97c1f58ceb61bb35b9fc32dde70f39ac11d2577",
         },
     ),
     "every-section": (
@@ -426,11 +427,11 @@ PINNED_KEYS = {
             "evaluation": {"gold": "gold.jsonl", "top_k": 10, "repeats": 3},
         },
         {
-            "ingest": "ce6423cf8517785fb234d4778e7563a5dd005d27c449a18e2f5aae9b18671c93",
-            "conceptualize": "4244852bf3bded9a727829e0a194b491953a35d9616faa3b98b42411a9fb60a4",
-            "structuralize": "75320e667e5cf1663a465e90299e5147ab9974ff869dcc48dfdc024fd757063b",
-            "aggregate": "c8b1ffe94570019860779abd1c382c1102045ffb257bb74091ead5330c57514e",
-            "evaluate": "758a7cad02d6cfa650d3da9eaa51bc69f438898750bc031156fc3e663a41814f",
+            "ingest": "bd7a53407173aa5a6a6a484aa7858443068b68f767a4f67f05f4dc8d5c87ad30",
+            "conceptualize": "a8d6620bce095419ab426461abef8e852d9eae9a59749464cacca3ca0b5baee7",
+            "structuralize": "8c2c36412f1fc2192326b839d0e4ac13988fd058d6ce070828847a8f8c0c9bc6",
+            "aggregate": "c02ac9ae98617917f2b4667d30e72baa76b9d06f62e3a05e7a6d85310374aee3",
+            "evaluate": "67e38114b72157fea317a9c4c0953cef4545dfed4fea59c0c0a04307fdd1e1b4",
         },
     ),
 }
@@ -488,6 +489,22 @@ class TestScopedStageKeys:
         for stage_file in ("structured.jsonl", "schemas.jsonl", "metrics.json"):
             fresh = (tmp / "fresh" / stage_file).read_bytes()
             assert (tmp / "out" / stage_file).read_bytes() == fresh, stage_file
+
+    def test_a_new_format_version_reruns_every_stage(self, workspace, monkeypatch):
+        """FORMAT_VERSION roots the chain of keys, so the files of an older
+        format are rewritten, not kept, and not refused either."""
+        paths, cfg, tmp = workspace
+        run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        monkeypatch.setattr(pipeline, "FORMAT_VERSION", FORMAT_VERSION + 1)
+        cfg = PipelineConfig.from_dict(cfg.to_dict())
+        with pytest.raises(StageInputError, match="rerun the 'conceptualize' stage"):
+            run_stage("structuralize", cfg, tmp / "out")
+        report = run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        assert [r.get("status") for r in report.values()] == [None] * len(STAGES)
+        run_stage("all", cfg, tmp / "fresh", input_path=paths["corpus"], force=True)
+        for stage in STAGES:
+            name = STAGE_TABLE[stage].file
+            assert (tmp / "out" / name).read_bytes() == (tmp / "fresh" / name).read_bytes()
 
     @pytest.mark.parametrize("name", sorted(PINNED_KEYS))
     def test_keys_are_pinned(self, name):
@@ -715,7 +732,7 @@ def _plain_lines(data, paths):
     paths["corpus"].write_text(f"  {texts[0]}\t\n" + "".join(t + "\n" for t in texts[1:]), "utf-8")
     paths["gold"].write_text(
         "".join(
-            json.dumps({"id": f"{paths['corpus']}:{line}", "type": event_type}) + "\n"
+            json.dumps({"id": f"corpus.txt:{line}", "type": event_type}) + "\n"
             for line, (_, event_type) in enumerate(planted_mentions(), 1)
         ),
         encoding="utf-8",
@@ -820,10 +837,10 @@ class TestAllWithoutInput:
 
 
 class TestRelocatedWorkspace:
-    """Manifests name each file by its path relative to the output
-    directory, so a workspace whose config names its files relatively stays
-    up to date when it is copied, moved or named by another path.  The
-    corpus is named as given, because ingest's sources embed it."""
+    """Manifests name each file, the corpus included, by its path relative
+    to the output directory, so a workspace whose config names its files
+    relatively stays up to date when it is copied, moved or named by another
+    path, and so does a corpus that --input names another way."""
 
     UP_TO_DATE = {s: {"status": "up-to-date", "stage": s} for s in STAGES}
 
@@ -860,22 +877,42 @@ class TestRelocatedWorkspace:
         run_stage("all", cfg, "out", input_path="corpus.jsonl")
         assert run_stage("all", cfg, "out") == self.UP_TO_DATE
 
-    @pytest.mark.parametrize("first", ["relative", "absolute"])
-    def test_another_spelling_of_the_corpus_reruns_ingest(self, relative, first):
-        """Each source, and each id a line does not give, embeds the corpus
-        path as given, so naming the same corpus another way gives what a
-        fresh run gives."""
-        cfg, tmp = relative
-        names = {"relative": "corpus.jsonl", "absolute": str(tmp / "a" / "corpus.jsonl")}
-        second = names["absolute" if first == "relative" else "relative"]
-        run_stage("all", cfg, "out", input_path=names[first])
-        report = run_stage("all", cfg, "out", input_path=second)
-        assert report["ingest"].get("status") is None
-        run_stage("all", cfg, "fresh", input_path=second, force=True)
+    @pytest.mark.parametrize("corpus_format", ["structured-records", "plain-lines"])
+    @pytest.mark.parametrize("copied", [False, True], ids=["original", "copy"])
+    @pytest.mark.parametrize("cwd", ["workspace", "other"])
+    @pytest.mark.parametrize("spelling", ["relative", "absolute", "none"])
+    def test_another_spelling_of_the_corpus_is_up_to_date(
+        self, tmp_path, monkeypatch, spelling, cwd, copied, corpus_format
+    ):
+        """A workspace holds the corpus and the output; the config names the
+        other files absolutely, outside it, so that every cwd reads them and
+        both workspaces name them alike.  After `all` from inside the
+        original with a relative --input, `all` with the corpus named
+        relatively, absolutely or not at all, from inside the workspace or
+        from elsewhere, is up to date and has what a fresh run writes."""
+        shared = build_workspace(tmp_path / "shared")
+        data = read_config(shared["config"])
+        if corpus_format == "plain-lines":
+            _plain_lines(data, shared)
+        cfg = PipelineConfig.from_dict(data)
+        (tmp_path / "a").mkdir()
+        shutil.copy(shared["corpus"], tmp_path / "a")
+        monkeypatch.chdir(tmp_path / "a")
+        run_stage("all", cfg, "out", input_path=shared["corpus"].name)
+
+        root = tmp_path / ("b" if copied else "a")
+        if copied:
+            shutil.copytree(tmp_path / "a", root)
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(root if cwd == "workspace" else tmp_path / "elsewhere")
+        corpus = root / shared["corpus"].name
+        spelt = {"relative": os.path.relpath(corpus), "absolute": corpus, "none": None}[spelling]
+        assert run_stage("all", cfg, os.path.relpath(root / "out"), spelt) == self.UP_TO_DATE
+        report = run_stage("all", cfg, tmp_path / "fresh", corpus, force=True)
+        assert report["evaluate"]["metrics"]["ari"] == 1.0
         for stage in STAGES:
             name = STAGE_TABLE[stage].file
-            assert Path("out", name).read_bytes() == Path("fresh", name).read_bytes(), name
-        assert run_stage("all", cfg, "out") == self.UP_TO_DATE
+            assert (root / "out" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
 
 class TestDigestTable:
@@ -1587,8 +1624,11 @@ CORRUPT_RECORDS = {
 STAGE_FILE_ERRORS = {
     "other-format-version": (
         "ingest",
-        lambda lines: [json.dumps({**json.loads(lines[0]), "format_version": 2}), *lines[1:]],
-        "{path} has format_version 2",
+        lambda lines: [
+            json.dumps({**json.loads(lines[0]), "format_version": FORMAT_VERSION + 1}), *lines[1:]
+        ],
+        f"{{path}} has format_version {FORMAT_VERSION + 1}, not {FORMAT_VERSION}; "
+        "rerun the 'ingest' stage",
     ),
     "empty": ("ingest", lambda lines: [], "{path} is empty; rerun the 'ingest' stage"),
     "header-only": (

@@ -3,6 +3,8 @@ import random
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventframes.schemas import (
     Demonstration,
@@ -13,6 +15,8 @@ from eventframes.schemas import (
     parse_schema,
     render_schema,
 )
+
+from oracles import reference_parse_schema
 
 
 class TestNormalizeLabel:
@@ -78,6 +82,33 @@ class TestParseSchema:
     def test_trailing_noise_in_slots(self):
         candidate = parse_schema("Type: die, Slots: agent; victim;")
         assert candidate.slots == ("agent", "victim")
+
+    # Markers in any case and spacing, separators, punctuation, Unicode
+    # whitespace, and letters whose case mapping changes their length.
+    FRAGMENTS = [
+        "Type:", "type :", "TYPE\t:", "Slots:", "sLoTs :", "slots", ",", ";", ".", "!?", "…",
+        "-", "'", " ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\x1c", "a", "Die", "İ",
+        "ß", "ǅ", "\u0307",
+    ]
+
+    @given(
+        st.sampled_from(["", "Type:"]),
+        st.lists(st.sampled_from(FRAGMENTS) | st.text(max_size=2), max_size=14).map("".join),
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_agrees_with_the_reference_parser(self, marker, rest):
+        """create's type rule, applied once, accepts and refuses what the
+        parser's own normalization and empty-type check did."""
+        raw = marker + rest
+
+        def outcome(parse):
+            try:
+                return parse(raw)
+            except SchemaParseError as exc:
+                assert exc.raw == raw
+                return SchemaParseError
+
+        assert outcome(parse_schema) == outcome(reference_parse_schema)
 
 
 def random_label(rng: random.Random) -> str:
