@@ -220,7 +220,9 @@ def aggregate(
 
 
 def render_aggregated(schema: AggregatedSchema) -> str:
-    """The type and representative slots in render_schema's surface form."""
+    """The type and representative slots in render_schema's surface form.
+    The pipeline writes only canonical names; others, as in a hand-edited
+    schemas.jsonl, raise ValueError, as SchemaCandidate refuses them."""
     return render_schema(SchemaCandidate(schema.type_name, schema.slot_names))
 
 

@@ -75,9 +75,10 @@ class HttpGenerationClient:
     """Client for the native wire contract.
 
     POSTs {prompt, n, max_new_tokens, temperature, stop} and expects
-    {"completions": [...]} back.  Each call makes one attempt: a failed
-    request, a non-2xx status or an unreadable body raises RetryableError,
-    and `generate_all` decides whether and when to try again.  Each worker
+    {"completions": [<string>, ...]} back.  Each call makes one attempt: a
+    failed request, a non-2xx status or an unreadable body raises
+    RetryableError, and `generate_all` decides whether and when to try
+    again; a reply without such a list is a final TransportError.  Each worker
     reuses one persistent connection.  Credentials come only from the
     EVENTFRAMES_ENDPOINT_TOKEN environment variable, never from config files.
     """
@@ -106,7 +107,7 @@ class HttpGenerationClient:
         completions = body.get("completions") if isinstance(body, dict) else None
         if not isinstance(completions, list):
             raise TransportError(f"endpoint response missing 'completions': {body!r}")
-        return GenerationResponse(completions=tuple(str(c) for c in completions))
+        return _response(completions, body)
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
         try:
@@ -114,6 +115,14 @@ class HttpGenerationClient:
         except OSError as exc:  # httpjson.HttpError
             raise RetryableError(str(exc)) from exc
         return self.parse_response(body)
+
+
+def _response(completions: list, body: object) -> GenerationResponse:
+    """The completions, refused unless each is a string: a null, a number or
+    a list would be recorded and served as its repr."""
+    if not all(isinstance(c, str) for c in completions):
+        raise TransportError(f"endpoint response has a completion that is not a string: {body!r}")
+    return GenerationResponse(completions=tuple(completions))
 
 
 Outcome = GenerationResponse | TransportError
@@ -181,13 +190,9 @@ class OpenAICompletionsClient(HttpGenerationClient):
     """Adapter mapping the native contract onto an OpenAI-style /completions API."""
 
     def payload(self, request: GenerationRequest) -> dict:
-        return {
-            "prompt": request.prompt,
-            "n": request.n,
-            "max_tokens": request.max_new_tokens,
-            "temperature": request.temperature,
-            "stop": list(request.stop),
-        }
+        """The native payload, with max_new_tokens named max_tokens."""
+        native = super().payload(request).items()
+        return {("max_tokens" if k == "max_new_tokens" else k): v for k, v in native}
 
     def parse_response(self, body: object) -> GenerationResponse:
         choices = body.get("choices") if isinstance(body, dict) else None
@@ -195,7 +200,7 @@ class OpenAICompletionsClient(HttpGenerationClient):
             raise TransportError(f"endpoint response missing 'choices': {body!r}")
         if not all(isinstance(c, dict) for c in choices):
             raise TransportError(f"endpoint response has a choice that is not an object: {body!r}")
-        return GenerationResponse(completions=tuple(str(c.get("text", "")) for c in choices))
+        return _response([c.get("text") for c in choices], body)
 
 
 class ReplayMissError(KeyError):

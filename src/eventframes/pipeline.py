@@ -66,7 +66,7 @@ from .endpoint import (
 from .evaluation import PartitionInputError, average_metrics, load_gold_mentions, mention_harness
 from .fileio import atomic_write, encode, normalized, read_records, typed, write_records
 from .fileio import file_hash as _file_hash
-from .schemas import SchemaCandidate, load_demonstrations, render_schema
+from .schemas import SchemaCandidate, load_demonstrations
 from .scoring import (
     ScoringConfig,
     StructuredInstance,
@@ -486,25 +486,12 @@ def _expression_to_dict(expression: EventExpression) -> dict:
     return {"id": expression.id, "text": expression.text}
 
 
-def _candidate(record: dict) -> SchemaCandidate:
-    """A candidate that SchemaCandidate.create gives back unchanged; any other,
-    which parse_schema never gives, is refused naming both forms."""
-    written = SchemaCandidate(
-        typed("type", str, record["type"]), typed("slots", tuple[str, ...], record["slots"])
-    )
-    try:
-        canonical = SchemaCandidate.create(written.event_type, written.slots)
-    except ValueError as exc:
-        raise ValueError(f"candidate {render_schema(written)!r}: {exc}") from None
-    if canonical != written:
-        message = f"{render_schema(written)!r} is not canonical: {render_schema(canonical)!r}"
-        raise ValueError(f"candidate {message}")
-    return canonical
-
-
 def _conceptualized(record: dict) -> ConceptualizedInstance:
     """A conceptualize record as that stage writes it; any other is refused."""
-    candidates = tuple(map(_candidate, typed("candidates", tuple[dict, ...], record["candidates"])))
+    candidates = tuple(
+        SchemaCandidate(typed("type", str, c["type"]), typed("slots", tuple[str, ...], c["slots"]))
+        for c in typed("candidates", tuple[dict, ...], record["candidates"])
+    )
     parse_failures = typed("parse_failures", int, record["parse_failures"])
     return ConceptualizedInstance(_expression(record), candidates, parse_failures)
 
@@ -520,8 +507,15 @@ def _conceptualized_to_dict(instance: ConceptualizedInstance) -> dict:
 def _stage_ingest(ctx: RunContext) -> dict:
     if ctx.input_path is None:
         message = "ingest needs an --input corpus file"
-        for path in _ingest_files(ctx)[0]:
-            message += f"; {path}, which it last read, has changed or is missing"
+        manifest, key = _read_manifest(ctx.out_dir, "ingest"), ctx.cfg.stage_keys["ingest"]
+        if manifest.get("config_hash", key) != key:
+            message += "; its key has changed: a 'corpus' config edit, or another format version"
+        else:
+            for path, digest in _recorded_corpus(manifest, ctx.out_dir).items():
+                now = ctx.digests.get(str(path))
+                if now != digest:
+                    change = "is missing" if now is None else "has changed"
+                    message += f"; {path}, which it last read, {change}"
         raise StageInputError(message)
     expressions, report = _load(load_corpus, ctx.input_path, ctx.cfg.corpus)
     if not expressions:
@@ -618,14 +612,19 @@ def _paths(*names: str | None) -> list[Path]:
     return [Path(name) for name in names if name]
 
 
+def _recorded_corpus(manifest: dict, out_dir: Path) -> dict[Path, Any]:
+    """The files ingest's manifest names, relative to the output directory and
+    joined to it lexically, as _name names them, with the digests it records."""
+    recorded = manifest.get("inputs")
+    names = recorded if isinstance(recorded, dict) else {}
+    return {Path(os.path.normpath(out_dir / name)): digest for name, digest in names.items()}
+
+
 def _ingest_files(ctx: RunContext) -> tuple[list[Path], list[Path]]:
-    """--input, or else the files ingest's manifest names, relative to the
-    output directory and joined to it lexically, as _name names them."""
+    """--input, or else the files ingest's manifest names."""
     if ctx.input_path is not None:
         return [ctx.input_path], []
-    recorded = _read_manifest(ctx.out_dir, "ingest").get("inputs")
-    names = recorded if isinstance(recorded, dict) else {}
-    return [Path(os.path.normpath(ctx.out_dir / name)) for name in names], []
+    return list(_recorded_corpus(_read_manifest(ctx.out_dir, "ingest"), ctx.out_dir)), []
 
 
 def _conceptualize_files(ctx: RunContext) -> tuple[list[Path], list[Path]]:

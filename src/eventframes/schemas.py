@@ -37,26 +37,40 @@ def normalize_label(label: str) -> str:
     return label
 
 
+def _canonical(event_type: str, slots: list[str] | tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
+    """Each name normalized; the slots without empty names or repeats, in first-seen order."""
+    slots = tuple(dict.fromkeys(filter(None, map(normalize_label, slots))))
+    return normalize_label(event_type), slots
+
+
 @dataclass(frozen=True)
 class SchemaCandidate:
-    """One parsed generation output: an event type plus its ordered slot list."""
+    """One parsed generation output: an event type plus its ordered slot list.
+    Only a candidate whose names _canonical gives back unchanged, and whose
+    surface form parses back to it, is built."""
 
     event_type: str
     slots: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        event_type, slots = _canonical(self.event_type, self.slots)
+        if not event_type:
+            reason = "event type must be non-empty after normalization"
+        elif _SLOTS_MARKER.search(event_type):
+            reason = f"event type {event_type!r} holds a 'Slots:' marker"
+        elif any(";" in slot for slot in slots):
+            reason = f"a slot holds ';': {slots!r}"
+        elif (event_type, slots) != (self.event_type, self.slots):
+            canonical = render_schema(SchemaCandidate(event_type, slots))
+            raise ValueError(f"candidate {render_schema(self)!r} is not canonical: {canonical!r}")
+        else:
+            return
+        raise ValueError(f"candidate {render_schema(self)!r}: {reason}")
+
     @classmethod
     def create(cls, event_type: str, slots: list[str] | tuple[str, ...]) -> "SchemaCandidate":
-        """The canonical candidate of raw names: each normalized, and the
-        slots without empty names or repeats, in first-seen order."""
-        normalized_type = normalize_label(event_type)
-        if not normalized_type:
-            raise ValueError("event type must be non-empty after normalization")
-        seen: dict[str, None] = {}
-        for slot in slots:
-            name = normalize_label(slot)
-            if name:
-                seen.setdefault(name)
-        return cls(event_type=normalized_type, slots=tuple(seen))
+        """The canonical candidate of raw names."""
+        return cls(*_canonical(event_type, slots))
 
 
 def render_schema(candidate: SchemaCandidate) -> str:

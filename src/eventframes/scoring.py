@@ -90,7 +90,7 @@ def collect_slot_set(instance: ConceptualizedInstance) -> SlotSet:
     for candidate in instance.candidates:
         members.append(frozenset(candidate.slots))
         # Counted in candidate order: a frozenset's order follows the hash seed.
-        freq.update(list(dict.fromkeys(candidate.slots)))
+        freq.update(candidate.slots)
     return SlotSet(freq=freq, members=tuple(members))
 
 

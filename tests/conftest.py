@@ -4,6 +4,13 @@ import os
 import re
 
 import pytest
+from hypothesis import settings
+
+# On CI (GitHub Actions sets CI) every property test runs the same examples
+# on every run; local runs stay random.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def compensated_sum(iterable, /, start=0):

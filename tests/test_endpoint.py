@@ -330,6 +330,33 @@ class TestHttpClients:
             "stop": ["\n"],
         }
 
+    # Each would otherwise be recorded, and replayed, as "None", "3", "" or "['x']".
+    @pytest.mark.parametrize(
+        "client_cls, body",
+        [
+            (HttpGenerationClient, {"completions": ["Type: a, Slots: b", None, 3]}),
+            (OpenAICompletionsClient, {"choices": [{"text": "Type: a"}, {"text": None}]}),
+            (OpenAICompletionsClient, {"choices": [{"index": 0}]}),
+            (OpenAICompletionsClient, {"choices": [{"text": ["x"]}]}),
+        ],
+        ids=["native-null-and-number", "openai-null-text", "openai-no-text", "openai-list-text"],
+    )
+    def test_non_string_completion_is_final_and_not_recorded(
+        self, clock, tmp_path, client_cls, body
+    ):
+        store = tmp_path / "store.jsonl"
+        with LoopbackServer(lambda received: (200, body)) as server:
+            recorder = RecordingClient.at(live(server, client_cls), store)
+            instances, report = run_corpus(recorder, ["A"])
+            request = GenerationRequest(prompt="p")
+            outcome = generate_all(live(server, client_cls), [request])[request]
+        assert (instances, report.dropped, report.transport_failures) == ([], 1, 1)
+        assert type(outcome) is TransportError
+        assert "a completion that is not a string" in str(outcome)
+        assert len(server.received) == 2
+        assert clock.sleeps == []
+        assert recorder.store.entries == {} and not store.exists()
+
     def test_retries_then_succeeds(self, clock):
         replies = in_order((503, {}), (200, {"completions": ["ok"]}))
         request = GenerationRequest(prompt="p")
@@ -413,11 +440,16 @@ class TestHttpClients:
         replies = in_order((200, {"choices": [{"text": "one"}, {"text": "two"}]}))
         with LoopbackServer(replies) as server:
             client = live(server, OpenAICompletionsClient)
-            response = client.generate(GenerationRequest(prompt="p", n=2))
+            response = client.generate(GenerationRequest(prompt="p", n=2, stop=("\n",)))
         assert response.completions == ("one", "two")
         (sent,) = server.received
-        assert sent.body["max_tokens"] == 64
-        assert "max_new_tokens" not in sent.body
+        assert sent.body == {
+            "prompt": "p",
+            "n": 2,
+            "max_tokens": 64,
+            "temperature": 0.7,
+            "stop": ["\n"],
+        }
 
     def test_connection_closed_while_idle_is_reopened(self, clock):
         with LoopbackServer(answer_by_text, close_after_reply=True) as server:

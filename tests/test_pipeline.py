@@ -835,6 +835,46 @@ class TestAllWithoutInput:
         assert message.startswith("ingest needs an --input corpus file")
         assert str(paths["corpus"]) in message
 
+    NEEDS_INPUT = "ingest needs an --input corpus file"
+    KEY_CHANGED = "; its key has changed: a 'corpus' config edit, or another format version"
+
+    def without_input(self, cfg, out, force=False):
+        with pytest.raises(StageInputError) as excinfo:
+            run_stage("all", cfg, out, force=force)
+        return str(excinfo.value)
+
+    def test_a_corpus_edit_names_the_key(self, workspace):
+        paths, cfg, tmp = workspace
+        run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        message = self.without_input(edited(cfg, "corpus", "max_tokens", 100), tmp / "out")
+        assert message == self.NEEDS_INPUT + self.KEY_CHANGED
+
+    def test_force_names_no_corpus(self, workspace):
+        paths, cfg, tmp = workspace
+        run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        assert self.without_input(cfg, tmp / "out", force=True) == self.NEEDS_INPUT
+
+    def test_a_missing_stage_file_names_no_corpus(self, workspace):
+        paths, cfg, tmp = workspace
+        run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        (tmp / "out" / "expressions.jsonl").unlink()
+        assert self.without_input(cfg, tmp / "out") == self.NEEDS_INPUT
+
+    def test_another_format_names_the_key_not_its_corpus_name(self, workspace, monkeypatch):
+        """A format-1 manifest named the corpus as --input gave it, relative
+        to the cwd, under a key rooted on format version 1."""
+        paths, cfg, tmp = workspace
+        run_stage("all", cfg, tmp / "out", input_path=paths["corpus"])
+        manifest_path = tmp / "out" / "ingest.manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "FORMAT_VERSION", 1)
+            manifest["config_hash"] = PipelineConfig.from_dict(cfg.to_dict()).stage_keys["ingest"]
+        digest = hashlib.sha256(paths["corpus"].read_bytes()).hexdigest()
+        manifest["inputs"] = {"corpus.jsonl": digest}
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert self.without_input(cfg, tmp / "out") == self.NEEDS_INPUT + self.KEY_CHANGED
+
 
 class TestRelocatedWorkspace:
     """Manifests name each file, the corpus included, by its path relative
@@ -1476,6 +1516,13 @@ CLI_ERRORS = {
     "replay-miss": (_add_unrecorded_line, "replay miss for prompt hash ", False),
     "malformed-store": (_overwrite("store", "{}\n"), "{store}:1: bad replay entry", False),
     "malformed-demos": (_overwrite("demos", "[]\n"), "{demos}:1: bad demonstration", False),
+    # A slot holding ';' would enter the prompt as two slots.
+    "semicolon-slot-demos": (
+        _overwrite("demos", '{"text": "Bombs went off", "type": "attack", "slots": ["a; b"]}\n'),
+        "{demos}:1: bad demonstration record: candidate 'Type: attack, Slots: a; b': "
+        "a slot holds ';'",
+        False,
+    ),
     "malformed-gold": (_overwrite("gold", "{}\n"), "{gold}:1: bad gold record", False),
     "malformed-vectors": (_vector_table("a 1 2\nb 1 x\n"), "{vectors}:2: could not convert", False),
     # Loaded, these tables would score every pair nan, or every pair lexically.

@@ -132,6 +132,136 @@ class TestRoundTrip:
             assert parse_schema(render_schema(candidate)) == candidate
 
 
+# Names built from the grammar's separators and markers: ';' splits slots,
+# the first 'Slots:' marker (in any case, 'ſ' matching 's') ends the type, and
+# a newline ends the completion.
+ADVERSARIAL = [
+    ";", ":", ",", "\n", "type:", "slots:", "ſlots:", "Slots :", " ", "  ", "a", "B", ".",
+]
+adversarial_names = st.lists(st.sampled_from(ADVERSARIAL), max_size=6).map("".join)
+# Half the names canonical already, so that the constructor accepts some.
+names = adversarial_names | adversarial_names.map(normalize_label)
+
+
+def refused(build, *args):
+    try:
+        return build(*args)
+    except ValueError:
+        return None
+
+
+class TestCanonicalCandidate:
+    """SchemaCandidate holds the grammar: it is built only from names that
+    create gives back unchanged, and only when its surface form parses back
+    to it."""
+
+    @pytest.mark.parametrize(
+        "event_type, slots, message",
+        [
+            pytest.param(
+                "Attack", ("x",),
+                "candidate 'Type: Attack, Slots: x' is not canonical: 'Type: attack, Slots: x'",
+                id="type-case",
+            ),
+            pytest.param(
+                "attack.", (),
+                "candidate 'Type: attack., Slots:' is not canonical: 'Type: attack, Slots:'",
+                id="type-punctuation",
+            ),
+            pytest.param(
+                "attack", ("x", "y", "x"),
+                "candidate 'Type: attack, Slots: x; y; x' is not canonical: "
+                "'Type: attack, Slots: x; y'",
+                id="repeated-slot",
+            ),
+            pytest.param(
+                "attack", ("x", ""),
+                "candidate 'Type: attack, Slots: x; ' is not canonical: 'Type: attack, Slots: x'",
+                id="empty-slot",
+            ),
+            pytest.param(
+                "attack", ("Bad  Slot",),
+                "candidate 'Type: attack, Slots: Bad  Slot' is not canonical: "
+                "'Type: attack, Slots: bad slot'",
+                id="unnormalized-slot",
+            ),
+            pytest.param(
+                "", ("x",),
+                "candidate 'Type: , Slots: x': event type must be non-empty after normalization",
+                id="empty-type",
+            ),
+        ],
+    )
+    def test_non_canonical_candidate_is_refused(self, event_type, slots, message):
+        with pytest.raises(ValueError) as info:
+            SchemaCandidate(event_type, slots)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "event_type, slots, message",
+        [
+            # Would render "Type: attack, Slots: a; b", which parses to slots (a, b).
+            pytest.param(
+                "attack", ["a; b"],
+                "candidate 'Type: attack, Slots: a; b': a slot holds ';': ('a; b',)",
+                id="semicolon-slot",
+            ),
+            # Would parse back as type "l".
+            pytest.param(
+                "lslots:yasl", [],
+                "candidate 'Type: lslots:yasl, Slots:': event type 'lslots:yasl' holds a "
+                "'Slots:' marker",
+                id="marker-in-type",
+            ),
+            # Would make the parse raise: the type before the marker is empty.
+            pytest.param(
+                ";Slots: a", [],
+                "candidate 'Type: ;slots: a, Slots:': event type ';slots: a' holds a "
+                "'Slots:' marker",
+                id="marker-after-semicolon",
+            ),
+            pytest.param(
+                "ſlots:x", ["x"],
+                "candidate 'Type: ſlots:x, Slots: x': event type 'ſlots:x' holds a "
+                "'Slots:' marker",
+                id="long-s-marker",
+            ),
+        ],
+    )
+    def test_a_name_that_would_not_parse_back_is_refused(self, event_type, slots, message):
+        with pytest.raises(ValueError) as info:
+            SchemaCandidate.create(event_type, slots)
+        assert str(info.value) == message
+        with pytest.raises(ValueError):
+            SchemaCandidate(normalize_label(event_type), tuple(map(normalize_label, slots)))
+
+    @given(names, st.lists(names, max_size=4).map(tuple))
+    @settings(max_examples=1000, deadline=None)
+    def test_constructor_accepts_exactly_what_create_gives_back(self, event_type, slots):
+        created = refused(SchemaCandidate.create, event_type, slots)
+        gives_back = created is not None and (created.event_type, created.slots) == (
+            event_type, slots
+        )
+        assert (refused(SchemaCandidate, event_type, slots) is not None) == gives_back
+
+    @given(names, st.lists(names, max_size=4))
+    @settings(max_examples=1000, deadline=None)
+    def test_every_candidate_round_trips(self, event_type, slots):
+        candidate = refused(SchemaCandidate.create, event_type, slots)
+        if candidate is not None:
+            assert parse_schema(render_schema(candidate)) == candidate
+
+    @given(st.sampled_from(["", "Type:", "type :"]), adversarial_names)
+    @settings(max_examples=1000, deadline=None)
+    def test_every_parsed_candidate_is_accepted_unchanged(self, marker, rest):
+        try:
+            candidate = parse_schema(marker + rest)
+        except SchemaParseError:
+            return
+        assert SchemaCandidate(candidate.event_type, candidate.slots) == candidate
+        assert parse_schema(render_schema(candidate)) == candidate
+
+
 class TestDemonstrations:
     def test_load_file(self, tmp_path):
         path = tmp_path / "demos.jsonl"
