@@ -11,7 +11,6 @@ from .aggregate import (
     GraphConfig,
     SchemaGraph,
     SlotGroup,
-    aggregate,
     build_schema_graph,
     cluster_instances,
     merge_slot_synonyms,
@@ -49,7 +48,7 @@ from .evaluation import (
     nmi,
     score_partition,
 )
-from .louvain import ClusterAssignment, louvain
+from .louvain import ClusterAssignment
 from .pipeline import PipelineConfig, run_stage
 from .schemas import Demonstration, SchemaCandidate, parse_schema, render_schema
 from .scoring import (

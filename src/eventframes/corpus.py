@@ -6,9 +6,9 @@ import json
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
-from .fileio import read_text, typed
+from .fileio import claim_id, read_text, typed
 
 SPACE_DELIMITED = "space-delimited"
 CHARACTER = "character"
@@ -49,6 +49,14 @@ class EventExpression:
     @classmethod
     def from_text(cls, id: str, text: str) -> "EventExpression":
         return cls(id=id, text=text.strip())
+
+    @classmethod
+    def from_dict(cls, record: Mapping) -> "EventExpression":
+        """The expression of a stage record's "id" and "text" fields."""
+        return cls.from_text(*(typed(key, str, record[key]) for key in ("id", "text")))
+
+    def to_dict(self) -> dict:
+        return {"id": self.id, "text": self.text}
 
 
 def tokenize(text: str, language_mode: str = SPACE_DELIMITED) -> list[str]:
@@ -94,6 +102,8 @@ DISCARD_LENGTH = "length"
 DISCARD_NUMERIC = "numeric"
 DISCARD_EMPTY = "empty"
 DISCARD_MALFORMED = "malformed"
+# Every discard reason, in the order a report lists them.
+DISCARD_REASONS = (DISCARD_LENGTH, DISCARD_NUMERIC, DISCARD_EMPTY, DISCARD_MALFORMED)
 
 
 @dataclass(frozen=True)
@@ -122,14 +132,7 @@ class LoadReport:
     """Counts of kept and per-reason discarded units for one load."""
 
     kept: int = 0
-    discarded: dict[str, int] = field(
-        default_factory=lambda: {
-            DISCARD_LENGTH: 0,
-            DISCARD_NUMERIC: 0,
-            DISCARD_EMPTY: 0,
-            DISCARD_MALFORMED: 0,
-        }
-    )
+    discarded: dict[str, int] = field(default_factory=lambda: dict.fromkeys(DISCARD_REASONS, 0))
 
     @property
     def total(self) -> int:
@@ -181,11 +184,7 @@ def load_corpus(
             report.discarded[DISCARD_MALFORMED] += 1
             continue
         expr_id = explicit_id if explicit_id is not None else f"{path.name}:{lineno}"
-        if expr_id in line_of:
-            raise ValueError(
-                f"{path}:{lineno}: id {expr_id!r} is already used on line {line_of[expr_id]}"
-            )
-        line_of[expr_id] = lineno
+        claim_id(line_of, expr_id, path, lineno)
         expr = EventExpression.from_text(expr_id, text)
         decision = filter_expression(expr, cfg)
         if decision.keep:

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fileio import read_records, typed
+from .fileio import claim_id, read_records, typed
 
 
 class PartitionInputError(ValueError):
@@ -32,17 +32,14 @@ class ClusteringMetrics:
         return asdict(self)
 
 
-def _check_lengths(gold: Sequence, pred: Sequence) -> int:
+def _contingency(gold: Sequence, pred: Sequence) -> np.ndarray:
+    """The gold × pred count table of two non-empty partitions of equal length."""
     if len(gold) != len(pred):
         raise PartitionInputError(
             f"partitions must have equal length, got {len(gold)} and {len(pred)}"
         )
     if not gold:
         raise PartitionInputError("partitions must be non-empty")
-    return len(gold)
-
-
-def _contingency(gold: Sequence, pred: Sequence) -> np.ndarray:
     gold_index = {label: i for i, label in enumerate(dict.fromkeys(gold))}
     pred_index = {label: i for i, label in enumerate(dict.fromkeys(pred))}
     table = np.zeros((len(gold_index), len(pred_index)), dtype=np.int64)
@@ -59,12 +56,11 @@ def ari(gold: Sequence, pred: Sequence) -> float:
     with pair counts G, P of N pairs, (G + P) / 2 >= sqrt(GP) >= GP / N,
     equal only at G = P in {0, N}.
     """
-    n = _check_lengths(gold, pred)
     table = _contingency(gold, pred)
     sum_cells = sum(math.comb(int(v), 2) for v in table.flat)
     sum_gold = sum(math.comb(int(v), 2) for v in table.sum(axis=1))
     sum_pred = sum(math.comb(int(v), 2) for v in table.sum(axis=0))
-    pairs = math.comb(n, 2)
+    pairs = math.comb(len(gold), 2)
     if (sum_gold + sum_pred) * pairs == 2 * sum_gold * sum_pred:
         return 1.0
     expected = sum_gold * sum_pred / pairs
@@ -77,9 +73,7 @@ def nmi(gold: Sequence, pred: Sequence) -> float:
 
     Both partitions being single-cluster gives 1.
     """
-    n = _check_lengths(gold, pred)
-    table = _contingency(gold, pred)
-    joint = table / n
+    joint = _contingency(gold, pred) / len(gold)
     p_gold = joint.sum(axis=1)
     p_pred = joint.sum(axis=0)
     entropy_gold = -float(reduce(add, [p * math.log(p) for p in p_gold if p > 0], 0.0))
@@ -98,8 +92,8 @@ def nmi(gold: Sequence, pred: Sequence) -> float:
 def bcubed(gold: Sequence, pred: Sequence) -> tuple[float, float, float]:
     """Per-element precision and recall averaged over elements, plus their
     harmonic-mean F1."""
-    n = _check_lengths(gold, pred)
     table = _contingency(gold, pred)
+    n = len(gold)
     gold_sizes = table.sum(axis=1)
     pred_sizes = table.sum(axis=0)
     precision = 0.0
@@ -173,11 +167,7 @@ def load_gold_mentions(path: str | Path) -> list[tuple[str, str]]:
     mentions: list[tuple[str, str]] = []
     line_of: dict[str, int] = {}
     for lineno, (expr_id, event_type) in read_records(path, "gold record", _gold_mention):
-        if expr_id in line_of:
-            raise ValueError(
-                f"{path}:{lineno}: id {expr_id!r} is already used on line {line_of[expr_id]}"
-            )
-        line_of[expr_id] = lineno
+        claim_id(line_of, expr_id, path, lineno)
         mentions.append((expr_id, event_type))
     return mentions
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 from contextlib import contextmanager
@@ -15,7 +16,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO, get_args, get_origin
 
 # A scalar field takes a value of exactly its type (a bool is not an int),
-# and a float field also an integer.
+# and a float field also an integer.  No field takes NaN or an infinity, which
+# Python's json reads but RFC 8259 JSON does not have.
 _SCALARS = {
     bool: "true or false", int: "an integer", float: "a number", str: "a string", type(None): "null"
 }
@@ -28,6 +30,8 @@ encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 def _convert(annotation: Any, value: Any) -> Any:
     """value in annotation's form, or _REJECTED."""
+    if type(value) is float and not math.isfinite(value):
+        return _REJECTED
     if type(value) is annotation:
         return value
     if annotation in _SCALARS:
@@ -66,7 +70,8 @@ def _describe(annotation: Any) -> str:
 def typed(name: str, annotation: Any, value: Any) -> Any:
     """A JSON value in the form a field annotated `annotation` holds: a
     scalar as it is, except that an integer for a float becomes that float
-    (one beyond the float range is of the wrong type);
+    (one beyond the float range is of the wrong type, and so are NaN and the
+    infinities);
     a list for `tuple[X, ...]` a tuple of X; for `X | Y` the first that
     takes it; an object (any other annotation) a dict.  A value of another
     JSON type raises TypeError("<name> must be <types>, got <value>")."""
@@ -110,6 +115,14 @@ def read_records(path: str | Path, what: str, parse: Callable) -> Iterator[tuple
                 raise ValueError(f"{path}:{lineno}: bad {what}: no {exc} field") from exc
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad {what}: {exc}") from exc
+
+
+def claim_id(line_of: dict[str, int], id: str, path: str | Path, lineno: int) -> None:
+    """Record that line lineno of path has id; an id that line_of gives an
+    earlier line raises ValueError naming both lines."""
+    if id in line_of:
+        raise ValueError(f"{path}:{lineno}: id {id!r} is already used on line {line_of[id]}")
+    line_of[id] = lineno
 
 
 def write_records(path: Path, records: Iterable[Mapping]) -> str:

@@ -20,9 +20,10 @@ missing.  Its inputs are its predecessor's file and the files that
 `Stage.files` declares, with the files it writes besides its own.  The stages
 of one `run_stage("all")` call share a digest table: a stage's files are
 hashed before it runs, so its manifest records each input as it was before
-the stage read it; its own file's digest is taken from the bytes it writes,
-and after it runs only the digests of the other files it wrote are dropped,
-so each file is hashed at most once per call.
+the stage read it.  Then the digests of every file it writes are dropped, its
+own and the others that `Stage.files` declares: its own file's digest is taken
+again from the bytes it writes, and the others are hashed again when its
+manifest is written, so a stage file is never hashed once written.
 Manifests name files relative to the output directory, so a copied or moved
 workspace stays up to date.
 """
@@ -30,7 +31,6 @@ workspace stays up to date.
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
 import logging
 import os
@@ -40,6 +40,7 @@ from functools import cache, cached_property, lru_cache
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, get_type_hints
 
+from . import aggregate as _aggregate_module
 from .aggregate import (
     GraphConfig,
     SchemaGraph,
@@ -83,12 +84,6 @@ from .similarity import (
 )
 
 log = logging.getLogger(__name__)
-
-# The aggregate module itself: the package re-exports the module's
-# `aggregate` function under the module's name.  build_schema_graph is looked
-# up on it at call time, so a wrapper installed there (perfbench's tracer)
-# sees the pipeline's calls.
-_aggregate_module = importlib.import_module(".aggregate", __package__)
 
 FORMAT_VERSION = 2
 
@@ -316,10 +311,14 @@ def build_client(cfg: PipelineConfig) -> GenerationClient:
 # --------------------------------------------------------------------------
 
 
+def _header(stage: str, key: str) -> dict:
+    """The header line of a stage file, and the fields metrics.json adds to its report."""
+    return {"stage": stage, "config_hash": key, "format_version": FORMAT_VERSION}
+
+
 def write_stage_file(path: Path, stage: str, config_hash: str, records: Iterable[Mapping]) -> str:
     """Write the header line and the records; return the sha256 of the bytes written."""
-    header = {"stage": stage, "config_hash": config_hash, "format_version": FORMAT_VERSION}
-    return write_records(path, [header, *records])
+    return write_records(path, [_header(stage, config_hash), *records])
 
 
 def read_stage_file(
@@ -470,20 +469,19 @@ class RunContext:
 
     @cached_property
     def graph(self) -> tuple[list[StructuredInstance], SchemaGraph]:
-        """The structured instances and their schema graph."""
+        """The structured instances and their schema graph, whose nodes are
+        the instances' ids: a file that repeats an id is refused."""
         structured = self.read("structuralize", structured_from_dict)
         if not structured:
             raise StageInputError("no structured instances to aggregate")
+        seen: set[str] = set()
+        for instance in structured:
+            if instance.expression.id in seen:
+                path = self.path("structuralize")
+                raise StageInputError(f"{path}: id {instance.expression.id!r} is on two records")
+            seen.add(instance.expression.id)
         build = _aggregate_module.build_schema_graph
         return structured, build(structured, self.ensemble, self.cfg.graph)
-
-
-def _expression(record: dict) -> EventExpression:
-    return EventExpression.from_text(*(typed(key, str, record[key]) for key in ("id", "text")))
-
-
-def _expression_to_dict(expression: EventExpression) -> dict:
-    return {"id": expression.id, "text": expression.text}
 
 
 def _conceptualized(record: dict) -> ConceptualizedInstance:
@@ -493,12 +491,12 @@ def _conceptualized(record: dict) -> ConceptualizedInstance:
         for c in typed("candidates", tuple[dict, ...], record["candidates"])
     )
     parse_failures = typed("parse_failures", int, record["parse_failures"])
-    return ConceptualizedInstance(_expression(record), candidates, parse_failures)
+    return ConceptualizedInstance(EventExpression.from_dict(record), candidates, parse_failures)
 
 
 def _conceptualized_to_dict(instance: ConceptualizedInstance) -> dict:
     return {
-        **_expression_to_dict(instance.expression),
+        **instance.expression.to_dict(),
         "candidates": [{"type": c.event_type, "slots": list(c.slots)} for c in instance.candidates],
         "parse_failures": instance.parse_failures,
     }
@@ -523,7 +521,7 @@ def _stage_ingest(ctx: RunContext) -> dict:
             f"no line of {ctx.input_path} survived ingest: {report.total} read, "
             f"discarded by reason {report.discarded}"
         )
-    ctx.write("ingest", expressions, _expression_to_dict)
+    ctx.write("ingest", expressions, EventExpression.to_dict)
     return report.as_dict()
 
 
@@ -533,7 +531,7 @@ def _stage_conceptualize(ctx: RunContext) -> dict:
         raise ConfigError("conceptualize needs a demonstrations path in the config")
     pool = _load(load_demonstrations, cfg.demonstrations.path)
     demos = sample_demonstrations(pool, cfg.demonstrations.m, cfg.seed)
-    expressions = ctx.read("ingest", _expression)
+    expressions = ctx.read("ingest", EventExpression.from_dict)
     client = build_client(cfg)
     instances, report = conceptualize_corpus(
         client,
@@ -601,9 +599,8 @@ def _stage_evaluate(ctx: RunContext) -> dict:
     report = {"repeats": len(runs), "metrics": average_metrics(runs).as_dict()}
     if len(runs) > 1:
         report["runs"] = [m.as_dict() for m in runs]
-    header = {"stage": "evaluate", "config_hash": cfg.stage_keys["evaluate"]}
     path = ctx.path("evaluate")
-    record = {**report, **header, "format_version": FORMAT_VERSION}
+    record = {**report, **_header("evaluate", cfg.stage_keys["evaluate"])}
     ctx.digests[str(path)] = write_records(path, [record])
     return report
 
@@ -747,7 +744,7 @@ def run_stage(
         return {"status": "up-to-date", "stage": stage}
 
     started = time.monotonic()
-    for path in outputs:  # the stage's write records the digest of what it writes
+    for path in (*outputs, *writes):  # digests of files the stage is about to write
         ctx.digests.pop(str(path), None)
     try:
         report = spec.run(ctx)
@@ -755,9 +752,6 @@ def run_stage(
         if exc.filename is None or Path(exc.filename) not in reads:
             raise
         raise StageInputError(f"missing input file for stage {stage!r}: {exc.filename}") from exc
-    finally:
-        for path in writes:
-            ctx.digests.pop(str(path), None)
     elapsed = time.monotonic() - started
     _write_manifest(ctx.out_dir, stage, key, inputs, outputs, report, elapsed, ctx.digests)
     return report

@@ -282,8 +282,7 @@ def structuralize(
 
 def structured_to_dict(instance: StructuredInstance) -> dict:
     return {
-        "id": instance.expression.id,
-        "text": instance.expression.text,
+        **instance.expression.to_dict(),
         "type": instance.event_type,
         "type_consistency": instance.type_consistency,
         "slots": [
@@ -301,7 +300,7 @@ def structured_to_dict(instance: StructuredInstance) -> dict:
 
 
 def structured_from_dict(record: Mapping) -> StructuredInstance:
-    expression = EventExpression.from_text(*(typed(k, str, record[k]) for k in ("id", "text")))
+    expression = EventExpression.from_dict(record)
     slots = tuple(
         SlotRecord(
             typed("name", str, s["name"]),

@@ -181,14 +181,12 @@ class LexiconBackend:
 
     def __init__(self, synonym_sets: Iterable[Iterable[str]]):
         self._set_ids = _set_ids(synonym_sets)
-        self._fallback = LexicalBackend()
 
     @classmethod
     def from_file(cls, path: str | Path) -> "LexiconBackend":
         """Load a synonym-set file: one group per line, members tab-separated,
         at least one group.  A process parses the file once while its bytes
-        are unchanged, and keeps the parsed sets for its life; each backend
-        has its own fallback."""
+        are unchanged, and keeps the parsed sets for its life."""
         backend = cls(())
         backend._set_ids = _parse_once(_read_lexicon, path)
         return backend
@@ -210,7 +208,7 @@ class LexiconBackend:
         sets_x = [set_columns(x.strip().lower()) for x in xs]
         sets_y = [set_columns(y.strip().lower()) for y in ys]
         shared_set = _incidence(sets_x, len(columns)) @ _incidence(sets_y, len(columns)).T > 0
-        return np.where(shared_set, 1.0, self._fallback.matrix(xs, ys, lexical))
+        return np.where(shared_set, 1.0, LexicalBackend().matrix(xs, ys, lexical))
 
 
 def _set_ids(synonym_sets: Iterable[Iterable[str]]) -> Mapping[str, set[int]]:
@@ -247,7 +245,6 @@ class EmbeddingBackend:
     def __init__(self, vectors: dict[str, np.ndarray]):
         table = np.array(list(vectors.values()), dtype=float)
         self._rows, self._table = _index(list(vectors), table)
-        self._fallback = LexicalBackend()
         self.fallback_count = 0
 
     @classmethod
@@ -256,7 +253,7 @@ class EmbeddingBackend:
         every component finite, at least one token.  A later line replaces an
         earlier one for the same lowercased token.  A process parses the file
         once while its bytes are unchanged, and keeps the parsed table for its
-        life; each backend has its own fallback and fallback_count."""
+        life; each backend has its own fallback_count."""
         backend = cls({})
         backend._rows, backend._table = _parse_once(_read_vectors, path)
         return backend
@@ -277,7 +274,7 @@ class EmbeddingBackend:
         misses = len(xs) * len(ys) - len(covered_x) * len(covered_y)
         self.fallback_count += misses
         log.debug("embedding misses: %d of %d pairs scored lexically", misses, len(xs) * len(ys))
-        out = self._fallback.matrix(xs, ys) if lexical is None else lexical.copy()
+        out = LexicalBackend().matrix(xs, ys) if lexical is None else lexical.copy()
         if covered_x and covered_y:
             # A stack of 1×d @ d×1 products: numpy runs each through the same
             # dot kernel as np.dot on two vectors, so a cell does not depend
@@ -427,7 +424,14 @@ class EmbeddingServiceBackend(EmbeddingBackend):
                 if len(vectors) != len(missing):
                     raise ValueError(f"{len(vectors)} vectors for {len(missing)} texts")
                 fetched = [np.asarray(vector, dtype=float) for vector in vectors]
+                # Every vector has as many components as the first one fetched.
+                first = next(iter(self._vectors.values()), fetched[0])
                 for token, vector in zip(missing, fetched):
+                    if vector.ndim != 1 or not vector.size:
+                        raise ValueError(f"vector of {token!r} is not a non-empty list of numbers")
+                    if vector.shape != first.shape:
+                        size = f"{vector.size} components, not {first.size}"
+                        raise ValueError(f"vector of {token!r} has {size}")
                     if not np.isfinite(vector).all():
                         raise ValueError(_non_finite(token))
             except Exception as exc:

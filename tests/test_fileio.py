@@ -42,6 +42,14 @@ class TestTyped:
             (tuple[str, ...], "abc", "x must be a list (each item a string), got 'abc'"),
             (tuple[float, ...], [1, "2"], "x must be a list (each item a number), got [1, '2']"),
             (Mapping, [], "x must be an object, got []"),
+            # NaN and the infinities, which Python's json reads.
+            (float, float("nan"), "x must be a number, got nan"),
+            (float | None, float("inf"), "x must be a number or null, got inf"),
+            (
+                tuple[float, ...],
+                [1.0, -float("inf")],
+                "x must be a list (each item a number), got [1.0, -inf]",
+            ),
         ],
     )
     def test_another_json_type_raises_naming_the_field(self, annotation, value, message):

@@ -150,6 +150,19 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError, match="must be a JSON object"):
             PipelineConfig.from_dict(data)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("section,key", FLOAT_FIELDS)
+    def test_a_non_finite_number_is_refused(self, section, key, value):
+        # Python's json reads NaN and Infinity, which RFC 8259 JSON does not have.
+        data = json.loads(json.dumps({section: {key: value}}))
+        with pytest.raises(ConfigError, match=f"^{section}.{key} must be a number"):
+            PipelineConfig.from_dict(data)
+
+    def test_a_non_finite_weight_is_refused(self):
+        data = json.loads('{"similarity": {"weights": [NaN]}}')
+        with pytest.raises(ConfigError, match=r"^similarity.weights must be a list .* got \[nan\]"):
+            PipelineConfig.from_dict(data)
+
     def test_hash_changes_with_config(self):
         base = PipelineConfig()
         changed = PipelineConfig.from_dict({"seed": 4321})
@@ -681,6 +694,15 @@ class TestTablesParsedOncePerProcess:
         for stage_file in ("structured.jsonl", "schemas.jsonl", "metrics.json"):
             fresh = (tmp / "fresh" / stage_file).read_bytes()
             assert (tmp / "out" / stage_file).read_bytes() == fresh, stage_file
+
+
+@pytest.mark.parametrize("name", ["aggregate", "louvain"])
+def test_importing_a_module_by_name_binds_the_module(name):
+    # The package exports no function under one of its modules' names.
+    namespace: dict = {}
+    exec(f"import eventframes.{name} as m", namespace)
+    assert namespace["m"] is sys.modules[f"eventframes.{name}"]
+    assert type(namespace["m"]).__name__ == "module"
 
 
 class TestOneGraphPerRun:
@@ -1598,6 +1620,12 @@ CLI_ERRORS = {
         "exactly one of 'path' and 'url'",
         True,
     ),
+    # Python's json reads NaN; kept, it would drop every slot and still score.
+    "nan-threshold": (
+        _set("scoring", "threshold", float("nan")),
+        "scoring.threshold must be a number, got nan",
+        True,
+    ),
     # Ignored, it would still change aggregate's stage key.
     "prune-tau-without-absolute": (
         _set("graph", "prune_tau", 0.5),
@@ -1663,6 +1691,11 @@ CORRUPT_RECORDS = {
                       "consistency": 1.0, "score": 1.0}]),
         "freq must be an integer, got 'two'",
     ),
+    "nan-type-consistency": (
+        "structuralize",
+        _with(type_consistency=float("nan")),
+        "type_consistency must be a number, got nan",
+    ),
     "no-members": ("aggregate", _without("members"), "no 'members' field"),
 }
 
@@ -1680,6 +1713,12 @@ STAGE_FILE_ERRORS = {
     "empty": ("ingest", lambda lines: [], "{path} is empty; rerun the 'ingest' stage"),
     "header-only": (
         "structuralize", lambda lines: lines[:1], "no structured instances to aggregate"
+    ),
+    # Louvain needs distinct node ids.
+    "repeated-id": (
+        "structuralize",
+        lambda lines: [*lines, lines[1]],
+        "{path}: id 'm00' is on two records",
     ),
 }
 

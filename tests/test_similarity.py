@@ -202,6 +202,28 @@ class TestEmbeddingBackend:
         with pytest.raises(EmbeddingServiceError, match="vector of 'beta' has a non-finite"):
             backend.matrix(["alpha beta"], ["alpha"])
 
+    @pytest.mark.parametrize(
+        "vectors, message",
+        [
+            ([[1.0, 0.0], [0.0, 1.0, 0.0]], "vector of 'beta' has 3 components, not 2"),
+            ([[1.0, 0.0], 0.5], "vector of 'beta' is not a non-empty list of numbers"),
+            ([[1.0, 0.0], []], "vector of 'beta' is not a non-empty list of numbers"),
+            ([[1.0, 0.0], [[0.0, 1.0]]], "vector of 'beta' is not a non-empty list of numbers"),
+            ([2.0, [0.0, 1.0]], "vector of 'alpha' is not a non-empty list of numbers"),
+        ],
+    )
+    def test_service_vector_of_another_shape_raises(self, vectors, message):
+        backend = EmbeddingServiceBackend("http://vectors", fetch=lambda texts: vectors)
+        with pytest.raises(EmbeddingServiceError, match=f"vectors failed: {message}"):
+            backend.matrix(["alpha beta"], ["alpha"])
+
+    def test_service_vector_unlike_those_fetched_before_raises(self):
+        answers = iter([[[1.0, 0.0]], [[1.0, 0.0, 0.0]]])
+        backend = EmbeddingServiceBackend("http://vectors", fetch=lambda texts: next(answers))
+        backend.score("alpha", "alpha")
+        with pytest.raises(EmbeddingServiceError, match="'beta' has 3 components, not 2"):
+            backend.score("alpha", "beta")
+
 
 # Spellings of a component: float() and loadtxt read the first group alike;
 # float() alone reads the next (underscores, non-ASCII digits), the next are
@@ -382,11 +404,10 @@ class TestTablesParsedOnce:
             one._rows["up"] = 1
         assert one.score("die", "died") == pytest.approx(0.8)
         assert (one.fallback_count, two.fallback_count) == (1, 0)
-        assert one._fallback is not two._fallback
 
         (tmp_path / "synsets.tsv").write_text("die\tdecease\n", encoding="utf-8")
         one, two = (LexiconBackend.from_file(tmp_path / "synsets.tsv") for _ in range(2))
-        assert one._set_ids is two._set_ids and one._fallback is not two._fallback
+        assert one._set_ids is two._set_ids
         with pytest.raises(TypeError):
             one._set_ids["die"] = set()
 
